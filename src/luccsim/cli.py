@@ -33,6 +33,7 @@ from .engine import RunResult, run_simulation
 from .errors import ConfigurationError, MetricUndefinedError
 from .landscape import CycleRecord
 from .metrics import distribution_summary, fit_report
+from .numeric import sequential_sum
 from .sweep import SweepAxis, SweepParameter, run_sweep, write_sweep_csv
 from .tables import LandUse, TechLevel, Wgc
 
@@ -150,7 +151,7 @@ def _summary_dict(result: RunResult) -> dict:
         except MetricUndefinedError:
             # cv is undefined at zero mean; quartiles are shift-equivariant,
             # so recover them from a shifted copy and null out cv.
-            shift = 1.0 - sum(values) / len(values)
+            shift = 1.0 - sequential_sum(values) / len(values)
             shifted = asdict(distribution_summary([v + shift for v in values]))
             return {
                 k: (None if k == "cv" else v - shift) for k, v in shifted.items()
@@ -163,9 +164,10 @@ def _summary_dict(result: RunResult) -> dict:
         "cycles": len(records),
         "seed": result.config.seed,
         "climate": result.config.climate.describe(),
-        "mean_profit_usd_per_ha": sum(r.mean_profit_usd_per_ha for r in records)
-        / len(records),
-        "mean_rl_pct": sum(r.mean_rl_pct for r in records) / len(records),
+        "mean_profit_usd_per_ha": sequential_sum(
+            [r.mean_profit_usd_per_ha for r in records]
+        ) / len(records),
+        "mean_rl_pct": sequential_sum([r.mean_rl_pct for r in records]) / len(records),
         "per_agent_mean_profit": dist(result.mean_profit_per_agent),
         "per_agent_mean_rl": dist(result.mean_rl_per_agent),
         "econ_goal_agreement_pct": dist(result.econ_agreement_pct),
@@ -356,7 +358,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="intra-stage parallelism width (output is identical at any width)",
+        help="parallelism width, at least 1; each run is one array pass per "
+        "cycle, so today the width has no effect (output is identical at any width)",
     )
     parser.add_argument("--out-dir", default=".", help="output directory")
 

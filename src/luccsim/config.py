@@ -19,11 +19,13 @@ table overrides. Two presets are built in:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from .climate import ClimateRegime, RegimeKind, load_wgc_sequence
 from .errors import ConfigurationError
+from .numeric import sequential_sum
 from .tables import (
     LandUse,
     ParameterTables,
@@ -79,6 +81,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise ConfigurationError on the first inconsistency found."""
+        for name, value in self._float_fields():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite (got {value!r})")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ConfigurationError("grid dimensions must be positive")
         if self.cycles < 1:
@@ -136,6 +141,20 @@ class ScenarioConfig:
                     f"runs {self.cycles} cycles"
                 )
 
+    def _float_fields(self):
+        """(name, value) of every float setting, table entries included."""
+        yield "owner_share_pct", self.owner_share_pct
+        yield "initial_al_factor", self.initial_al_factor
+        yield "et_pct", self.et_pct
+        yield "wheat_price_usd_per_t", self.wheat_price_usd_per_t
+        for name in ("rent_soy_tons", "rent_usd_per_ha"):
+            if getattr(self, name) is not None:
+                yield name, getattr(self, name)
+        for name in ("initial_cover_pct", "initial_tl_pct", "prices",
+                     "split_wheat_yield", "split_soy2_yield"):
+            for value in (getattr(self, name) or {}).values():
+                yield name, value
+
 
 def _check_shares(name: str, shares: Mapping, members: list) -> None:
     for member in members:
@@ -143,7 +162,7 @@ def _check_shares(name: str, shares: Mapping, members: list) -> None:
             raise ConfigurationError(f"{name} missing {member.code}")
         if shares[member] < 0:
             raise ConfigurationError(f"{name}[{member.code}] must be non-negative")
-    total = sum(shares[m] for m in members)
+    total = sequential_sum([shares[m] for m in members])
     if abs(total - 100.0) > _SHARE_TOLERANCE:
         raise ConfigurationError(
             f"{name} entries must sum to 100 (got {total:.6f})"
@@ -151,7 +170,7 @@ def _check_shares(name: str, shares: Mapping, members: list) -> None:
 
 
 def _normalized(shares: dict) -> dict:
-    total = sum(shares.values())
+    total = sequential_sum(list(shares.values()))
     return {k: v * 100.0 / total for k, v in shares.items()}
 
 
@@ -255,6 +274,18 @@ def _line_of_key(text: str, key: str) -> int:
     return 1
 
 
+_NUMBER_KEYS = (
+    ("grid_rows", int),
+    ("grid_cols", int),
+    ("cycles", int),
+    ("seed", int),
+    ("owner_share_pct", float),
+    ("initial_al_factor", float),
+    ("et_pct", float),
+    ("wheat_price_usd_per_t", float),
+)
+
+
 def _build_config(data: dict) -> ScenarioConfig:
     if "preset" in data:
         config = preset(str(data["preset"]))
@@ -275,24 +306,11 @@ def _build_config(data: dict) -> ScenarioConfig:
         )
 
     updates: dict = {}
-    if "grid_rows" in data:
-        updates["grid_rows"] = int(data["grid_rows"])
-    if "grid_cols" in data:
-        updates["grid_cols"] = int(data["grid_cols"])
-    if "cycles" in data:
-        updates["cycles"] = int(data["cycles"])
-    if "seed" in data:
-        updates["seed"] = int(data["seed"])
-    if "owner_share_pct" in data:
-        updates["owner_share_pct"] = float(data["owner_share_pct"])
-    if "initial_al_factor" in data:
-        updates["initial_al_factor"] = float(data["initial_al_factor"])
-    if "et_pct" in data:
-        updates["et_pct"] = float(data["et_pct"])
+    for key, convert in _NUMBER_KEYS:
+        if key in data:
+            updates[key] = _number(data[key], convert, key)
     if "pricing_mode" in data:
         updates["pricing_mode"] = str(data["pricing_mode"])
-    if "wheat_price_usd_per_t" in data:
-        updates["wheat_price_usd_per_t"] = float(data["wheat_price_usd_per_t"])
     if "initial_cover_pct" in data:
         updates["initial_cover_pct"] = _parse_keyed(
             data["initial_cover_pct"], LandUse, "initial_cover_pct"
@@ -312,11 +330,11 @@ def _build_config(data: dict) -> ScenarioConfig:
                 'rent must be {"soy_tons": x} or {"usd_per_ha": x}'
             )
         if "soy_tons" in rent:
-            updates["rent_soy_tons"] = float(rent["soy_tons"])
+            updates["rent_soy_tons"] = _number(rent["soy_tons"], float, "rent.soy_tons")
             updates["rent_usd_per_ha"] = None
         else:
             updates["rent_soy_tons"] = None
-            updates["rent_usd_per_ha"] = float(rent["usd_per_ha"])
+            updates["rent_usd_per_ha"] = _number(rent["usd_per_ha"], float, "rent.usd_per_ha")
     if "climate" in data:
         updates["climate"] = parse_climate_spec(data["climate"])
     if "split_yield_files" in data:
@@ -341,8 +359,16 @@ def _parse_keyed(raw, enum_cls, name: str) -> dict:
         raise ConfigurationError(f"{name} must be an object of code -> value")
     out = {}
     for code, value in raw.items():
-        out[enum_cls.from_code(str(code))] = float(value)
+        out[enum_cls.from_code(str(code))] = _number(value, float, f"{name}.{code}")
     return out
+
+
+def _number(value, convert, name: str):
+    """`convert(value)`, or a ConfigurationError naming the setting."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{name} must be a number (got {value!r})") from None
 
 
 _NAMED_REGIMES = {

@@ -10,28 +10,35 @@ cross-agent reads:
    imitation, aspiration update, and technology update, all reading a
    frozen snapshot of stage 1-3 results.
 
-Stages 1-3 are per-agent pure and are computed in one fused pass; stage 4
-runs after the barrier. Within a stage, cells only read the frozen snapshot
-and write their own slot, so chunked parallel execution is bit-identical to
-sequential execution at any worker count.
+`run_cycle` runs a cycle as one numpy pass: it gathers the agents' state
+from the cells into arrays, computes every stage as whole-array expressions
+(stage 4 takes a running strict maximum over the rows of the landscape's
+padded Moore table), and writes the results back into the same cells. Each
+element goes through the same float operations, in the same order, as the
+scalar rule functions below, so the arrays reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .climate import wgc_for_cycle
 from .config import ScenarioConfig, resolve_tables
+from .errors import ConfigurationError
 from .landscape import (
     AgentState,
+    CycleOutcomes,
     CycleRecord,
     Landscape,
     Tenure,
-    aggregate,
+    allocation_matrix,
+    gather,
     initialize,
+    record_from_arrays,
 )
 from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
@@ -237,124 +244,90 @@ def context_for(
     )
 
 
-def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    step = (n + workers - 1) // workers
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+_TECH_LEVELS = np.array(list(TechLevel), dtype=object)  # index -> member
+_WRITE_CHUNK = 8192  # cells written back per batch of temporary Python lists
 
 
 def run_cycle(
-    landscape: Landscape,
-    ctx: CycleContext,
-    *,
-    cycle_index: int = 0,
-    workers: int = 1,
+    landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0
 ) -> tuple[Landscape, CycleRecord]:
     """Advance the landscape by one cycle, in place.
 
     Returns the landscape and the record of outcomes realized within the
-    cycle (aggregated at the stage-3 barrier, before adaptation). Output is
-    bit-identical for any `workers` value.
+    cycle (aggregated at the stage-3 barrier, before adaptation). The
+    cycle's per-agent outcome arrays are left in `landscape.outcomes`.
     """
     cells = landscape.cells
-    n = len(cells)
-    neighbor_index = landscape.neighbor_index
+    allocs = [c.allocation for c in cells]
+    alloc = allocation_matrix(allocs)
+    tl = gather(cells, "tl", np.intp)
+    tables = ctx.tables
 
-    alloc = [c.allocation for c in cells]
-    tl = [c.tl for c in cells]
-    al = [c.al_usd_per_ha for c in cells]
-    is_tenant = [c.tenure is Tenure.TENANT for c in cells]
+    # stages 1-3, as compute_profit, compute_rl, climate_adjusted_aspiration
+    # and evaluate_goals do per agent
+    share = alloc / 100.0
 
-    margins = ctx.margins
-    renewabilities = ctx.renewabilities
-    alpha = ctx.tables.alpha_wgc[ctx.wgc]
-    rent = ctx.rent_usd_per_ha
-    et = ctx.et_pct
-    abn = [
-        [ctx.tables.alpha_bn[(a, b)] for b in TechLevel] for a in TechLevel
-    ]
-    wct = ctx.tables.wct_usd_per_ha
-    wct_avg, wct_high = wct[TechLevel.AVERAGE], wct[TechLevel.HIGH]
+    def weighted(by_level):  # (a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2
+        v = np.array(by_level)[tl]
+        return share[:, 0] * v[:, 0] + share[:, 1] * v[:, 1] + share[:, 2] * v[:, 2]
 
-    profit = [0.0] * n
-    rl = [0.0] * n
-    cal = [0.0] * n
-    econ = [False] * n
-    env = [False] * n
+    profit = weighted(ctx.margins)
+    profit[gather(cells, "tenure", np.intp) == Tenure.TENANT] -= ctx.rent_usd_per_ha
+    rl = weighted(ctx.renewabilities)
+    cal = climate_adjusted_aspiration(gather(cells, "al_usd_per_ha", np.float64), ctx.wgc, tables)
+    econ, env = evaluate_goals(profit, cal, rl, ctx.et_pct)
+    outcomes = CycleOutcomes(profit, rl, econ, env)
+    record = record_from_arrays(cycle_index, ctx.wgc, alloc, tl, outcomes)
 
-    def stage_outcomes(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            a0, a1, a2 = alloc[i]
-            m0, m1, m2 = margins[tl[i]]
-            p = (a0 / 100.0) * m0 + (a1 / 100.0) * m1 + (a2 / 100.0) * m2
-            if is_tenant[i]:
-                p -= rent
-            r0, r1, r2 = renewabilities[tl[i]]
-            profit[i] = p
-            rl[i] = (a0 / 100.0) * r0 + (a1 / 100.0) * r1 + (a2 / 100.0) * r2
-            c = al[i] * (1.0 + alpha)
-            cal[i] = c
-            econ[i] = p >= c
-            env[i] = rl[i] >= et
+    # stage 4: select_best_neighbor. The pad slot's -inf never wins a strict
+    # >, and a NaN profit neither wins nor is beaten, as in the scalar rule.
+    table = landscape.moore_table
+    padded = np.append(profit, -np.inf)
+    best = table[0]
+    best_p = padded[best]
+    for row in table[1:]:
+        p = padded[row]
+        better = p > best_p
+        best = np.where(better, row, best)
+        best_p = np.where(better, p, best_p)
 
-    next_alloc: list = [None] * n
-    next_tl: list = [TechLevel.LOW] * n
-    next_al = [0.0] * n
+    # update_aspiration, decide_land_use and update_technology
+    own_w = np.where(econ, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
+    next_al = cal + own_w * (profit - cal)
+    imitators = np.flatnonzero(~econ & (best_p > cal))
+    models = best[imitators]
+    alpha_bn = np.array([[tables.alpha_bn[(a, b)] for b in TechLevel] for a in TechLevel])
+    next_al[imitators] = cal[models] * (1.0 + alpha_bn)[tl[imitators], tl[models]]
+    next_al = np.where(next_al > 0.0, next_al, 0.0)
+    wct = tables.wct_usd_per_ha
+    next_tl = np.where(profit >= wct[TechLevel.HIGH], TechLevel.HIGH, np.where(
+        profit >= wct[TechLevel.AVERAGE], TechLevel.AVERAGE, TechLevel.LOW))
 
-    def stage_adapt(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            best = -1
-            best_p = 0.0
-            for j in neighbor_index[i]:
-                pj = profit[j]
-                if best < 0 or pj > best_p:
-                    best = j
-                    best_p = pj
-            p = profit[i]
-            c = cal[i]
-            if p >= c:
-                a = c + (1.0 - _INCREMENTAL_OWN) * (p - c)
-                next_alloc[i] = alloc[i]
-            elif best >= 0 and best_p > c:
-                a = cal[best] * (1.0 + abn[tl[i]][tl[best]])
-                next_alloc[i] = alloc[best]
-            else:
-                a = c + (1.0 - _DETRIMENTAL_OWN) * (p - c)
-                next_alloc[i] = alloc[i]
-            next_al[i] = a if a > 0.0 else 0.0
-            if p >= wct_high:
-                next_tl[i] = TechLevel.HIGH
-            elif p >= wct_avg:
-                next_tl[i] = TechLevel.AVERAGE
-            else:
-                next_tl[i] = TechLevel.LOW
-
-    if workers <= 1 or n < 2:
-        stage_outcomes(0, n)
-        _commit_outcomes(cells, profit, rl, cal, econ, env)
-        record = aggregate(landscape, cycle_index, ctx.wgc)
-        stage_adapt(0, n)
-    else:
-        bounds = _chunk_bounds(n, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: stage_outcomes(*b), bounds))
-            _commit_outcomes(cells, profit, rl, cal, econ, env)
-            record = aggregate(landscape, cycle_index, ctx.wgc)
-            list(pool.map(lambda b: stage_adapt(*b), bounds))
-
-    for i, cell in enumerate(cells):
-        cell.allocation = next_alloc[i]
-        cell.tl = next_tl[i]
-        cell.al_usd_per_ha = next_al[i]
+    # Cells get Python floats, bools and TechLevel members, and imitators the
+    # model's pre-cycle allocation tuple itself, as the scalar rules return.
+    for i, j in zip(imitators.tolist(), models.tolist()):
+        cells[i].allocation = allocs[j]
+    for lo in range(0, len(cells), _WRITE_CHUNK):
+        hi = lo + _WRITE_CHUNK
+        for cell, p, r, c, e, v, a, t in zip(
+            cells[lo:hi],
+            profit[lo:hi].tolist(),
+            rl[lo:hi].tolist(),
+            cal[lo:hi].tolist(),
+            econ[lo:hi].tolist(),
+            env[lo:hi].tolist(),
+            next_al[lo:hi].tolist(),
+            _TECH_LEVELS[next_tl[lo:hi]].tolist(),
+        ):
+            cell.last_profit_usd_per_ha = p
+            cell.last_rl_pct = r
+            cell.last_cal_usd_per_ha = c
+            cell.econ_ok = e
+            cell.env_ok = v
+            cell.al_usd_per_ha = a
+            cell.tl = t
+    landscape.outcomes = outcomes
     return landscape, record
-
-
-def _commit_outcomes(cells, profit, rl, cal, econ, env) -> None:
-    for i, cell in enumerate(cells):
-        cell.last_profit_usd_per_ha = profit[i]
-        cell.last_rl_pct = rl[i]
-        cell.last_cal_usd_per_ha = cal[i]
-        cell.econ_ok = econ[i]
-        cell.env_ok = env[i]
 
 
 @dataclass
@@ -382,9 +355,12 @@ def run_simulation(
 
     The seeded stream is consumed by initialization first and then, for the
     random weather regime only, by one draw per cycle, so identical
-    configurations replay identically at any worker count.
+    configurations replay identically. `workers` must be at least 1; a run
+    is one array pass per cycle, so the width does not change a run.
     """
     config.validate()
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1 (got {workers})")
     if tables is None:
         tables = resolve_tables(config)
     rng = SplitMix64(config.seed)
@@ -393,10 +369,7 @@ def run_simulation(
 
     records: list[CycleRecord] = []
     agent_rows: Optional[list[tuple]] = [] if collect_agents else None
-    profit_sums = [0.0] * n
-    rl_sums = [0.0] * n
-    econ_counts = [0] * n
-    env_counts = [0] * n
+    totals = np.zeros((len(CycleOutcomes._fields), n))  # per-agent sums, cycle by cycle
 
     for t in range(config.cycles):
         wgc = wgc_for_cycle(config.climate, t, rng)
@@ -405,40 +378,25 @@ def run_simulation(
             pre_alloc = [c.allocation for c in scape.cells]
             pre_tl = [c.tl for c in scape.cells]
             pre_al = [c.al_usd_per_ha for c in scape.cells]
-        _, record = run_cycle(scape, ctx, cycle_index=t, workers=workers)
+        _, record = run_cycle(scape, ctx, cycle_index=t)
         records.append(record)
-        for i, cell in enumerate(scape.cells):
-            profit_sums[i] += cell.last_profit_usd_per_ha
-            rl_sums[i] += cell.last_rl_pct
-            econ_counts[i] += cell.econ_ok
-            env_counts[i] += cell.env_ok
+        totals += np.stack(scape.outcomes)
         if collect_agents:
-            for i, cell in enumerate(scape.cells):
-                agent_rows.append(
-                    (
-                        t,
-                        cell.row,
-                        cell.col,
-                        cell.tenure,
-                        pre_alloc[i],
-                        pre_tl[i],
-                        pre_al[i],
-                        cell.last_cal_usd_per_ha,
-                        cell.last_profit_usd_per_ha,
-                        cell.last_rl_pct,
-                        cell.econ_ok,
-                        cell.env_ok,
-                    )
-                )
+            agent_rows.extend(
+                (t, c.row, c.col, c.tenure, a, tl, al, c.last_cal_usd_per_ha,
+                 c.last_profit_usd_per_ha, c.last_rl_pct, c.econ_ok, c.env_ok)
+                for c, a, tl, al in zip(scape.cells, pre_alloc, pre_tl, pre_al)
+            )
 
     cycles = float(config.cycles)
+    profit, rl, econ, env = totals.tolist()
     return RunResult(
         config=config,
         records=records,
         landscape=scape,
-        mean_profit_per_agent=[s / cycles for s in profit_sums],
-        mean_rl_per_agent=[s / cycles for s in rl_sums],
-        econ_agreement_pct=[100.0 * c / cycles for c in econ_counts],
-        env_agreement_pct=[100.0 * c / cycles for c in env_counts],
+        mean_profit_per_agent=[s / cycles for s in profit],
+        mean_rl_per_agent=[s / cycles for s in rl],
+        econ_agreement_pct=[100.0 * c / cycles for c in econ],
+        env_agreement_pct=[100.0 * c / cycles for c in env],
         agent_rows=agent_rows,
     )

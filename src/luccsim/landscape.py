@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional
+from itertools import chain
+from operator import attrgetter
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigurationError
+from .numeric import sequential_sum
 from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
@@ -23,7 +28,9 @@ __all__ = [
     "AgentState",
     "Landscape",
     "CycleRecord",
+    "CycleOutcomes",
     "moore_neighbors",
+    "moore_table",
     "initialize",
     "aggregate",
 ]
@@ -65,9 +72,21 @@ class AgentState:
     env_ok: bool = False
 
 
+class CycleOutcomes(NamedTuple):
+    """Per-agent stage 1-3 results of one cycle, as arrays in cell order."""
+
+    profit: np.ndarray
+    rl: np.ndarray
+    econ: np.ndarray
+    env: np.ndarray
+
+
 @dataclass
 class Landscape:
-    """Dense row-major grid of agents plus the run's landscape constants."""
+    """Dense row-major grid of agents plus the run's landscape constants.
+
+    `outcomes` holds the arrays of the latest `run_cycle`, None before it.
+    """
 
     rows: int
     cols: int
@@ -75,15 +94,13 @@ class Landscape:
     et_pct: float
     rent_soy_tons: Optional[float]
     rent_usd_per_ha: Optional[float]
-    neighbor_index: list[list[int]] = field(init=False, repr=False)
+    moore_table: np.ndarray = field(init=False, repr=False)
+    outcomes: Optional[CycleOutcomes] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.cells) != self.rows * self.cols:
             raise ValueError("cell count does not match grid dimensions")
-        self.neighbor_index = [
-            [r * self.cols + c for r, c in moore_neighbors((i // self.cols, i % self.cols), (self.rows, self.cols))]
-            for i in range(self.rows * self.cols)
-        ]
+        self.moore_table = moore_table(self.rows, self.cols)
 
     @property
     def n_agents(self) -> int:
@@ -123,6 +140,26 @@ def moore_neighbors(
     return out
 
 
+def moore_table(rows: int, cols: int) -> np.ndarray:
+    """Padded (8, n) int32 table of every cell's Moore neighbors.
+
+    Column i lists the row-major indices of cell i's existing neighbors in
+    scan order, the same as `moore_neighbors`, followed by the pad index n
+    in the rows left over, so row 0 is always the first existing neighbor.
+    """
+    n = rows * cols
+    index = np.arange(n, dtype=np.int32).reshape(rows, cols)
+    table = np.full((8, rows, cols), n, dtype=np.int32)
+    for k, (dr, dc) in enumerate(MOORE_OFFSETS):
+        # cell (r, c) sees (r + dr, c + dc) wherever that is on the grid
+        table[k, max(0, -dr):rows - max(0, dr), max(0, -dc):cols - max(0, dc)] = (
+            index[max(0, dr):rows - max(0, -dr), max(0, dc):cols - max(0, -dc)]
+        )
+    table = table.reshape(8, n)
+    order = np.argsort(table == n, axis=0, kind="stable")
+    return np.take_along_axis(table, order, axis=0)
+
+
 def _largest_remainder_counts(shares: dict, members: list, total: int) -> dict:
     """Apportion `total` items to shares summing to 100; ties favor lower ordinals."""
     exact = {m: shares[m] * total / 100.0 for m in members}
@@ -144,38 +181,31 @@ def _simplex_draw(rng: SplitMix64) -> tuple[float, float, float]:
 
 
 def _balance_to_targets(
-    shares: list[list[float]], target: list[float], tol: float = 1e-12
-) -> None:
-    """Rescale simplex rows per component so the column means hit `target`.
+    shares: np.ndarray, target: list[float], tol: float = 1e-12
+) -> np.ndarray:
+    """Rescale (n, 3) simplex rows per component so the column means hit `target`.
 
     One rescale biases the means again once rows are renormalized, so the
     rescale/renormalize pair is iterated to its fixed point (a Sinkhorn-style
     balancing). Rows keep their relative heterogeneity; zero targets zero
-    out the corresponding component.
+    out the corresponding component. Returns the balanced rows.
     """
     n = len(shares)
     for _ in range(500):
-        means = [sum(row[k] for row in shares) / n for k in range(3)]
+        means = [total / n for total in sequential_sum(shares)]
         if all(abs(means[k] - target[k]) <= tol for k in range(3)):
-            return
+            return shares
         scale = [
             (target[k] / means[k]) if target[k] > 0.0 and means[k] > 0.0 else 0.0
             for k in range(3)
         ]
-        for row in shares:
-            a = row[0] * scale[0]
-            b = row[1] * scale[1]
-            c = row[2] * scale[2]
-            total = a + b + c
-            if total <= 0.0:
-                # the row had mass only in zeroed-out components (needs an
-                # exactly-zero draw, so effectively unreachable)
-                row[0], row[1], row[2] = target
-                continue
-            row[0] = a / total
-            row[1] = b / total
-            row[2] = c / total
-    means = [sum(row[k] for row in shares) / n for k in range(3)]
+        scaled = shares * scale
+        total = scaled[:, 0] + scaled[:, 1] + scaled[:, 2]
+        # a row with mass only in zeroed-out components (needs an exactly-zero
+        # draw, so effectively unreachable) restarts at the target
+        dead = total <= 0.0
+        shares = np.where(dead[:, None], target, scaled / np.where(dead, 1.0, total)[:, None])
+    means = [total / n for total in sequential_sum(shares)]
     worst = max(abs(means[k] - target[k]) for k in range(3))
     raise ConfigurationError(
         f"initial cover balancing did not converge (residual {worst:.3e})"
@@ -213,14 +243,13 @@ def initialize(
         tl_pool.extend([tl] * tl_counts[tl])
     rng.shuffle(tl_pool)
 
-    draws = [list(_simplex_draw(rng)) for _ in range(n)]
+    draws = allocation_matrix([_simplex_draw(rng) for _ in range(n)])
     target = [config.initial_cover_pct[lu] / 100.0 for lu in LandUse]
-    _balance_to_targets(draws, target)
+    allocations = (100.0 * _balance_to_targets(draws, target)).tolist()
 
     cells = []
     for i in range(n):
-        share = draws[i]
-        allocation = (100.0 * share[0], 100.0 * share[1], 100.0 * share[2])
+        allocation = tuple(allocations[i])
         tl = tl_pool[i]
         cells.append(
             AgentState(
@@ -244,36 +273,48 @@ def initialize(
     )
 
 
-def aggregate(landscape: Landscape, cycle: int, wgc: Wgc) -> CycleRecord:
-    """Landscape means and shares over the agents' current-cycle results.
+def gather(cells: list[AgentState], name: str, dtype) -> np.ndarray:
+    """One AgentState field of every cell, as an array in cell order."""
+    return np.fromiter(map(attrgetter(name), cells), dtype, len(cells))
+
+
+def allocation_matrix(allocations: list[tuple[float, float, float]]) -> np.ndarray:
+    """The (n, 3) array of a list of allocation tuples."""
+    flat = np.fromiter(chain.from_iterable(allocations), np.float64, 3 * len(allocations))
+    return flat.reshape(-1, 3)
+
+
+def record_from_arrays(
+    cycle: int, wgc: Wgc, alloc: np.ndarray, tl: np.ndarray, outcomes: CycleOutcomes
+) -> CycleRecord:
+    """Landscape means and shares of one cycle's per-agent arrays.
 
     All farms are equal area, so cover is the plain mean of allocations and
-    the profit/renewability aggregates are unweighted means.
+    the profit/renewability aggregates are unweighted means. Every total is
+    a left-to-right sum in cell order.
     """
-    n = landscape.n_agents
-    cover_sums = [0.0, 0.0, 0.0]
-    profit_sum = 0.0
-    rl_sum = 0.0
-    econ_count = 0
-    env_count = 0
-    tl_counts = {tl: 0 for tl in TechLevel}
-    for cell in landscape.cells:
-        a = cell.allocation
-        cover_sums[0] += a[0]
-        cover_sums[1] += a[1]
-        cover_sums[2] += a[2]
-        profit_sum += cell.last_profit_usd_per_ha
-        rl_sum += cell.last_rl_pct
-        econ_count += cell.econ_ok
-        env_count += cell.env_ok
-        tl_counts[cell.tl] += 1
+    n = len(tl)
+    cover_sums = sequential_sum(alloc)
     return CycleRecord(
         cycle=cycle,
         wgc=wgc,
         cover_pct={lu: cover_sums[lu] / n for lu in LandUse},
-        mean_profit_usd_per_ha=profit_sum / n,
-        mean_rl_pct=rl_sum / n,
-        pct_econ_ok=100.0 * econ_count / n,
-        pct_env_ok=100.0 * env_count / n,
-        tl_counts=tl_counts,
+        mean_profit_usd_per_ha=sequential_sum(outcomes.profit) / n,
+        mean_rl_pct=sequential_sum(outcomes.rl) / n,
+        pct_econ_ok=100.0 * int(np.count_nonzero(outcomes.econ)) / n,
+        pct_env_ok=100.0 * int(np.count_nonzero(outcomes.env)) / n,
+        tl_counts=dict(zip(TechLevel, np.bincount(tl, minlength=len(TechLevel)).tolist())),
     )
+
+
+def aggregate(landscape: Landscape, cycle: int, wgc: Wgc) -> CycleRecord:
+    """The cycle record of the agents' current-cycle results, read from the cells."""
+    cells = landscape.cells
+    outcomes = CycleOutcomes(
+        profit=gather(cells, "last_profit_usd_per_ha", np.float64),
+        rl=gather(cells, "last_rl_pct", np.float64),
+        econ=gather(cells, "econ_ok", bool),
+        env=gather(cells, "env_ok", bool),
+    )
+    alloc = allocation_matrix([c.allocation for c in cells])
+    return record_from_arrays(cycle, wgc, alloc, gather(cells, "tl", np.intp), outcomes)

@@ -23,6 +23,7 @@ from .climate import ClimateRegime, wgc_for_cycle
 from .config import ScenarioConfig
 from .engine import run_simulation
 from .errors import ConfigurationError
+from .numeric import sequential_sum
 from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
@@ -210,8 +211,8 @@ def _row_from_run(
         value_label=label,
         value=value,
         is_reference=is_reference,
-        mean_profit=sum(r.mean_profit_usd_per_ha for r in records) / n,
-        mean_rl=sum(r.mean_rl_pct for r in records) / n,
+        mean_profit=sequential_sum([r.mean_profit_usd_per_ha for r in records]) / n,
+        mean_rl=sequential_sum([r.mean_rl_pct for r in records]) / n,
         final_cover_pct=dict(records[-1].cover_pct),
         final_tl_counts=dict(records[-1].tl_counts),
     )
