@@ -10,19 +10,20 @@ cross-agent reads:
    imitation, aspiration update, and technology update, all reading a
    frozen snapshot of stage 1-3 results.
 
-`run_cycle` runs a cycle as one numpy pass: it gathers the agents' state
-from the cells into arrays, computes every stage as whole-array expressions
-(stage 4 takes a running strict maximum over the rows of the landscape's
-padded Moore table), and writes the results back into the same cells. Each
-element goes through the same float operations, in the same order, as the
-scalar rule functions below, so the arrays reproduce them bit for bit.
+`run_cycle` runs a cycle as one numpy pass over the landscape's arrays:
+it computes every stage as whole-array expressions (stage 4 takes a running
+strict maximum over the rows of the landscape's padded Moore table) and
+updates the arrays in place. Each element goes through the same float
+operations, in the same order, as the scalar rule functions below, so the
+arrays reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional
+from itertools import repeat
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -30,15 +31,7 @@ from .climate import wgc_for_cycle
 from .config import ScenarioConfig, resolve_tables
 from .errors import ConfigurationError
 from .landscape import (
-    AgentState,
-    CycleOutcomes,
-    CycleRecord,
-    Landscape,
-    Tenure,
-    allocation_matrix,
-    gather,
-    initialize,
-    record_from_arrays,
+    TECH_LEVELS, TENURES, AgentState, CycleRecord, Landscape, Tenure, aggregate, initialize,
 )
 from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
@@ -58,6 +51,7 @@ __all__ = [
     "run_cycle",
     "run_simulation",
     "RunResult",
+    "AgentRows",
 ]
 
 _INCREMENTAL_OWN = 0.45  # weight on CAL when the aspiration was met
@@ -244,44 +238,39 @@ def context_for(
     )
 
 
-_TECH_LEVELS = np.array(list(TechLevel), dtype=object)  # index -> member
-_WRITE_CHUNK = 8192  # cells written back per batch of temporary Python lists
-
-
 def run_cycle(
     landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0
 ) -> tuple[Landscape, CycleRecord]:
-    """Advance the landscape by one cycle, in place.
+    """Advance the landscape by one cycle, updating its arrays in place.
 
+    Stages 1-3 overwrite the outcome arrays (profit, rl, cal, econ, env).
     Returns the landscape and the record of outcomes realized within the
-    cycle (aggregated at the stage-3 barrier, before adaptation). The
-    cycle's per-agent outcome arrays are left in `landscape.outcomes`.
+    cycle, aggregated at the stage-3 barrier, before stage 4 adapts the
+    alloc, tl and al arrays.
     """
-    cells = landscape.cells
-    allocs = [c.allocation for c in cells]
-    alloc = allocation_matrix(allocs)
-    tl = gather(cells, "tl", np.intp)
+    s = landscape
+    tl = s.tl
     tables = ctx.tables
 
     # stages 1-3, as compute_profit, compute_rl, climate_adjusted_aspiration
     # and evaluate_goals do per agent
-    share = alloc / 100.0
+    share = s.alloc / 100.0
 
     def weighted(by_level):  # (a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2
         v = np.array(by_level)[tl]
         return share[:, 0] * v[:, 0] + share[:, 1] * v[:, 1] + share[:, 2] * v[:, 2]
 
     profit = weighted(ctx.margins)
-    profit[gather(cells, "tenure", np.intp) == Tenure.TENANT] -= ctx.rent_usd_per_ha
+    profit[s.tenant] -= ctx.rent_usd_per_ha
     rl = weighted(ctx.renewabilities)
-    cal = climate_adjusted_aspiration(gather(cells, "al_usd_per_ha", np.float64), ctx.wgc, tables)
+    cal = climate_adjusted_aspiration(s.al, ctx.wgc, tables)
     econ, env = evaluate_goals(profit, cal, rl, ctx.et_pct)
-    outcomes = CycleOutcomes(profit, rl, econ, env)
-    record = record_from_arrays(cycle_index, ctx.wgc, alloc, tl, outcomes)
+    s.profit[:], s.rl[:], s.cal[:], s.econ[:], s.env[:] = profit, rl, cal, econ, env
+    record = aggregate(s, cycle_index, ctx.wgc)
 
     # stage 4: select_best_neighbor. The pad slot's -inf never wins a strict
     # >, and a NaN profit neither wins nor is beaten, as in the scalar rule.
-    table = landscape.moore_table
+    table = s.moore_table
     padded = np.append(profit, -np.inf)
     best = table[0]
     best_p = padded[best]
@@ -291,43 +280,53 @@ def run_cycle(
         best = np.where(better, row, best)
         best_p = np.where(better, p, best_p)
 
-    # update_aspiration, decide_land_use and update_technology
+    # update_aspiration, decide_land_use and update_technology; the
+    # imitators copy their models' pre-cycle allocations
     own_w = np.where(econ, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
     next_al = cal + own_w * (profit - cal)
     imitators = np.flatnonzero(~econ & (best_p > cal))
     models = best[imitators]
     alpha_bn = np.array([[tables.alpha_bn[(a, b)] for b in TechLevel] for a in TechLevel])
     next_al[imitators] = cal[models] * (1.0 + alpha_bn)[tl[imitators], tl[models]]
-    next_al = np.where(next_al > 0.0, next_al, 0.0)
     wct = tables.wct_usd_per_ha
-    next_tl = np.where(profit >= wct[TechLevel.HIGH], TechLevel.HIGH, np.where(
+    s.al[:] = np.where(next_al > 0.0, next_al, 0.0)
+    s.tl[:] = np.where(profit >= wct[TechLevel.HIGH], TechLevel.HIGH, np.where(
         profit >= wct[TechLevel.AVERAGE], TechLevel.AVERAGE, TechLevel.LOW))
-
-    # Cells get Python floats, bools and TechLevel members, and imitators the
-    # model's pre-cycle allocation tuple itself, as the scalar rules return.
-    for i, j in zip(imitators.tolist(), models.tolist()):
-        cells[i].allocation = allocs[j]
-    for lo in range(0, len(cells), _WRITE_CHUNK):
-        hi = lo + _WRITE_CHUNK
-        for cell, p, r, c, e, v, a, t in zip(
-            cells[lo:hi],
-            profit[lo:hi].tolist(),
-            rl[lo:hi].tolist(),
-            cal[lo:hi].tolist(),
-            econ[lo:hi].tolist(),
-            env[lo:hi].tolist(),
-            next_al[lo:hi].tolist(),
-            _TECH_LEVELS[next_tl[lo:hi]].tolist(),
-        ):
-            cell.last_profit_usd_per_ha = p
-            cell.last_rl_pct = r
-            cell.last_cal_usd_per_ha = c
-            cell.econ_ok = e
-            cell.env_ok = v
-            cell.al_usd_per_ha = a
-            cell.tl = t
-    landscape.outcomes = outcomes
+    s.alloc[imitators] = s.alloc[models]
     return landscape, record
+
+
+class AgentRows:
+    """The per-agent trace of a run, one row per agent and cycle, made on iteration.
+
+    A row is (cycle, row, col, tenure, allocation, tl, al, cal, profit, rl,
+    econ_ok, env_ok): the allocation, tech level and aspiration an agent
+    held when the cycle began, then the cycle's outcomes, as Python floats,
+    bools, an allocation tuple and Tenure/TechLevel members. Each cycle is
+    kept as a compact copy of the landscape's arrays.
+    """
+
+    def __init__(self, landscape: Landscape):
+        positions = np.divmod(np.arange(landscape.n_agents), landscape.cols)
+        self._rows, self._cols = (a.tolist() for a in positions)
+        self._tenure = [TENURES[t] for t in landscape.tenant.tolist()]
+        self._cycles: list[tuple[np.ndarray, ...]] = []
+
+    def add_cycle(self, before: tuple[np.ndarray, ...], s: Landscape) -> None:
+        """Keep a cycle: `before` is (alloc, tl, al) as the cycle began."""
+        self._cycles.append((*before, s.cal.copy(), s.profit.copy(), s.rl.copy(),
+                             s.econ.copy(), s.env.copy()))
+
+    def __len__(self) -> int:
+        return len(self._cycles) * len(self._rows)
+
+    def __iter__(self) -> Iterator[tuple]:
+        for t, (alloc, tl, *floats_and_flags) in enumerate(self._cycles):
+            yield from zip(
+                repeat(t), self._rows, self._cols, self._tenure,
+                zip(*alloc.T.tolist()), map(TECH_LEVELS.__getitem__, tl.tolist()),
+                *(a.tolist() for a in floats_and_flags),
+            )
 
 
 @dataclass
@@ -341,7 +340,7 @@ class RunResult:
     mean_rl_per_agent: list[float]
     econ_agreement_pct: list[float]
     env_agreement_pct: list[float]
-    agent_rows: Optional[list[tuple]] = field(default=None, repr=False)
+    agent_rows: Optional[AgentRows] = field(default=None, repr=False)
 
 
 def run_simulation(
@@ -365,28 +364,21 @@ def run_simulation(
         tables = resolve_tables(config)
     rng = SplitMix64(config.seed)
     scape = initialize(config, tables, rng)
-    n = scape.n_agents
 
     records: list[CycleRecord] = []
-    agent_rows: Optional[list[tuple]] = [] if collect_agents else None
-    totals = np.zeros((len(CycleOutcomes._fields), n))  # per-agent sums, cycle by cycle
+    agent_rows = AgentRows(scape) if collect_agents else None
+    totals = np.zeros((4, scape.n_agents))  # per-agent sums of profit, rl, econ, env
 
     for t in range(config.cycles):
         wgc = wgc_for_cycle(config.climate, t, rng)
         ctx = context_for(config, tables, wgc)
-        if collect_agents:
-            pre_alloc = [c.allocation for c in scape.cells]
-            pre_tl = [c.tl for c in scape.cells]
-            pre_al = [c.al_usd_per_ha for c in scape.cells]
+        if agent_rows is not None:
+            before = (scape.alloc.copy(), scape.tl.astype(np.int8), scape.al.copy())
         _, record = run_cycle(scape, ctx, cycle_index=t)
         records.append(record)
-        totals += np.stack(scape.outcomes)
-        if collect_agents:
-            agent_rows.extend(
-                (t, c.row, c.col, c.tenure, a, tl, al, c.last_cal_usd_per_ha,
-                 c.last_profit_usd_per_ha, c.last_rl_pct, c.econ_ok, c.env_ok)
-                for c, a, tl, al in zip(scape.cells, pre_alloc, pre_tl, pre_al)
-            )
+        totals += np.stack((scape.profit, scape.rl, scape.econ, scape.env))
+        if agent_rows is not None:
+            agent_rows.add_cycle(before, scape)
 
     cycles = float(config.cycles)
     profit, rl, econ, env = totals.tolist()

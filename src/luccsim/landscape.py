@@ -1,7 +1,9 @@
 """The agent grid: geometry, stochastic initialization, and aggregation.
 
 Farms are equal-area cells on a non-wrapping rectangular grid; border cells
-simply have fewer Moore neighbors. Initialization consumes the run's seeded
+simply have fewer Moore neighbors. The agents' state is a set of numpy
+arrays in row-major cell order (struct of arrays); `Landscape.cells` offers
+live per-cell views of them. Initialization consumes the run's seeded
 stream in a fixed order (tenure shuffle, tech-level shuffle, then one
 allocation draw per cell in row-major order) so a seed fully determines the
 starting landscape.
@@ -9,11 +11,10 @@ starting landscape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
 from operator import attrgetter
-from typing import NamedTuple, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .tables import LandUse, ParameterTables, TechLevel, Wgc
 __all__ = [
     "Tenure",
     "AgentState",
+    "CellView",
     "Landscape",
     "CycleRecord",
-    "CycleOutcomes",
     "moore_neighbors",
     "moore_table",
     "initialize",
@@ -47,6 +48,9 @@ class Tenure(IntEnum):
     @property
     def code(self) -> str:
         return "O" if self is Tenure.OWNER else "T"
+
+
+TENURES, TECH_LEVELS = tuple(Tenure), tuple(TechLevel)  # index -> member
 
 
 @dataclass(slots=True)
@@ -72,41 +76,89 @@ class AgentState:
     env_ok: bool = False
 
 
-class CycleOutcomes(NamedTuple):
-    """Per-agent stage 1-3 results of one cycle, as arrays in cell order."""
+class _Field(property):
+    """A CellView attribute backed by element `index` of one landscape array."""
 
-    profit: np.ndarray
-    rl: np.ndarray
-    econ: np.ndarray
-    env: np.ndarray
+    def __init__(self, array: str, dtype, to_python=None):
+        get = attrgetter(array)
+        if array == "alloc":  # a row of three floats
+            fget = lambda v: tuple(get(v.landscape)[v.index].tolist())  # noqa: E731
+        elif to_python is None:
+            fget = lambda v: get(v.landscape).item(v.index)  # noqa: E731
+        else:
+            fget = lambda v: to_python(get(v.landscape).item(v.index))  # noqa: E731
+        super().__init__(fget, lambda v, value: get(v.landscape).__setitem__(v.index, value))
+        self.array, self.dtype = array, dtype
 
 
-@dataclass
+class CellView:
+    """Live view of one agent: reads and writes go to the landscape's arrays.
+
+    It has AgentState's fields and returns Python floats and bools, Tenure
+    and TechLevel members, and the allocation as a tuple.
+    """
+
+    __slots__ = ("landscape", "index")
+
+    def __init__(self, landscape: "Landscape", index: int):
+        self.landscape, self.index = landscape, index
+
+    row = property(lambda self: self.index // self.landscape.cols)
+    col = property(lambda self: self.index % self.landscape.cols)
+    tenure = _Field("tenant", bool, TENURES.__getitem__)
+    allocation = _Field("alloc", np.float64)
+    tl = _Field("tl", np.intp, TECH_LEVELS.__getitem__)
+    al_usd_per_ha = _Field("al", np.float64)
+    last_profit_usd_per_ha = _Field("profit", np.float64)
+    last_rl_pct = _Field("rl", np.float64)
+    last_cal_usd_per_ha = _Field("cal", np.float64)
+    econ_ok = _Field("econ", bool)
+    env_ok = _Field("env", bool)
+
+
+_FIELDS = {name: f for name, f in vars(CellView).items() if isinstance(f, _Field)}
+
+
 class Landscape:
     """Dense row-major grid of agents plus the run's landscape constants.
 
-    `outcomes` holds the arrays of the latest `run_cycle`, None before it.
+    The agents' state is held in arrays in cell order: `alloc` (n, 3) area
+    percentages, `tl` (tech level indices), `tenant` and `al` (aspiration),
+    and the latest cycle's `profit`, `rl`, `cal`, `econ` and `env`. Build a
+    landscape either from `cells`, a list of objects with AgentState's
+    fields whose list index is their position, or from the `alloc`, `tl`,
+    `tenant` and `al` arrays, with the outcomes zero/false. `cells` is a
+    list of live CellViews of the arrays.
     """
 
-    rows: int
-    cols: int
-    cells: list[AgentState]
-    et_pct: float
-    rent_soy_tons: Optional[float]
-    rent_usd_per_ha: Optional[float]
-    moore_table: np.ndarray = field(init=False, repr=False)
-    outcomes: Optional[CycleOutcomes] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.cells) != self.rows * self.cols:
-            raise ValueError("cell count does not match grid dimensions")
-        self.moore_table = moore_table(self.rows, self.cols)
+    def __init__(self, rows: int, cols: int, cells: Optional[Sequence] = None, *,
+                 et_pct: float, rent_soy_tons: Optional[float],
+                 rent_usd_per_ha: Optional[float], alloc=None, tl=None, tenant=None, al=None):
+        self.n_agents = n = rows * cols
+        self.rows, self.cols, self.et_pct = rows, cols, et_pct
+        self.rent_soy_tons, self.rent_usd_per_ha = rent_soy_tons, rent_usd_per_ha
+        if cells is not None:
+            if len(cells) != n:
+                raise ValueError("cell count does not match grid dimensions")
+            state = {f.array: [getattr(c, name) for c in cells] for name, f in _FIELDS.items()}
+        elif any(a is None for a in (alloc, tl, tenant, al)):
+            raise TypeError("Landscape needs cells or the alloc, tl, tenant and al arrays")
+        else:
+            state = dict(alloc=alloc, tl=tl, tenant=tenant, al=al)
+        for f in _FIELDS.values():  # the outcomes start at zero/false
+            shape = (n, 3) if f.array == "alloc" else (n,)
+            setattr(self, f.array, np.array(np.broadcast_to(state.get(f.array, 0), shape), f.dtype))
+        self.moore_table = moore_table(rows, cols)
+        self._cells: Optional[list[CellView]] = None
 
     @property
-    def n_agents(self) -> int:
-        return self.rows * self.cols
+    def cells(self) -> list[CellView]:
+        """Live views of the agents in cell order, made on first use."""
+        if self._cells is None:
+            self._cells = [CellView(self, i) for i in range(self.n_agents)]
+        return self._cells
 
-    def cell_at(self, row: int, col: int) -> AgentState:
+    def cell_at(self, row: int, col: int) -> CellView:
         return self.cells[row * self.cols + col]
 
 
@@ -171,15 +223,6 @@ def _largest_remainder_counts(shares: dict, members: list, total: int) -> dict:
     return counts
 
 
-def _simplex_draw(rng: SplitMix64) -> tuple[float, float, float]:
-    """Symmetric draw from the 2-simplex via sorted-uniform gaps."""
-    u = rng.random()
-    v = rng.random()
-    if u > v:
-        u, v = v, u
-    return (u, v - u, 1.0 - v)
-
-
 def _balance_to_targets(
     shares: np.ndarray, target: list[float], tol: float = 1e-12
 ) -> np.ndarray:
@@ -231,90 +274,55 @@ def initialize(
     owner_count = int(config.owner_share_pct * n / 100.0 + 0.5)
     order = list(range(n))
     rng.shuffle(order)
-    tenure = [Tenure.TENANT] * n
-    for i in order[:owner_count]:
-        tenure[i] = Tenure.OWNER
+    tenant = np.ones(n, dtype=bool)
+    tenant[order[:owner_count]] = False
 
     tl_counts = _largest_remainder_counts(
         config.initial_tl_pct, list(TechLevel), n
     )
-    tl_pool: list[TechLevel] = []
-    for tl in TechLevel:
-        tl_pool.extend([tl] * tl_counts[tl])
+    tl_pool = [int(tl) for tl in TechLevel for _ in range(tl_counts[tl])]
     rng.shuffle(tl_pool)
+    tl = np.array(tl_pool, dtype=np.intp)
 
-    draws = allocation_matrix([_simplex_draw(rng) for _ in range(n)])
+    # symmetric simplex draws, one (u, v) pair per cell: the gaps of the
+    # sorted pair, (lo, hi - lo, 1 - hi)
+    u, v = rng.random_array(2 * n).reshape(n, 2).T
+    swap = u > v
+    lo, hi = np.where(swap, v, u), np.where(swap, u, v)
+    draws = np.stack((lo, hi - lo, 1.0 - hi), axis=1)
     target = [config.initial_cover_pct[lu] / 100.0 for lu in LandUse]
-    allocations = (100.0 * _balance_to_targets(draws, target)).tolist()
-
-    cells = []
-    for i in range(n):
-        allocation = tuple(allocations[i])
-        tl = tl_pool[i]
-        cells.append(
-            AgentState(
-                row=i // config.grid_cols,
-                col=i % config.grid_cols,
-                tenure=tenure[i],
-                allocation=allocation,
-                tl=tl,
-                al_usd_per_ha=config.initial_al_factor
-                * tables.wct_usd_per_ha[tl],
-            )
-        )
+    wct = np.array([tables.wct_usd_per_ha[t] for t in TechLevel], dtype=np.float64)
 
     return Landscape(
         rows=config.grid_rows,
         cols=config.grid_cols,
-        cells=cells,
         et_pct=config.et_pct,
         rent_soy_tons=config.rent_soy_tons,
         rent_usd_per_ha=config.rent_usd_per_ha,
+        alloc=100.0 * _balance_to_targets(draws, target),
+        tl=tl,
+        tenant=tenant,
+        al=config.initial_al_factor * wct[tl],
     )
 
 
-def gather(cells: list[AgentState], name: str, dtype) -> np.ndarray:
-    """One AgentState field of every cell, as an array in cell order."""
-    return np.fromiter(map(attrgetter(name), cells), dtype, len(cells))
-
-
-def allocation_matrix(allocations: list[tuple[float, float, float]]) -> np.ndarray:
-    """The (n, 3) array of a list of allocation tuples."""
-    flat = np.fromiter(chain.from_iterable(allocations), np.float64, 3 * len(allocations))
-    return flat.reshape(-1, 3)
-
-
-def record_from_arrays(
-    cycle: int, wgc: Wgc, alloc: np.ndarray, tl: np.ndarray, outcomes: CycleOutcomes
-) -> CycleRecord:
-    """Landscape means and shares of one cycle's per-agent arrays.
+def aggregate(landscape: Landscape, cycle: int, wgc: Wgc) -> CycleRecord:
+    """The cycle record of the landscape's outcome, allocation and tech level arrays.
 
     All farms are equal area, so cover is the plain mean of allocations and
     the profit/renewability aggregates are unweighted means. Every total is
     a left-to-right sum in cell order.
     """
-    n = len(tl)
-    cover_sums = sequential_sum(alloc)
+    s = landscape
+    n = s.n_agents
+    cover_sums = sequential_sum(s.alloc)
     return CycleRecord(
         cycle=cycle,
         wgc=wgc,
         cover_pct={lu: cover_sums[lu] / n for lu in LandUse},
-        mean_profit_usd_per_ha=sequential_sum(outcomes.profit) / n,
-        mean_rl_pct=sequential_sum(outcomes.rl) / n,
-        pct_econ_ok=100.0 * int(np.count_nonzero(outcomes.econ)) / n,
-        pct_env_ok=100.0 * int(np.count_nonzero(outcomes.env)) / n,
-        tl_counts=dict(zip(TechLevel, np.bincount(tl, minlength=len(TechLevel)).tolist())),
+        mean_profit_usd_per_ha=sequential_sum(s.profit) / n,
+        mean_rl_pct=sequential_sum(s.rl) / n,
+        pct_econ_ok=100.0 * int(np.count_nonzero(s.econ)) / n,
+        pct_env_ok=100.0 * int(np.count_nonzero(s.env)) / n,
+        tl_counts=dict(zip(TechLevel, np.bincount(s.tl, minlength=len(TechLevel)).tolist())),
     )
-
-
-def aggregate(landscape: Landscape, cycle: int, wgc: Wgc) -> CycleRecord:
-    """The cycle record of the agents' current-cycle results, read from the cells."""
-    cells = landscape.cells
-    outcomes = CycleOutcomes(
-        profit=gather(cells, "last_profit_usd_per_ha", np.float64),
-        rl=gather(cells, "last_rl_pct", np.float64),
-        econ=gather(cells, "econ_ok", bool),
-        env=gather(cells, "env_ok", bool),
-    )
-    alloc = allocation_matrix([c.allocation for c in cells])
-    return record_from_arrays(cycle, wgc, alloc, gather(cells, "tl", np.intp), outcomes)

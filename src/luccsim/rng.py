@@ -17,11 +17,17 @@ Known-answer check: seed 0 produces 0xE220A8397B1DCDAF first.
 Derived draws are also fixed here: `random()` maps the top 53 bits to a
 double in [0, 1); `randrange(n)` uses unbiased rejection sampling; `shuffle`
 is a Fisher-Yates pass from the last element down.
+
+The k-th output ahead depends only on state + k * gamma, so a block of
+outputs can be computed as one array expression (`next_u64_array`,
+`random_array`) that matches the scalar calls bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import MutableSequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -45,9 +51,26 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX_2) & _MASK64
         return z ^ (z >> 31)
 
+    def next_u64_array(self, k: int) -> np.ndarray:
+        """The next k raw outputs as a uint64 array, as k next_u64() calls give them.
+
+        Every operand is uint64, so the array arithmetic wraps mod 2^64
+        under numpy 1.x and 2.x promotion rules alike.
+        """
+        steps = np.arange(1, k + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
+        self._state = (self._state + k * _GOLDEN_GAMMA) & _MASK64
+        return z ^ (z >> np.uint64(31))
+
     def random(self) -> float:
         """Uniform double in [0, 1), from the top 53 bits."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def random_array(self, k: int) -> np.ndarray:
+        """The next k random() draws as a float64 array."""
+        return (self.next_u64_array(k) >> np.uint64(11)) * 2.0**-53
 
     def randrange(self, n: int) -> int:
         """Unbiased uniform integer in [0, n) by rejection sampling."""

@@ -11,6 +11,7 @@ systems; every table can be overridden from CSV to model another region.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from types import MappingProxyType
@@ -394,11 +395,14 @@ def _read_rows(path: str, expected_header: list[str]) -> Iterable[dict]:
 def _parse_value(row: dict, path: str) -> float:
     raw = (row.get("value") or "").strip()
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(
             f"{path}:{row['_line']}: bad numeric value {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{path}:{row['_line']}: value {raw!r} is not finite")
+    return value
 
 
 def _load_triple_csv(path: str) -> dict[TripleKey, float]:

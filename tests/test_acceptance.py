@@ -35,6 +35,7 @@ from luccsim import (
 )
 from luccsim.cli import main as cli_main
 from luccsim.landscape import AgentState
+from luccsim.numeric import sequential_sum
 from luccsim.sweep import SweepAxis, SweepParameter
 
 import oracle_sim
@@ -255,10 +256,10 @@ def test_criterion_7_sweep_protocol(tables):
     with criterion(7, "sweep reference rows, row counts, and rent linearity"):
         base = replace(preset("longterm", seed=2), cycles=6)
         base_records = run_simulation(base, tables).records
-        base_mean_profit = sum(
-            r.mean_profit_usd_per_ha for r in base_records
+        base_mean_profit = sequential_sum(
+            [r.mean_profit_usd_per_ha for r in base_records]
         ) / len(base_records)
-        base_mean_rl = sum(r.mean_rl_pct for r in base_records) / len(base_records)
+        base_mean_rl = sequential_sum([r.mean_rl_pct for r in base_records]) / len(base_records)
 
         axes = {
             SweepParameter.SOYBEAN_PRICE: (141.0, 277.0, 346.4),

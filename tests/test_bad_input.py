@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from luccsim import ConfigurationError, preset, run_simulation, run_sweep
+from luccsim import ConfigurationError, TechLevel, Wgc, preset, run_simulation, run_sweep
 from luccsim.cli import main
 from luccsim.sweep import SweepAxis, SweepParameter
 
@@ -83,3 +83,41 @@ def test_library_rejects_nan_setting(tables):
     config = replace(preset("longterm"), cycles=2, initial_al_factor=float("nan"))
     with pytest.raises(ConfigurationError, match="initial_al_factor"):
         run_simulation(config, tables)
+
+
+def _table_file(tmp_path, name, header, rows):
+    path = tmp_path / name
+    path.write_text("\n".join([header, *(",".join(map(str, r)) for r in rows)]) + "\n")
+    return str(path)
+
+
+def _tables_case(tmp_path, tables, case):
+    """(scenario body, table file) with one non-finite value on line 3 of the file."""
+    if case == "yield":
+        rows = [(lu.code, tl.code, wgc.code, v) for (lu, tl, wgc), v in tables.yield_t_per_ha.items()]
+        rows[1] = (*rows[1][:3], "nan")
+        path = _table_file(tmp_path, "yield.csv", "lu,tl,wgc,value", rows)
+        return '"table_overrides": {"yield": "%s"}' % path, path
+    if case == "alpha_wgc":
+        rows = [(w.code, "nan" if w is Wgc.UNFAVORABLE else v) for w, v in tables.alpha_wgc.items()]
+        path = _table_file(tmp_path, "alpha_wgc.csv", "wgc,value", rows)
+        return '"climate": "constant-unfavorable", "table_overrides": {"alpha_wgc": "%s"}' % path, path
+    if case == "wct":
+        rows = [(t.code, "nan" if t is TechLevel.AVERAGE else v) for t, v in tables.wct_usd_per_ha.items()]
+        path = _table_file(tmp_path, "wct.csv", "tl,value", rows)
+        return '"table_overrides": {"wct": "%s"}' % path, path
+    rows = [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc]
+    rows[1] = (*rows[1][:2], "-inf")
+    path = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", rows)
+    soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
+    return ('"pricing_mode": "split", "split_yield_files": {"wheat": "%s", "soy2": "%s"}'
+            % (path, soy2)), path
+
+
+@pytest.mark.parametrize("case", ["yield", "alpha_wgc", "wct", "split_yield"])
+def test_non_finite_table_value_is_rejected_with_its_line(tmp_path, capsys, tables, case):
+    body, path = _tables_case(tmp_path, tables, case)
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{path}:3:" in err and "not finite" in err
+    assert written == []

@@ -396,6 +396,8 @@ def test_two_agent_imitation_hand_computed(tables):
     )
     ctx = _ctx(tables, wgc=Wgc.AVERAGE, rent=0.0)
     _, record = run_cycle(scape, ctx)
+    # the landscape holds the agents' state; a and b only seeded it
+    a, b = scape.cells
 
     # A: full soybean at high tech, 3.92*277 - 476 = 609.84, satisfied
     assert a.last_profit_usd_per_ha == pytest.approx(609.84, abs=1e-9)

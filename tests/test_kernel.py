@@ -45,15 +45,15 @@ def test_moore_table_lists_neighbors_in_scan_order_then_pads(rows, cols):
 def _tie_landscape(rows, cols, target):
     """Every agent but `target` farms full soybean at high tech and is satisfied.
 
-    All of them earn the same profit; each holds its own allocation tuple
-    object, so the tuple the target ends up with names the neighbor copied.
+    All of them earn the same profit; each holds its own aspiration, 1 + its
+    index, so the aspiration the target adopts names the neighbor copied.
     """
     cells = []
     for i in range(rows * cols):
         if i == target:
             alloc, tl, al = (100.0, 0.0, 0.0), TechLevel.LOW, 400.0
         else:
-            alloc, tl, al = tuple([0.0, 100.0, 0.0]), TechLevel.HIGH, 0.0
+            alloc, tl, al = (0.0, 100.0, 0.0), TechLevel.HIGH, 1.0 + i
         cells.append(AgentState(row=i // cols, col=i % cols, tenure=Tenure.OWNER,
                                 allocation=alloc, tl=tl, al_usd_per_ha=al))
     return Landscape(rows=rows, cols=cols, cells=cells, et_pct=50.0,
@@ -78,8 +78,14 @@ def test_profit_tie_goes_to_first_neighbor_in_scan_order(tables, rows, cols, tar
     run_cycle(scape, context_for(config, tables, Wgc.AVERAGE))
     agent = scape.cells[target]
     assert not agent.econ_ok
-    assert len({c.last_profit_usd_per_ha for i, c in enumerate(scape.cells) if i != target}) == 1
-    assert agent.allocation is pre[first]
+    others = [c for i, c in enumerate(scape.cells) if i != target]
+    assert len({c.last_profit_usd_per_ha for c in others}) == 1
+    assert all(c.econ_ok for c in others)
+    # at average weather CAL equals AL, so the copied CAL is 1 + first
+    assert agent.al_usd_per_ha == (1.0 + first) * (
+        1.0 + tables.alpha_bn[(TechLevel.LOW, TechLevel.HIGH)]
+    )
+    assert agent.allocation == pre[first]
 
 
 @pytest.mark.parametrize("wgc", list(Wgc))
@@ -117,7 +123,7 @@ def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc)
             ]
             bn = select_best_neighbor(views)
             expected = decide_land_use(profits[i], cals[i], bn, ghosts[i].allocation)
-            assert cell.allocation is expected
+            assert cell.allocation == expected
             imitations += expected is not ghosts[i].allocation
             bn_args = None if bn is None else (bn.cal, bn.profit, bn.tl)
             assert cell.al_usd_per_ha == update_aspiration(

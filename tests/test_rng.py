@@ -1,3 +1,5 @@
+import pytest
+
 from luccsim import SplitMix64
 
 
@@ -40,3 +42,14 @@ def test_shuffle_is_a_permutation_and_deterministic():
     items2 = list(range(50))
     SplitMix64(3).shuffle(items2)
     assert items == items2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+def test_block_draws_match_scalar_draws_and_final_state(seed):
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    raw = [scalar.next_u64() for _ in range(1000)]
+    assert block.next_u64_array(1000).tolist() == raw
+    uniforms = [scalar.random() for _ in range(777)]
+    assert block.random_array(777).tolist() == uniforms
+    assert block.next_u64_array(0).tolist() == []
+    assert block.next_u64() == scalar.next_u64()

@@ -11,6 +11,7 @@ from luccsim import (
     run_simulation,
     run_sweep,
 )
+from luccsim.numeric import sequential_sum
 from luccsim.sweep import SweepAxis, SweepParameter, write_sweep_csv
 
 from conftest import uniform_config
@@ -24,8 +25,8 @@ def _base_means(config, tables):
     result = run_simulation(config, tables)
     n = len(result.records)
     return (
-        sum(r.mean_profit_usd_per_ha for r in result.records) / n,
-        sum(r.mean_rl_pct for r in result.records) / n,
+        sequential_sum([r.mean_profit_usd_per_ha for r in result.records]) / n,
+        sequential_sum([r.mean_rl_pct for r in result.records]) / n,
     )
 
 
