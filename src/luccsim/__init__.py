@@ -12,7 +12,6 @@ from .climate import ClimateRegime, RegimeKind, load_wgc_sequence, wgc_for_cycle
 from .config import ScenarioConfig, parse_config, preset, resolve_tables
 from .engine import (
     CycleContext,
-    NeighborView,
     RunResult,
     climate_adjusted_aspiration,
     compute_profit,

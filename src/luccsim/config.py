@@ -364,7 +364,13 @@ def _parse_keyed(raw, enum_cls, name: str) -> dict:
 
 
 def _number(value, convert, name: str):
-    """`convert(value)`, or a ConfigurationError naming the setting."""
+    """`convert(value)`, or a ConfigurationError naming the setting.
+
+    An integer setting takes only a JSON integer; int() would truncate a
+    fraction and turn true into 1.
+    """
+    if convert is int and type(value) is not int:
+        raise ConfigurationError(f"{name} must be a number written as an integer (got {value!r})")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):

@@ -10,12 +10,10 @@ cross-agent reads:
    imitation, aspiration update, and technology update, all reading a
    frozen snapshot of stage 1-3 results.
 
-`run_cycle` runs a cycle as one numpy pass over the landscape's arrays:
-it computes every stage as whole-array expressions (stage 4 takes a running
-strict maximum over the rows of the landscape's padded Moore table) and
-updates the arrays in place. Each element goes through the same float
-operations, in the same order, as the scalar rule functions below, so the
-arrays reproduce them bit for bit.
+Each rule below is an array function that also accepts scalars: one call
+applies it to every agent, or to a single agent. `run_cycle` is their
+composition over the landscape's arrays, updating them in place; stage 4
+takes its best neighbors from the landscape's padded Moore table.
 """
 
 from __future__ import annotations
@@ -30,15 +28,12 @@ import numpy as np
 from .climate import wgc_for_cycle
 from .config import ScenarioConfig, resolve_tables
 from .errors import ConfigurationError
-from .landscape import (
-    TECH_LEVELS, TENURES, AgentState, CycleRecord, Landscape, Tenure, aggregate, initialize,
-)
+from .landscape import TECH_LEVELS, TENURES, CycleRecord, Landscape, aggregate, initialize
 from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
 __all__ = [
     "CycleContext",
-    "NeighborView",
     "compute_profit",
     "compute_rl",
     "climate_adjusted_aspiration",
@@ -113,31 +108,22 @@ class CycleContext:
         )
 
 
-@dataclass(frozen=True)
-class NeighborView:
-    """Read-only snapshot of one neighbor's stage 1-3 results."""
-
-    profit: float
-    cal: float
-    allocation: tuple[float, float, float]
-    tl: TechLevel
+def _weighted(alloc, tl, by_level):
+    """(a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2, with v = by_level[tl]."""
+    share = np.asarray(alloc, dtype=np.float64) / 100.0
+    v = np.array(by_level)[tl]
+    return share[..., 0] * v[..., 0] + share[..., 1] * v[..., 1] + share[..., 2] * v[..., 2]
 
 
-def compute_profit(agent: AgentState, ctx: CycleContext) -> float:
+def compute_profit(alloc, tl, tenant, ctx: CycleContext):
     """Allocation-weighted per-hectare margin, minus rent for tenants."""
-    a0, a1, a2 = agent.allocation
-    m0, m1, m2 = ctx.margins[agent.tl]
-    p = (a0 / 100.0) * m0 + (a1 / 100.0) * m1 + (a2 / 100.0) * m2
-    if agent.tenure is Tenure.TENANT:
-        p -= ctx.rent_usd_per_ha
-    return p
+    p = _weighted(alloc, tl, ctx.margins)
+    return np.where(tenant, p - ctx.rent_usd_per_ha, p)
 
 
-def compute_rl(agent: AgentState, ctx: CycleContext) -> float:
+def compute_rl(alloc, tl, ctx: CycleContext):
     """Allocation-weighted renewability share, in percent."""
-    a0, a1, a2 = agent.allocation
-    r0, r1, r2 = ctx.renewabilities[agent.tl]
-    return (a0 / 100.0) * r0 + (a1 / 100.0) * r1 + (a2 / 100.0) * r2
+    return _weighted(alloc, tl, ctx.renewabilities)
 
 
 def climate_adjusted_aspiration(
@@ -154,31 +140,43 @@ def evaluate_goals(
     return (p >= cal, rl >= et)
 
 
-def select_best_neighbor(
-    views: list[NeighborView],
-) -> Optional[NeighborView]:
-    """Neighbor with the highest profit; ties go to the earliest scan position."""
-    best = None
-    for view in views:
-        if best is None or view.profit > best.profit:
-            best = view
-    return best
+def select_best_neighbor(profit, table):
+    """Each agent's most profitable neighbor, as (index, profit) arrays.
+
+    Column j of the (k, m) index `table` lists agent j's neighbors as
+    indices into `profit`, in scan order, padded with n = len(profit). Ties
+    go to the earliest scan position. An agent with no neighbor gets the pad
+    index n and -inf: the pad's -inf never wins a strict >, and a NaN profit
+    neither wins nor is beaten.
+    """
+    padded = np.append(profit, -np.inf)
+    best = table[0]
+    best_p = padded.take(best)
+    for row in table[1:]:
+        p = padded.take(row)
+        better = p > best_p
+        best = np.where(better, row, best)
+        best_p = np.where(better, p, best_p)
+    return best, best_p
 
 
-def update_aspiration(
-    cal: float,
-    p: float,
-    bn: Optional[tuple[float, float, TechLevel]],
-    agent_tl: TechLevel,
-    tables: ParameterTables,
-) -> float:
+def decide_land_use(p, cal, bn_profit):
+    """Whether to copy the best neighbor's allocation: unsatisfied and out-earned.
+
+    The environmental goal never alters the land-use decision.
+    """
+    return (p < cal) & (bn_profit > cal)
+
+
+def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTables):
     """Next-cycle aspiration level.
 
     Met aspirations move toward the realized profit quickly (55% weight on
     profit); missed ones either adopt the best neighbor's CAL scaled by the
     tech-level adjustment factor, when that neighbor out-earned the agent's
     own CAL, or decay slowly toward the realized profit (45% weight).
-    `bn` is (neighbor CAL, neighbor profit, neighbor tech level).
+    `bn_cal`, `bn_profit` and `bn_tl` are the best neighbor's CAL, profit
+    and tech level; with no neighbor, pass a -inf profit.
 
     The weighted averages are evaluated as cal + w*(p - cal), which equals
     (1-w)*cal + w*p but cannot round past p. The direct form can overshoot
@@ -186,39 +184,19 @@ def update_aspiration(
     satisfied agents to unsatisfied and destabilizing an otherwise
     quiescent landscape.
     """
-    if p >= cal:
-        next_al = cal + (1.0 - _INCREMENTAL_OWN) * (p - cal)
-    elif bn is not None and bn[1] > cal:
-        bn_cal, _, bn_tl = bn
-        next_al = bn_cal * (1.0 + tables.alpha_bn[(agent_tl, bn_tl)])
-    else:
-        next_al = cal + (1.0 - _DETRIMENTAL_OWN) * (p - cal)
-    return next_al if next_al > 0.0 else 0.0
+    own_w = np.where(p >= cal, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
+    next_al = cal + own_w * (p - cal)
+    alpha_bn = np.array([[tables.alpha_bn[(a, b)] for b in TechLevel] for a in TechLevel])
+    copied = bn_cal * (1.0 + alpha_bn)[tl, bn_tl]
+    next_al = np.where(decide_land_use(p, cal, bn_profit), copied, next_al)
+    return np.where(next_al > 0.0, next_al, 0.0)
 
 
-def update_technology(p: float, tables: ParameterTables) -> TechLevel:
-    """Tech level affordable from this cycle's profit; never forces an exit."""
+def update_technology(p, tables: ParameterTables):
+    """Tech level index affordable from this cycle's profit; never forces an exit."""
     wct = tables.wct_usd_per_ha
-    if p >= wct[TechLevel.HIGH]:
-        return TechLevel.HIGH
-    if p >= wct[TechLevel.AVERAGE]:
-        return TechLevel.AVERAGE
-    return TechLevel.LOW
-
-
-def decide_land_use(
-    p: float,
-    cal: float,
-    bn: Optional[NeighborView],
-    current_alloc: tuple[float, float, float],
-) -> tuple[float, float, float]:
-    """Copy the best neighbor's allocation when unsatisfied and out-earned.
-
-    The environmental goal never alters the land-use decision.
-    """
-    if p < cal and bn is not None and bn.profit > cal:
-        return bn.allocation
-    return current_alloc
+    return np.where(p >= wct[TechLevel.HIGH], TechLevel.HIGH, np.where(
+        p >= wct[TechLevel.AVERAGE], TechLevel.AVERAGE, TechLevel.LOW))
 
 
 def context_for(
@@ -249,50 +227,22 @@ def run_cycle(
     alloc, tl and al arrays.
     """
     s = landscape
-    tl = s.tl
     tables = ctx.tables
-
-    # stages 1-3, as compute_profit, compute_rl, climate_adjusted_aspiration
-    # and evaluate_goals do per agent
-    share = s.alloc / 100.0
-
-    def weighted(by_level):  # (a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2
-        v = np.array(by_level)[tl]
-        return share[:, 0] * v[:, 0] + share[:, 1] * v[:, 1] + share[:, 2] * v[:, 2]
-
-    profit = weighted(ctx.margins)
-    profit[s.tenant] -= ctx.rent_usd_per_ha
-    rl = weighted(ctx.renewabilities)
+    profit = compute_profit(s.alloc, s.tl, s.tenant, ctx)
+    rl = compute_rl(s.alloc, s.tl, ctx)
     cal = climate_adjusted_aspiration(s.al, ctx.wgc, tables)
     econ, env = evaluate_goals(profit, cal, rl, ctx.et_pct)
     s.profit[:], s.rl[:], s.cal[:], s.econ[:], s.env[:] = profit, rl, cal, econ, env
     record = aggregate(s, cycle_index, ctx.wgc)
 
-    # stage 4: select_best_neighbor. The pad slot's -inf never wins a strict
-    # >, and a NaN profit neither wins nor is beaten, as in the scalar rule.
-    table = s.moore_table
-    padded = np.append(profit, -np.inf)
-    best = table[0]
-    best_p = padded[best]
-    for row in table[1:]:
-        p = padded[row]
-        better = p > best_p
-        best = np.where(better, row, best)
-        best_p = np.where(better, p, best_p)
-
-    # update_aspiration, decide_land_use and update_technology; the
-    # imitators copy their models' pre-cycle allocations
-    own_w = np.where(econ, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
-    next_al = cal + own_w * (profit - cal)
-    imitators = np.flatnonzero(~econ & (best_p > cal))
-    models = best[imitators]
-    alpha_bn = np.array([[tables.alpha_bn[(a, b)] for b in TechLevel] for a in TechLevel])
-    next_al[imitators] = cal[models] * (1.0 + alpha_bn)[tl[imitators], tl[models]]
-    wct = tables.wct_usd_per_ha
-    s.al[:] = np.where(next_al > 0.0, next_al, 0.0)
-    s.tl[:] = np.where(profit >= wct[TechLevel.HIGH], TechLevel.HIGH, np.where(
-        profit >= wct[TechLevel.AVERAGE], TechLevel.AVERAGE, TechLevel.LOW))
-    s.alloc[imitators] = s.alloc[models]
+    best, best_p = select_best_neighbor(profit, s.moore_table)
+    imitate = decide_land_use(profit, cal, best_p)
+    # "clip" reads agent n-1 at the pad index n; that value is never used,
+    # as the pad's -inf profit never out-earns a CAL
+    bn_cal, bn_tl = cal.take(best, mode="clip"), s.tl.take(best, mode="clip")
+    s.al[:] = update_aspiration(cal, profit, bn_cal, best_p, s.tl, bn_tl, tables)
+    s.tl[:] = update_technology(profit, tables)
+    s.alloc[imitate] = s.alloc[best[imitate]]  # the models' pre-cycle allocations
     return landscape, record
 
 

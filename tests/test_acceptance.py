@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines stream; under plain pytest they appear in captured output.
 """
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -34,7 +35,6 @@ from luccsim import (
     wgc_for_cycle,
 )
 from luccsim.cli import main as cli_main
-from luccsim.landscape import AgentState
 from luccsim.numeric import sequential_sum
 from luccsim.sweep import SweepAxis, SweepParameter
 
@@ -84,12 +84,6 @@ def test_criterion_1_table_fidelity(tables):
         assert time.perf_counter() - start < 1.0
 
 
-def _agent(alloc, tl, tenure=Tenure.OWNER):
-    return AgentState(
-        row=0, col=0, tenure=tenure, allocation=alloc, tl=tl, al_usd_per_ha=0.0
-    )
-
-
 def test_criterion_2_equation_oracles(tables):
     with criterion(2, "equations reproduce worked examples and the brute-force reference"):
         start = time.perf_counter()
@@ -102,22 +96,28 @@ def test_criterion_2_equation_oracles(tables):
             rent_usd_per_ha=443.2,
             et_pct=50.0,
         )
-        assert compute_profit(_agent((0.0, 100.0, 0.0), TechLevel.HIGH), ctx) == pytest.approx(609.84, abs=1e-9)
+        assert compute_profit((0.0, 100.0, 0.0), TechLevel.HIGH, False, ctx) == pytest.approx(609.84, abs=1e-9)
         assert compute_profit(
-            _agent((0.0, 100.0, 0.0), TechLevel.HIGH, Tenure.TENANT), ctx
+            (0.0, 100.0, 0.0), TechLevel.HIGH, True, ctx
         ) == pytest.approx(166.64, abs=1e-9)
         ctx_vu = replace(ctx, wgc=Wgc.VERY_UNFAVORABLE)
-        assert compute_profit(_agent((0.0, 0.0, 100.0), TechLevel.LOW), ctx_vu) == pytest.approx(-8.82, abs=1e-9)
-        assert compute_rl(_agent((50.0, 50.0, 0.0), TechLevel.LOW), ctx) == pytest.approx(46.05, abs=1e-9)
+        assert compute_profit((0.0, 0.0, 100.0), TechLevel.LOW, False, ctx_vu) == pytest.approx(-8.82, abs=1e-9)
+        assert compute_rl((50.0, 50.0, 0.0), TechLevel.LOW, ctx) == pytest.approx(46.05, abs=1e-9)
         assert climate_adjusted_aspiration(100.0, Wgc.VERY_FAVORABLE, tables) == pytest.approx(145.0, abs=1e-9)
-        assert update_aspiration(100.0, 200.0, None, TechLevel.LOW, tables) == pytest.approx(155.0, abs=1e-9)
+        # no neighbor: a -inf best-neighbor profit, whatever its CAL and tech level
+        no_bn = (0.0, -math.inf)
         assert update_aspiration(
-            300.0, 100.0, (200.0, 400.0, TechLevel.HIGH), TechLevel.LOW, tables
+            100.0, 200.0, *no_bn, TechLevel.LOW, TechLevel.LOW, tables
+        ) == pytest.approx(155.0, abs=1e-9)
+        assert update_aspiration(
+            300.0, 100.0, 200.0, 400.0, TechLevel.LOW, TechLevel.HIGH, tables
         ) == pytest.approx(290.0, abs=1e-9)
-        assert update_aspiration(200.0, 100.0, None, TechLevel.LOW, tables) == pytest.approx(155.0, abs=1e-9)
-        assert update_technology(500.0, tables) is TechLevel.HIGH
-        assert update_technology(350.0, tables) is TechLevel.AVERAGE
-        assert update_technology(-50.0, tables) is TechLevel.LOW
+        assert update_aspiration(
+            200.0, 100.0, *no_bn, TechLevel.LOW, TechLevel.LOW, tables
+        ) == pytest.approx(155.0, abs=1e-9)
+        assert update_technology(500.0, tables) == TechLevel.HIGH
+        assert update_technology(350.0, tables) == TechLevel.AVERAGE
+        assert update_technology(-50.0, tables) == TechLevel.LOW
 
         # engine vs straight-line reference: 3x3 grid, 5 cycles, fixed seed
         config = replace(

@@ -19,7 +19,6 @@ from luccsim import (
     run_simulation,
     wgc_for_cycle,
 )
-from luccsim.landscape import AgentState
 
 STATE = ("alloc", "tl", "tenant", "al", "profit", "rl", "cal", "econ", "env")
 
@@ -44,9 +43,7 @@ def test_a_write_through_a_cell_is_seen_by_run_cycle(tables):
 
     ctx = context_for(config, tables, Wgc.FAVORABLE)
     run_cycle(scape, ctx)
-    agent = AgentState(row=1, col=1, tenure=Tenure.TENANT, allocation=(20.0, 30.0, 50.0),
-                       tl=TechLevel.HIGH, al_usd_per_ha=1e6)
-    assert cell.last_profit_usd_per_ha == compute_profit(agent, ctx)
+    assert cell.last_profit_usd_per_ha == compute_profit((20.0, 30.0, 50.0), TechLevel.HIGH, True, ctx)
     assert cell.last_cal_usd_per_ha == 1e6 * (1.0 + tables.alpha_wgc[Wgc.FAVORABLE])
     assert not cell.econ_ok
     assert (cell.row, cell.col) == (1, 1) and cell.tenure is Tenure.TENANT

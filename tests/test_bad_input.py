@@ -46,6 +46,11 @@ def test_non_finite_scenario_number_is_rejected(tmp_path, capsys, body, field):
         ('"grid_rows": "ten"', "grid_rows"),
         ('"cycles": [5]', "cycles"),
         ('"seed": NaN', "seed"),
+        ('"grid_rows": 2.5', "grid_rows"),
+        ('"grid_rows": true', "grid_rows"),
+        ('"grid_cols": "7"', "grid_cols"),
+        ('"cycles": 3.7', "cycles"),
+        ('"seed": 2.9', "seed"),
         ('"rent": {"usd_per_ha": {}}', "rent.usd_per_ha"),
         ('"prices": {"M": "cheap", "S": 277, "WS": 153}', "prices.M"),
     ],

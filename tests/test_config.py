@@ -238,7 +238,6 @@ def test_parse_config_split_mode_end_to_end(tmp_path):
 
     from luccsim import Wgc as _Wgc
     from luccsim import context_for, resolve_tables
-    from luccsim.landscape import AgentState, Tenure
     from luccsim import compute_profit
 
     def component(path, value):
@@ -265,9 +264,7 @@ def test_parse_config_split_mode_end_to_end(tmp_path):
     config = parse_config(path)
     config.validate()
     ctx = context_for(config, resolve_tables(config), _Wgc.AVERAGE)
-    agent = AgentState(
-        row=0, col=0, tenure=Tenure.OWNER, allocation=(0.0, 0.0, 100.0),
-        tl=TechLevel.HIGH, al_usd_per_ha=0.0,
-    )
     expected = 3.0 * 150.0 + 2.0 * 277.0 - 822.0
-    assert compute_profit(agent, ctx) == pytest.approx(expected, abs=1e-9)
+    assert compute_profit((0.0, 0.0, 100.0), TechLevel.HIGH, False, ctx) == pytest.approx(
+        expected, abs=1e-9
+    )

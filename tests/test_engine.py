@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from luccsim import (
     ClimateRegime,
     CycleContext,
     LandUse,
-    NeighborView,
     SplitMix64,
     TechLevel,
     Tenure,
@@ -45,29 +45,20 @@ def _ctx(tables, wgc=Wgc.AVERAGE, rent=443.2, et=50.0):
     )
 
 
-def _agent(alloc, tl, tenure=Tenure.OWNER, al=0.0):
-    return AgentState(
-        row=0, col=0, tenure=tenure, allocation=alloc, tl=tl, al_usd_per_ha=al
-    )
-
-
 class TestComputeProfit:
     def test_owner_full_soybean_high_average(self, tables):
-        agent = _agent((0.0, 100.0, 0.0), H)
-        assert compute_profit(agent, _ctx(tables)) == pytest.approx(
+        assert compute_profit((0.0, 100.0, 0.0), H, False, _ctx(tables)) == pytest.approx(
             609.84, abs=1e-9
         )
 
     def test_tenant_pays_rent(self, tables):
-        agent = _agent((0.0, 100.0, 0.0), H, tenure=Tenure.TENANT)
-        assert compute_profit(agent, _ctx(tables)) == pytest.approx(
+        assert compute_profit((0.0, 100.0, 0.0), H, True, _ctx(tables)) == pytest.approx(
             166.64, abs=1e-9
         )
 
     def test_profit_can_be_negative(self, tables):
-        agent = _agent((0.0, 0.0, 100.0), L)
         ctx = _ctx(tables, wgc=Wgc.VERY_UNFAVORABLE)
-        assert compute_profit(agent, ctx) == pytest.approx(-8.82, abs=1e-9)
+        assert compute_profit((0.0, 0.0, 100.0), L, False, ctx) == pytest.approx(-8.82, abs=1e-9)
 
     def test_profit_bounded_by_extreme_margins(self, tables):
         rng = SplitMix64(5)
@@ -76,26 +67,22 @@ class TestComputeProfit:
             u, v = sorted((rng.random(), rng.random()))
             alloc = (100 * u, 100 * (v - u), 100 * (1 - v))
             tl = TechLevel(rng.randrange(3))
-            agent = _agent(alloc, tl)
             margins = ctx.margins[tl]
-            p = compute_profit(agent, ctx)
+            p = compute_profit(alloc, tl, False, ctx)
             assert min(margins) - 1e-9 <= p <= max(margins) + 1e-9
 
 
 class TestComputeRl:
     def test_full_maize_low_very_favorable(self, tables):
-        agent = _agent((100.0, 0.0, 0.0), L)
         ctx = _ctx(tables, wgc=Wgc.VERY_FAVORABLE)
-        assert compute_rl(agent, ctx) == pytest.approx(50.2, abs=1e-9)
+        assert compute_rl((100.0, 0.0, 0.0), L, ctx) == pytest.approx(50.2, abs=1e-9)
 
     def test_half_soy_half_maize(self, tables):
-        agent = _agent((50.0, 50.0, 0.0), L)
-        assert compute_rl(agent, _ctx(tables)) == pytest.approx(46.05, abs=1e-9)
+        assert compute_rl((50.0, 50.0, 0.0), L, _ctx(tables)) == pytest.approx(46.05, abs=1e-9)
 
     def test_full_wheatsoy_high_very_unfavorable(self, tables):
-        agent = _agent((0.0, 0.0, 100.0), H)
         ctx = _ctx(tables, wgc=Wgc.VERY_UNFAVORABLE)
-        assert compute_rl(agent, ctx) == pytest.approx(21.8, abs=1e-9)
+        assert compute_rl((0.0, 0.0, 100.0), H, ctx) == pytest.approx(21.8, abs=1e-9)
 
     def test_rl_within_dataset_extremes(self, tables):
         rng = SplitMix64(6)
@@ -103,8 +90,7 @@ class TestComputeRl:
             wgc = Wgc(rng.randrange(5))
             u, v = sorted((rng.random(), rng.random()))
             alloc = (100 * u, 100 * (v - u), 100 * (1 - v))
-            agent = _agent(alloc, TechLevel(rng.randrange(3)))
-            rl = compute_rl(agent, _ctx(tables, wgc=wgc))
+            rl = compute_rl(alloc, TechLevel(rng.randrange(3)), _ctx(tables, wgc=wgc))
             assert 21.8 - 1e-9 <= rl <= 57.6 + 1e-9
 
 
@@ -138,60 +124,59 @@ class TestEvaluateGoals:
 
 
 class TestSelectBestNeighbor:
-    def _views(self, profits):
-        return [
-            NeighborView(profit=p, cal=0.0, allocation=(100.0, 0.0, 0.0), tl=L)
-            for p in profits
-        ]
+    def _best(self, profits):
+        """The best of one agent whose neighbors, in scan order, earn `profits`."""
+        table = np.arange(max(len(profits), 1)).reshape(-1, 1)  # [[0]] pads when empty
+        (best,), (best_p,) = select_best_neighbor(np.array(profits, dtype=float), table)
+        return best, best_p
 
     def test_tie_breaks_to_earliest(self):
-        views = self._views([5.0, 9.0, 9.0, 2.0])
-        assert select_best_neighbor(views) is views[1]
+        assert self._best([5.0, 9.0, 9.0, 2.0]) == (1, 9.0)
 
     def test_singleton(self):
-        views = self._views([-4.0])
-        assert select_best_neighbor(views) is views[0]
+        assert self._best([-4.0]) == (0, -4.0)
 
     def test_max_of_negatives(self):
-        views = self._views([-3.0, -1.0])
-        assert select_best_neighbor(views) is views[1]
+        assert self._best([-3.0, -1.0]) == (1, -1.0)
 
-    def test_empty_returns_none(self):
-        assert select_best_neighbor([]) is None
+    def test_empty_gives_the_pad_index(self):
+        assert self._best([]) == (0, -np.inf)
 
     # power-of-two factors scale exactly, so no two distinct profits can
     # collapse into a tie and perturb the argmax
     @given(st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=1, max_size=8),
            st.sampled_from([0.25, 0.5, 2.0, 8.0, 64.0]))
     def test_scaling_profits_keeps_argmax(self, profits, factor):
-        views = self._views(profits)
-        scaled = self._views([p * factor for p in profits])
-        best = select_best_neighbor(views)
-        best_scaled = select_best_neighbor(scaled)
-        assert views.index(best) == scaled.index(best_scaled)
+        best, _ = self._best(profits)
+        best_scaled, _ = self._best([p * factor for p in profits])
+        assert best == best_scaled
+
+
+# the best neighbor's CAL and profit for an agent with no neighbor
+NO_BN = (0.0, -np.inf)
 
 
 class TestUpdateAspiration:
     def test_incremental_branch(self, tables):
-        assert update_aspiration(100.0, 200.0, None, L, tables) == pytest.approx(
+        assert update_aspiration(100.0, 200.0, *NO_BN, L, L, tables) == pytest.approx(
             155.0, abs=1e-9
         )
 
     def test_imitation_branch(self, tables):
-        got = update_aspiration(300.0, 100.0, (200.0, 400.0, H), L, tables)
+        got = update_aspiration(300.0, 100.0, 200.0, 400.0, L, H, tables)
         assert got == pytest.approx(290.0, abs=1e-9)
 
     def test_detrimental_branch(self, tables):
-        assert update_aspiration(200.0, 100.0, None, L, tables) == pytest.approx(
+        assert update_aspiration(200.0, 100.0, *NO_BN, L, L, tables) == pytest.approx(
             155.0, abs=1e-9
         )
 
     def test_neighbor_below_cal_does_not_qualify(self, tables):
-        got = update_aspiration(200.0, 100.0, (180.0, 150.0, H), L, tables)
+        got = update_aspiration(200.0, 100.0, 180.0, 150.0, L, H, tables)
         assert got == pytest.approx(0.55 * 200 + 0.45 * 100, abs=1e-9)
 
     def test_clamped_at_zero(self, tables):
-        assert update_aspiration(10.0, -10_000.0, None, L, tables) == 0.0
+        assert update_aspiration(10.0, -10_000.0, *NO_BN, L, L, tables) == 0.0
 
     @given(
         st.floats(min_value=0.0, max_value=1e5),
@@ -200,21 +185,21 @@ class TestUpdateAspiration:
     def test_own_branches_stay_between_cal_and_profit(self, cal, p):
         from luccsim import default_tables
 
-        got = update_aspiration(cal, p, None, L, default_tables())
+        got = update_aspiration(cal, p, *NO_BN, L, L, default_tables())
         lo, hi = min(cal, p), max(cal, p)
         assert lo - 1e-9 <= got <= hi + 1e-9
 
 
 class TestUpdateTechnology:
     def test_examples(self, tables):
-        assert update_technology(500.0, tables) is H
-        assert update_technology(350.0, tables) is A
-        assert update_technology(-50.0, tables) is L
+        assert update_technology(500.0, tables) == H
+        assert update_technology(350.0, tables) == A
+        assert update_technology(-50.0, tables) == L
 
     def test_threshold_equality_upgrades(self, tables):
-        assert update_technology(413.0, tables) is H
-        assert update_technology(333.0, tables) is A
-        assert update_technology(252.0, tables) is L  # below the average bar
+        assert update_technology(413.0, tables) == H
+        assert update_technology(333.0, tables) == A
+        assert update_technology(252.0, tables) == L  # below the average bar
 
     @given(st.floats(min_value=-1e4, max_value=1e4),
            st.floats(min_value=0.0, max_value=100.0))
@@ -227,23 +212,16 @@ class TestUpdateTechnology:
 
 class TestDecideLandUse:
     def test_copies_qualifying_best_neighbor(self):
-        bn = NeighborView(profit=250.0, cal=0.0, allocation=(0.0, 100.0, 0.0), tl=L)
-        got = decide_land_use(100.0, 200.0, bn, (50.0, 25.0, 25.0))
-        assert got == (0.0, 100.0, 0.0)
+        assert decide_land_use(100.0, 200.0, 250.0)
 
     def test_satisfied_agent_keeps_allocation(self):
-        bn = NeighborView(profit=999.0, cal=0.0, allocation=(0.0, 100.0, 0.0), tl=L)
-        current = (50.0, 25.0, 25.0)
-        assert decide_land_use(300.0, 200.0, bn, current) is current
+        assert not decide_land_use(300.0, 200.0, 999.0)
 
     def test_unqualified_neighbor_keeps_allocation(self):
-        bn = NeighborView(profit=150.0, cal=0.0, allocation=(0.0, 100.0, 0.0), tl=L)
-        current = (50.0, 25.0, 25.0)
-        assert decide_land_use(100.0, 200.0, bn, current) is current
+        assert not decide_land_use(100.0, 200.0, 150.0)
 
     def test_no_neighbor_keeps_allocation(self):
-        current = (50.0, 25.0, 25.0)
-        assert decide_land_use(100.0, 200.0, None, current) is current
+        assert not decide_land_use(100.0, 200.0, NO_BN[1])
 
 
 class TestRunCycle:
@@ -342,9 +320,8 @@ class TestSplitPricing:
             split_wheat_yield=wheat,
             split_soy2_yield=soy2,
         )
-        agent = _agent((0.0, 0.0, 100.0), H)
         expected = 2.0 * 153.0 + 1.5 * 277.0 - 822.0
-        assert compute_profit(agent, ctx) == pytest.approx(expected, abs=1e-9)
+        assert compute_profit((0.0, 0.0, 100.0), H, False, ctx) == pytest.approx(expected, abs=1e-9)
 
     def test_split_mode_leaves_other_land_uses_alone(self, tables):
         wheat = {(tl, wgc): 2.0 for tl in TechLevel for wgc in Wgc}
@@ -360,8 +337,7 @@ class TestSplitPricing:
             split_wheat_yield=wheat,
             split_soy2_yield=soy2,
         )
-        agent = _agent((0.0, 100.0, 0.0), H)
-        assert compute_profit(agent, ctx) == pytest.approx(609.84, abs=1e-9)
+        assert compute_profit((0.0, 100.0, 0.0), H, False, ctx) == pytest.approx(609.84, abs=1e-9)
 
 
 def test_tenant_profit_bounds(tables):
@@ -371,9 +347,8 @@ def test_tenant_profit_bounds(tables):
         u, v = sorted((rng.random(), rng.random()))
         alloc = (100 * u, 100 * (v - u), 100 * (1 - v))
         tl = TechLevel(rng.randrange(3))
-        agent = _agent(alloc, tl, tenure=Tenure.TENANT)
         margins = ctx.margins[tl]
-        p = compute_profit(agent, ctx)
+        p = compute_profit(alloc, tl, True, ctx)
         assert min(margins) - 443.2 - 1e-9 <= p <= max(margins) + 1e-9
 
 
@@ -443,8 +418,9 @@ def test_run_cycle_is_the_composition_of_the_public_ops(tables):
         )
         for i, (alloc, tl, al, tenure) in enumerate(pre)
     ]
-    profits = [compute_profit(g, ctx) for g in ghosts]
-    rls = [compute_rl(g, ctx) for g in ghosts]
+    profits = [compute_profit(g.allocation, g.tl, g.tenure is Tenure.TENANT, ctx)
+               for g in ghosts]
+    rls = [compute_rl(g.allocation, g.tl, ctx) for g in ghosts]
     cals = [
         climate_adjusted_aspiration(g.al_usd_per_ha, ctx.wgc, tables)
         for g in ghosts
@@ -459,23 +435,16 @@ def test_run_cycle_is_the_composition_of_the_public_ops(tables):
         econ, env = evaluate_goals(profits[i], cals[i], rls[i], ctx.et_pct)
         assert (cell.econ_ok, cell.env_ok) == (econ, env)
 
-        views = [
-            NeighborView(
-                profit=profits[r * 4 + c],
-                cal=cals[r * 4 + c],
-                allocation=ghosts[r * 4 + c].allocation,
-                tl=ghosts[r * 4 + c].tl,
-            )
-            for r, c in moore_neighbors((i // 4, i % 4), (4, 4))
-        ]
-        bn = select_best_neighbor(views)
-        expected_alloc = decide_land_use(
-            profits[i], cals[i], bn, ghosts[i].allocation
+        neighbors = [r * 4 + c for r, c in moore_neighbors((i // 4, i % 4), (4, 4))]
+        (k,), (bn_profit,) = select_best_neighbor(
+            np.array([profits[j] for j in neighbors]), np.arange(len(neighbors))[:, None]
         )
-        bn_args = None if bn is None else (bn.cal, bn.profit, bn.tl)
+        bn = neighbors[k]
+        imitate = decide_land_use(profits[i], cals[i], bn_profit)
+        expected_alloc = ghosts[bn].allocation if imitate else ghosts[i].allocation
         expected_al = update_aspiration(
-            cals[i], profits[i], bn_args, ghosts[i].tl, tables
+            cals[i], profits[i], cals[bn], bn_profit, ghosts[i].tl, ghosts[bn].tl, tables
         )
         assert cell.allocation == expected_alloc
         assert cell.al_usd_per_ha == expected_al
-        assert cell.tl is update_technology(profits[i], tables)
+        assert cell.tl is TechLevel(update_technology(profits[i], tables))

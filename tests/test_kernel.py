@@ -1,4 +1,4 @@
-"""The array pass of run_cycle against the scalar rule functions."""
+"""run_cycle against the rule functions, applied to arrays and to single agents."""
 
 from dataclasses import replace
 
@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from luccsim import (
     Landscape,
-    NeighborView,
     SplitMix64,
     TechLevel,
     Tenure,
@@ -31,6 +31,8 @@ from luccsim import (
 from luccsim.landscape import AgentState, moore_table
 from luccsim.numeric import sequential_sum
 
+from conftest import uniform_config
+
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9))
 def test_moore_table_lists_neighbors_in_scan_order_then_pads(rows, cols):
@@ -40,6 +42,68 @@ def test_moore_table_lists_neighbors_in_scan_order_then_pads(rows, cols):
     for i in range(n):
         expected = [r * cols + c for r, c in moore_neighbors((i // cols, i % cols), (rows, cols))]
         assert table[:, i].tolist() == expected + [n] * (8 - len(expected))
+
+
+def _same_bits(whole, parts):
+    """An array result equals the per-element results, in dtype and bit for bit."""
+    whole, parts = np.asarray(whole), np.array(parts)
+    assert whole.dtype == parts.dtype and whole.tobytes() == parts.tobytes()
+
+
+@given(st.data(), st.sampled_from(Wgc))
+def test_each_rule_gives_the_same_bits_on_arrays_and_on_scalars(tables, data, wgc):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+
+    def draw(dtype, elements, shape=n):
+        return data.draw(hnp.arrays(dtype, shape, elements=elements))
+
+    money = st.floats(min_value=-1e4, max_value=1e4)
+    alloc = draw(np.float64, st.floats(min_value=0.0, max_value=100.0), (n, 3))
+    tl, bn_tl = draw(np.intp, st.integers(0, 2)), draw(np.intp, st.integers(0, 2))
+    tenant = draw(bool, st.booleans())
+    al = draw(np.float64, st.floats(min_value=0.0, max_value=1e4))
+    p, rl, bn_cal = draw(np.float64, money), draw(np.float64, money), draw(np.float64, money)
+    bn_p = draw(np.float64, money | st.just(-np.inf))  # -inf: no neighbor
+    table = draw(np.int32, st.integers(0, n), (3, n))  # n is the pad index
+    ctx = context_for(replace(preset("longterm"), rent_usd_per_ha=443.2), tables, wgc)
+    cal = climate_adjusted_aspiration(al, wgc, tables)
+    whole = (
+        compute_profit(alloc, tl, tenant, ctx), compute_rl(alloc, tl, ctx), cal,
+        *evaluate_goals(p, cal, rl, ctx.et_pct), *select_best_neighbor(p, table),
+        decide_land_use(p, cal, bn_p), update_aspiration(cal, p, bn_cal, bn_p, tl, bn_tl, tables),
+        update_technology(p, tables),
+    )
+    parts = []
+    for j, (a, t, tn, al_j, p_j, rl_j, cal_j, bn_cal_j, bn_p_j, bn_tl_j) in enumerate(zip(
+        *(x.tolist() for x in (alloc, tl, tenant, al, p, rl, cal, bn_cal, bn_p, bn_tl))
+    )):
+        (best_j,), (best_p_j,) = select_best_neighbor(p.tolist(), table[:, [j]])
+        parts.append((
+            compute_profit(a, t, tn, ctx), compute_rl(a, t, ctx),
+            climate_adjusted_aspiration(al_j, wgc, tables),
+            *evaluate_goals(p_j, cal_j, rl_j, ctx.et_pct), best_j, best_p_j,
+            decide_land_use(p_j, cal_j, bn_p_j),
+            update_aspiration(cal_j, p_j, bn_cal_j, bn_p_j, t, bn_tl_j, tables),
+            update_technology(p_j, tables),
+        ))
+    for got, expected in zip(whole, zip(*parts), strict=True):
+        _same_bits(got, expected)
+
+
+def test_an_agent_with_no_neighbor_gets_the_pad_index_and_never_imitates(tables):
+    best, best_p = select_best_neighbor(np.array([5.0]), moore_table(1, 1))
+    assert best.tolist() == [1] and best_p.tolist() == [-np.inf]
+    assert not decide_land_use(5.0, 1e9, best_p[0])
+
+    scape = initialize(uniform_config(), tables, SplitMix64(0))
+    cell = scape.cells[0]
+    before = cell.allocation
+    cell.al_usd_per_ha = 1e9
+    run_cycle(scape, context_for(uniform_config(), tables, Wgc.AVERAGE))
+    assert not cell.econ_ok
+    assert cell.allocation == before
+    p, cal = cell.last_profit_usd_per_ha, cell.last_cal_usd_per_ha
+    assert cell.al_usd_per_ha == cal + (1.0 - 0.55) * (p - cal)
 
 
 def _tie_landscape(rows, cols, target):
@@ -105,8 +169,9 @@ def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc)
             for c in scape.cells
         ]
         _, record = run_cycle(scape, ctx, cycle_index=cycle)
-        profits = [compute_profit(g, ctx) for g in ghosts]
-        rls = [compute_rl(g, ctx) for g in ghosts]
+        profits = [compute_profit(g.allocation, g.tl, g.tenure is Tenure.TENANT, ctx)
+                   for g in ghosts]
+        rls = [compute_rl(g.allocation, g.tl, ctx) for g in ghosts]
         cals = [climate_adjusted_aspiration(g.al_usd_per_ha, wgc, tables) for g in ghosts]
         assert record.mean_profit_usd_per_ha == sequential_sum(profits) / len(ghosts)
         for i, cell in enumerate(scape.cells):
@@ -116,20 +181,18 @@ def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc)
             assert cell.last_cal_usd_per_ha == cals[i]
             econ, env = evaluate_goals(profits[i], cals[i], rls[i], ctx.et_pct)
             assert (cell.econ_ok, cell.env_ok) == (econ, env)
-            views = [
-                NeighborView(profit=profits[j], cal=cals[j],
-                             allocation=ghosts[j].allocation, tl=ghosts[j].tl)
-                for j in (r * cols + c for r, c in moore_neighbors(divmod(i, cols), (rows, cols)))
-            ]
-            bn = select_best_neighbor(views)
-            expected = decide_land_use(profits[i], cals[i], bn, ghosts[i].allocation)
-            assert cell.allocation == expected
-            imitations += expected is not ghosts[i].allocation
-            bn_args = None if bn is None else (bn.cal, bn.profit, bn.tl)
-            assert cell.al_usd_per_ha == update_aspiration(
-                cals[i], profits[i], bn_args, ghosts[i].tl, tables
+            neighbors = [r * cols + c for r, c in moore_neighbors(divmod(i, cols), (rows, cols))]
+            (k,), (bn_profit,) = select_best_neighbor(
+                np.array([profits[j] for j in neighbors]), np.arange(len(neighbors))[:, None]
             )
-            assert cell.tl is update_technology(profits[i], tables)
+            bn = neighbors[k]
+            imitate = decide_land_use(profits[i], cals[i], bn_profit)
+            assert cell.allocation == (ghosts[bn] if imitate else ghosts[i]).allocation
+            imitations += bool(imitate)
+            assert cell.al_usd_per_ha == update_aspiration(
+                cals[i], profits[i], cals[bn], bn_profit, ghosts[i].tl, ghosts[bn].tl, tables
+            )
+            assert cell.tl is TechLevel(update_technology(profits[i], tables))
     assert imitations > 0
 
 
