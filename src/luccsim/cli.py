@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict, replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .climate import ClimateRegime, load_wgc_sequence
@@ -29,7 +32,7 @@ from .config import (
     preset,
     resolve_tables,
 )
-from .engine import RunResult, run_simulation
+from .engine import AgentRows, RunResult, run_simulation
 from .errors import ConfigurationError, MetricUndefinedError
 from .landscape import CycleRecord
 from .metrics import distribution_summary, fit_report
@@ -88,60 +91,44 @@ def write_cycles_csv(records: Sequence[CycleRecord], path: str) -> None:
             )
 
 
-def write_agents_csv(agent_rows: Sequence[tuple], path: str) -> None:
-    """Per-agent trace; booleans are written as 0/1."""
+_AGENTS_HEADER = ("cycle", "row", "col", "tenure", "alloc_m", "alloc_s", "alloc_ws",
+                 "tl", "al", "cal", "profit", "rl", "econ_ok", "env_ok")
+
+# Agents formatted per `%` call: large enough to amortise the call, small
+# enough that the boxed cells and the block's text stay well under 1 MB.
+_AGENT_BLOCK = 1024
+# After "cycle,": "row,col,tenure", three allocations, the tech level code,
+# al, cal, profit, rl, econ_ok, env_ok. '%.6f' and f"{x:.6f}" are the same
+# correctly rounded conversion, so rows match a csv.writer of those strings.
+_AGENT_ROW = "%s,%.6f,%.6f,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%d,%d\r\n"
+
+
+def write_agents_csv(agent_rows: AgentRows, path: str) -> None:
+    """Per-agent trace, one row per agent and cycle; booleans are written as 0/1.
+
+    The bytes are what a csv.writer writes for the rows of `agent_rows`
+    with every float as f"{x:.6f}" and every flag as int(flag).
+    """
+    places = np.array([f"{r},{c},{t.code}" for r, c, t in zip(
+        agent_rows.row.tolist(), agent_rows.col.tolist(), agent_rows.tenure)], dtype=object)
+    n = len(places)
+    # made per call, not at import: a run without --emit-agents makes no object array
+    tl_codes = np.array([tl.code for tl in TechLevel], dtype=object)
+    cells = np.empty((min(n, _AGENT_BLOCK), 11), dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "cycle",
-                "row",
-                "col",
-                "tenure",
-                "alloc_m",
-                "alloc_s",
-                "alloc_ws",
-                "tl",
-                "al",
-                "cal",
-                "profit",
-                "rl",
-                "econ_ok",
-                "env_ok",
-            ]
-        )
-        for (
-            cycle,
-            row,
-            col,
-            tenure,
-            alloc,
-            tl,
-            al,
-            cal,
-            profit,
-            rl,
-            econ_ok,
-            env_ok,
-        ) in agent_rows:
-            writer.writerow(
-                [
-                    cycle,
-                    row,
-                    col,
-                    tenure.code,
-                    f"{alloc[0]:.6f}",
-                    f"{alloc[1]:.6f}",
-                    f"{alloc[2]:.6f}",
-                    tl.code,
-                    f"{al:.6f}",
-                    f"{cal:.6f}",
-                    f"{profit:.6f}",
-                    f"{rl:.6f}",
-                    int(econ_ok),
-                    int(env_ok),
-                ]
-            )
+        handle.write(",".join(_AGENTS_HEADER) + "\r\n")
+        for t, cycle in enumerate(agent_rows.cycles):
+            row = f"{t}," + _AGENT_ROW
+            for lo in range(0, n, _AGENT_BLOCK):
+                block = cells[: min(n - lo, _AGENT_BLOCK)]
+                hi = lo + len(block)
+                block[:, 0] = places[lo:hi]
+                block[:, 1:4] = cycle.alloc[lo:hi]
+                block[:, 4] = tl_codes[cycle.tl[lo:hi]]
+                for j, a in enumerate((cycle.al, cycle.cal, cycle.profit, cycle.rl,
+                                       cycle.econ, cycle.env), start=5):
+                    block[:, j] = a[lo:hi]
+                handle.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _summary_dict(result: RunResult) -> dict:
@@ -184,23 +171,25 @@ def _summary_dict(result: RunResult) -> dict:
 def read_series_csv(path: str) -> dict[str, list[str]]:
     """Read a CSV into columns keyed by normalized header names."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        if not reader.fieldnames:
-            raise ConfigurationError(f"{path}: empty file")
-        columns: dict[str, list[str]] = {}
-        names = [
-            _COLUMN_ALIASES.get(h.strip().lower(), h.strip().lower())
-            for h in reader.fieldnames
-        ]
-        for name in names:
-            columns[name] = []
-        for row in reader:
-            for raw_name, name in zip(reader.fieldnames, names):
-                columns[name].append(row[raw_name])
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if not reader.fieldnames:
+        raise ConfigurationError(f"{path}: empty file")
+    columns: dict[str, list[str]] = {}
+    names = [
+        _COLUMN_ALIASES.get(h.strip().lower(), h.strip().lower())
+        for h in reader.fieldnames
+    ]
+    for name in names:
+        columns[name] = []
+    for row in reader:
+        for raw_name, name in zip(reader.fieldnames, names):
+            columns[name].append(row[raw_name])
     return columns
 
 

@@ -135,6 +135,8 @@ def load_wgc_sequence(path: str) -> tuple[Wgc, ...]:
             lines = handle.readlines()
     except OSError as exc:
         raise ConfigurationError(f"cannot read weather file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read weather file {path}: not UTF-8 ({exc.reason})") from None
     sequence = []
     for lineno, line in enumerate(lines, start=1):
         code = line.strip()

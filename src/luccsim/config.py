@@ -243,6 +243,8 @@ def parse_config(path: str) -> ScenarioConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read config {path}: not UTF-8 ({exc.reason})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -366,14 +368,17 @@ def _parse_keyed(raw, enum_cls, name: str) -> dict:
 def _number(value, convert, name: str):
     """`convert(value)`, or a ConfigurationError naming the setting.
 
-    An integer setting takes only a JSON integer; int() would truncate a
-    fraction and turn true into 1.
+    A setting takes only a JSON number, and an integer setting only a JSON
+    integer: float() would read "50" and true, and int() would also
+    truncate a fraction.
     """
     if convert is int and type(value) is not int:
         raise ConfigurationError(f"{name} must be a number written as an integer (got {value!r})")
+    if type(value) not in (int, float):
+        raise ConfigurationError(f"{name} must be a number (got {value!r})")
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigurationError(f"{name} must be a number (got {value!r})") from None
 
 

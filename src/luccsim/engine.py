@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "run_simulation",
     "RunResult",
     "AgentRows",
+    "AgentCycle",
 ]
 
 _INCREMENTAL_OWN = 0.45  # weight on CAL when the aspiration was met
@@ -246,34 +247,52 @@ def run_cycle(
     return landscape, record
 
 
-class AgentRows:
-    """The per-agent trace of a run, one row per agent and cycle, made on iteration.
+class AgentCycle(NamedTuple):
+    """One cycle of the per-agent trace, each array in row-major cell order.
 
-    A row is (cycle, row, col, tenure, allocation, tl, al, cal, profit, rl,
-    econ_ok, env_ok): the allocation, tech level and aspiration an agent
-    held when the cycle began, then the cycle's outcomes, as Python floats,
-    bools, an allocation tuple and Tenure/TechLevel members. Each cycle is
-    kept as a compact copy of the landscape's arrays.
+    `alloc` (n, 3), `tl` (TechLevel indices, int8) and `al` are the
+    allocation, tech level and aspiration the agents held when the cycle
+    began; `cal`, `profit`, `rl`, `econ` and `env` are the cycle's outcomes.
+    """
+
+    alloc: np.ndarray
+    tl: np.ndarray
+    al: np.ndarray
+    cal: np.ndarray
+    profit: np.ndarray
+    rl: np.ndarray
+    econ: np.ndarray
+    env: np.ndarray
+
+
+class AgentRows:
+    """The per-agent trace of a run, one row per agent and cycle.
+
+    `row` and `col` are each agent's grid position and `tenure` its Tenure
+    member, in row-major cell order; `cycles` holds one `AgentCycle` of
+    array copies per cycle. Iterating yields the rows as (cycle, row, col,
+    tenure, allocation, tl, al, cal, profit, rl, econ_ok, env_ok) with
+    Python floats, bools, an allocation tuple and Tenure/TechLevel members.
     """
 
     def __init__(self, landscape: Landscape):
-        positions = np.divmod(np.arange(landscape.n_agents), landscape.cols)
-        self._rows, self._cols = (a.tolist() for a in positions)
-        self._tenure = [TENURES[t] for t in landscape.tenant.tolist()]
-        self._cycles: list[tuple[np.ndarray, ...]] = []
+        self.row, self.col = np.divmod(np.arange(landscape.n_agents), landscape.cols)
+        self.tenure = [TENURES[t] for t in landscape.tenant.tolist()]
+        self.cycles: list[AgentCycle] = []
 
     def add_cycle(self, before: tuple[np.ndarray, ...], s: Landscape) -> None:
         """Keep a cycle: `before` is (alloc, tl, al) as the cycle began."""
-        self._cycles.append((*before, s.cal.copy(), s.profit.copy(), s.rl.copy(),
-                             s.econ.copy(), s.env.copy()))
+        self.cycles.append(AgentCycle(*before, s.cal.copy(), s.profit.copy(),
+                                      s.rl.copy(), s.econ.copy(), s.env.copy()))
 
     def __len__(self) -> int:
-        return len(self._cycles) * len(self._rows)
+        return len(self.cycles) * len(self.tenure)
 
     def __iter__(self) -> Iterator[tuple]:
-        for t, (alloc, tl, *floats_and_flags) in enumerate(self._cycles):
+        rows, cols = self.row.tolist(), self.col.tolist()
+        for t, (alloc, tl, *floats_and_flags) in enumerate(self.cycles):
             yield from zip(
-                repeat(t), self._rows, self._cols, self._tenure,
+                repeat(t), rows, cols, self.tenure,
                 zip(*alloc.T.tolist()), map(TECH_LEVELS.__getitem__, tl.tolist()),
                 *(a.tolist() for a in floats_and_flags),
             )

@@ -11,6 +11,7 @@ systems; every table can be overridden from CSV to model another region.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -376,20 +377,22 @@ def validate_tables(tables: ParameterTables) -> list[str]:
 
 def _read_rows(path: str, expected_header: list[str]) -> Iterable[dict]:
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read table file {path}: {exc}") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        if [h.strip().lower() for h in header] != expected_header:
-            raise ConfigurationError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"found {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            row["_line"] = lineno
-            yield row
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read table file {path}: not UTF-8 ({exc.reason})") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    if [h.strip().lower() for h in header] != expected_header:
+        raise ConfigurationError(
+            f"{path}: expected header {','.join(expected_header)!r}, "
+            f"found {','.join(header)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        row["_line"] = lineno
+        yield row
 
 
 def _parse_value(row: dict, path: str) -> float:

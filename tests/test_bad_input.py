@@ -53,6 +53,15 @@ def test_non_finite_scenario_number_is_rejected(tmp_path, capsys, body, field):
         ('"seed": 2.9', "seed"),
         ('"rent": {"usd_per_ha": {}}', "rent.usd_per_ha"),
         ('"prices": {"M": "cheap", "S": 277, "WS": 153}', "prices.M"),
+        ('"et_pct": true', "et_pct"),
+        ('"owner_share_pct": "50"', "owner_share_pct"),
+        ('"initial_al_factor": false', "initial_al_factor"),
+        ('"wheat_price_usd_per_t": "139"', "wheat_price_usd_per_t"),
+        ('"rent": {"soy_tons": "1.2"}', "rent.soy_tons"),
+        ('"rent": {"usd_per_ha": true}', "rent.usd_per_ha"),
+        ('"prices": {"M": 141, "S": true, "WS": 153}', "prices.S"),
+        ('"initial_cover_pct": {"M": "34", "S": 33, "WS": 33}', "initial_cover_pct.M"),
+        ('"initial_tl_pct": {"L": 50, "A": false, "H": 50}', "initial_tl_pct.A"),
     ],
 )
 def test_non_numeric_scenario_value_is_rejected(tmp_path, capsys, body, field):
@@ -125,4 +134,56 @@ def test_non_finite_table_value_is_rejected_with_its_line(tmp_path, capsys, tabl
     code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
     assert code == 2
     assert err.count("\n") == 1 and f"{path}:3:" in err and "not finite" in err
+    assert written == []
+
+
+NOT_UTF8 = b"\xff"
+
+
+def _not_utf8(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode() + NOT_UTF8 + b"\n")
+    return str(path)
+
+
+def _assert_rejected(capsys, code, path):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and path in err and "UTF-8" in err
+
+
+def test_config_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
+    path = _not_utf8(tmp_path, "scenario.json", '{"preset": "longterm"}')
+    code = main(["run", "--config", path, "--out-dir", str(tmp_path)])
+    _assert_rejected(capsys, code, path)
+    assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
+
+
+def test_weather_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
+    path = _not_utf8(tmp_path, "wgc.txt", "A\nU\n")
+    code = main(["run", "--preset", "longterm", "--cycles", "2", "--wgc-file", path,
+                 "--out-dir", str(tmp_path)])
+    _assert_rejected(capsys, code, path)
+    assert list(tmp_path.iterdir()) == [tmp_path / "wgc.txt"]
+
+
+@pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
+def test_validate_csv_that_is_not_utf8_is_rejected(tmp_path, capsys, bad):
+    good = tmp_path / "good.csv"
+    good.write_text("cycle,cover_s\n0,50.0\n")
+    path = _not_utf8(tmp_path, "bad.csv", "cycle,cover_s\n0,50.0\n")
+    files = [path, str(good)] if bad == "run_csv" else [str(good), path]
+    code = main(["validate", *files, "--series", "cover_s", "--out-dir", str(tmp_path)])
+    _assert_rejected(capsys, code, path)
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("case", ["yield", "split_yield"])
+def test_table_file_that_is_not_utf8_is_rejected(tmp_path, capsys, tables, case):
+    body, path = _tables_case(tmp_path, tables, case)
+    with open(path, "ab") as handle:
+        handle.write(NOT_UTF8)
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and path in err and "UTF-8" in err
     assert written == []
