@@ -12,6 +12,7 @@ from .climate import ClimateRegime, RegimeKind, load_wgc_sequence, wgc_for_cycle
 from .config import ScenarioConfig, parse_config, preset, resolve_tables
 from .engine import (
     CycleContext,
+    RunObserver,
     RunResult,
     climate_adjusted_aspiration,
     compute_profit,

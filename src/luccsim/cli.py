@@ -13,9 +13,11 @@ runs are byte-comparable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from typing import Optional, Sequence
@@ -32,15 +34,16 @@ from .config import (
     preset,
     resolve_tables,
 )
-from .engine import AgentRows, RunResult, run_simulation
+from .engine import AgentCycle, AgentRows, RunResult, check_workers, run_simulation
 from .errors import ConfigurationError, MetricUndefinedError
-from .landscape import CycleRecord
+from .landscape import TENURES, CycleRecord, Landscape
 from .metrics import distribution_summary, fit_report
 from .numeric import sequential_sum
 from .sweep import SweepAxis, SweepParameter, run_sweep, write_sweep_csv
 from .tables import LandUse, TechLevel, Wgc
 
-__all__ = ["main", "entry", "write_cycles_csv", "write_agents_csv", "read_series_csv"]
+__all__ = ["main", "entry", "write_cycles_csv", "AgentsCsv", "write_agents_csv",
+           "read_series_csv"]
 
 SERIES_NAMES = ("cover_m", "cover_s", "cover_ws", "mean_p", "mean_rl")
 
@@ -98,37 +101,69 @@ _AGENTS_HEADER = ("cycle", "row", "col", "tenure", "alloc_m", "alloc_s", "alloc_
 # enough that the boxed cells and the block's text stay well under 1 MB.
 _AGENT_BLOCK = 1024
 # After "cycle,": "row,col,tenure", three allocations, the tech level code,
-# al, cal, profit, rl, econ_ok, env_ok. '%.6f' and f"{x:.6f}" are the same
-# correctly rounded conversion, so rows match a csv.writer of those strings.
-_AGENT_ROW = "%s,%.6f,%.6f,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%d,%d\r\n"
+# al, cal, profit, rl, and "econ_ok,env_ok". '%.6f' and f"{x:.6f}" are the
+# same correctly rounded conversion, so rows match a csv.writer of those
+# strings. The two flags are one "%s" of a prebuilt string: a '%s' of a
+# str costs about a third of a '%d' of a bool.
+_AGENT_ROW = "%s,%.6f,%.6f,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%s\r\n"
+
+
+class AgentsCsv:
+    """A `RunObserver` that writes agents.csv to an open text handle as the run goes.
+
+    One row per agent and cycle; booleans are written as 0/1. The bytes
+    are what a csv.writer writes for the rows of an `AgentRows` with every
+    float as f"{x:.6f}" and every flag as int(flag). Memory does not grow
+    with the cycles: each cycle is formatted as it ends.
+    """
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def start(self, landscape: Landscape) -> None:
+        row, col = np.divmod(np.arange(landscape.n_agents), landscape.cols)
+        self.begin(row, col, [TENURES[t] for t in landscape.tenant.tolist()])
+
+    def begin(self, row, col, tenure) -> None:
+        """Write the header and build each agent's "row,col,tenure" once."""
+        self.places = np.array([f"{r},{c},{t.code}" for r, c, t in zip(
+            row.tolist(), col.tolist(), tenure)], dtype=object)
+        # made per writer, not at import: a run without --emit-agents makes no object array
+        self.tl_codes = np.array([tl.code for tl in TechLevel], dtype=object)
+        self.flag_codes = np.array(["0,0", "0,1", "1,0", "1,1"], dtype=object)  # 2*econ + env
+        self.cells = np.empty((min(len(self.places), _AGENT_BLOCK), 10), dtype=object)
+        self.handle.write(",".join(_AGENTS_HEADER) + "\r\n")
+
+    def cycle(self, t: int, before, s: Landscape, record: CycleRecord) -> None:
+        self.write_cycle(t, AgentCycle(*before, s.cal, s.profit, s.rl, s.econ, s.env))
+
+    def write_cycle(self, t: int, cycle: AgentCycle) -> None:
+        """Format one cycle's rows, a block of agents per `%`."""
+        places, cells = self.places, self.cells
+        n = len(places)
+        row = f"{t}," + _AGENT_ROW
+        for lo in range(0, n, _AGENT_BLOCK):
+            block = cells[: min(n - lo, _AGENT_BLOCK)]
+            hi = lo + len(block)
+            block[:, 0] = places[lo:hi]
+            block[:, 1:4] = cycle.alloc[lo:hi]
+            block[:, 4] = self.tl_codes[cycle.tl[lo:hi]]
+            for j, a in enumerate((cycle.al, cycle.cal, cycle.profit, cycle.rl), start=5):
+                block[:, j] = a[lo:hi]
+            block[:, 9] = self.flag_codes[2 * cycle.econ[lo:hi] + cycle.env[lo:hi]]
+            self.handle.write(row * len(block) % tuple(block.ravel().tolist()))
+
+    def end(self, result: RunResult) -> None:
+        pass
 
 
 def write_agents_csv(agent_rows: AgentRows, path: str) -> None:
-    """Per-agent trace, one row per agent and cycle; booleans are written as 0/1.
-
-    The bytes are what a csv.writer writes for the rows of `agent_rows`
-    with every float as f"{x:.6f}" and every flag as int(flag).
-    """
-    places = np.array([f"{r},{c},{t.code}" for r, c, t in zip(
-        agent_rows.row.tolist(), agent_rows.col.tolist(), agent_rows.tenure)], dtype=object)
-    n = len(places)
-    # made per call, not at import: a run without --emit-agents makes no object array
-    tl_codes = np.array([tl.code for tl in TechLevel], dtype=object)
-    cells = np.empty((min(n, _AGENT_BLOCK), 11), dtype=object)
+    """Write a kept per-agent trace as agents.csv, with the bytes `AgentsCsv` writes."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(_AGENTS_HEADER) + "\r\n")
+        writer = AgentsCsv(handle)
+        writer.begin(agent_rows.row, agent_rows.col, agent_rows.tenure)
         for t, cycle in enumerate(agent_rows.cycles):
-            row = f"{t}," + _AGENT_ROW
-            for lo in range(0, n, _AGENT_BLOCK):
-                block = cells[: min(n - lo, _AGENT_BLOCK)]
-                hi = lo + len(block)
-                block[:, 0] = places[lo:hi]
-                block[:, 1:4] = cycle.alloc[lo:hi]
-                block[:, 4] = tl_codes[cycle.tl[lo:hi]]
-                for j, a in enumerate((cycle.al, cycle.cal, cycle.profit, cycle.rl,
-                                       cycle.econ, cycle.env), start=5):
-                    block[:, j] = a[lo:hi]
-                handle.write(row * len(block) % tuple(block.ravel().tolist()))
+            writer.write_cycle(t, cycle)
 
 
 def _summary_dict(result: RunResult) -> dict:
@@ -198,10 +233,17 @@ def _numeric_series(columns: dict, name: str, path: str) -> list[float]:
         raise ConfigurationError(
             f"{path}: no column {name!r} (have {', '.join(sorted(columns))})"
         )
-    try:
-        return [float(v) for v in columns[name]]
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{path}: column {name!r} is not numeric") from None
+    values = []
+    for row, text in enumerate(columns[name], start=1):
+        where = f"{path}: column {name!r}, data row {row}: {text!r}"
+        try:
+            value = float(text)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"{where} is not numeric") from None
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{where} is not finite")
+        values.append(value)
+    return values
 
 
 def _build_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -236,15 +278,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
     config.validate()
     tables = resolve_tables(config)
-    result = run_simulation(
-        config, tables, workers=args.workers, collect_agents=args.emit_agents
-    )
+    check_workers(args.workers)  # before agents.csv is opened
     out = args.out_dir.rstrip("/")
+    observers = []
+    with contextlib.ExitStack() as stack:
+        if args.emit_agents:
+            observers.append(AgentsCsv(stack.enter_context(
+                open(f"{out}/agents.csv", "w", newline="", encoding="utf-8"))))
+        result = run_simulation(config, tables, workers=args.workers, observers=observers)
     write_cycles_csv(result.records, f"{out}/cycles.csv")
     print(f"wrote {out}/cycles.csv ({len(result.records)} cycles)")
     if args.emit_agents:
-        write_agents_csv(result.agent_rows, f"{out}/agents.csv")
-        print(f"wrote {out}/agents.csv ({len(result.agent_rows)} rows)")
+        rows = len(result.records) * result.landscape.n_agents
+        print(f"wrote {out}/agents.csv ({rows} rows)")
     with open(f"{out}/summary.json", "w", encoding="utf-8") as handle:
         json.dump(_summary_dict(result), handle, indent=2, sort_keys=True)
         handle.write("\n")

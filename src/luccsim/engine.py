@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "context_for",
     "run_cycle",
     "run_simulation",
+    "RunObserver",
     "RunResult",
     "AgentRows",
     "AgentCycle",
@@ -265,25 +266,50 @@ class AgentCycle(NamedTuple):
     env: np.ndarray
 
 
+class RunObserver(Protocol):
+    """What `run_simulation` tells an observer as a run goes.
+
+    `start` comes once, after initialization. `cycle` comes after each
+    cycle: `before` is (alloc copy, tl as int8, al copy) as the cycle
+    began, the landscape's outcome arrays hold the cycle's outcomes and
+    its alloc, tl and al arrays are already adapted for the next cycle,
+    and `record` is the cycle's record. The arrays are the run's own and
+    change in the next cycle; keep copies. `end` comes once, with the
+    finished result.
+    """
+
+    def start(self, landscape: Landscape) -> None: ...
+
+    def cycle(self, t: int, before: tuple[np.ndarray, ...], landscape: Landscape,
+              record: CycleRecord) -> None: ...
+
+    def end(self, result: "RunResult") -> None: ...
+
+
 class AgentRows:
     """The per-agent trace of a run, one row per agent and cycle.
 
-    `row` and `col` are each agent's grid position and `tenure` its Tenure
-    member, in row-major cell order; `cycles` holds one `AgentCycle` of
-    array copies per cycle. Iterating yields the rows as (cycle, row, col,
-    tenure, allocation, tl, al, cal, profit, rl, econ_ok, env_ok) with
-    Python floats, bools, an allocation tuple and Tenure/TechLevel members.
+    A `RunObserver` that keeps every cycle: `run_simulation(...,
+    collect_agents=True)` attaches one. `row` and `col` are each agent's
+    grid position and `tenure` its Tenure member, in row-major cell order;
+    `cycles` holds one `AgentCycle` of array copies per cycle. Iterating
+    yields the rows as (cycle, row, col, tenure, allocation, tl, al, cal,
+    profit, rl, econ_ok, env_ok) with Python floats, bools, an allocation
+    tuple and Tenure/TechLevel members.
     """
 
-    def __init__(self, landscape: Landscape):
+    def start(self, landscape: Landscape) -> None:
         self.row, self.col = np.divmod(np.arange(landscape.n_agents), landscape.cols)
         self.tenure = [TENURES[t] for t in landscape.tenant.tolist()]
         self.cycles: list[AgentCycle] = []
 
-    def add_cycle(self, before: tuple[np.ndarray, ...], s: Landscape) -> None:
-        """Keep a cycle: `before` is (alloc, tl, al) as the cycle began."""
+    def cycle(self, t: int, before: tuple[np.ndarray, ...], s: Landscape,
+              record: CycleRecord) -> None:
         self.cycles.append(AgentCycle(*before, s.cal.copy(), s.profit.copy(),
                                       s.rl.copy(), s.econ.copy(), s.env.copy()))
+
+    def end(self, result: "RunResult") -> None:
+        pass
 
     def __len__(self) -> int:
         return len(self.cycles) * len(self.tenure)
@@ -312,11 +338,18 @@ class RunResult:
     agent_rows: Optional[AgentRows] = field(default=None, repr=False)
 
 
+def check_workers(workers: int) -> None:
+    """Refuse a parallelism width below 1."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1 (got {workers})")
+
+
 def run_simulation(
     config: ScenarioConfig,
     tables: Optional[ParameterTables] = None,
     *,
     workers: int = 1,
+    observers: Iterable[RunObserver] = (),
     collect_agents: bool = False,
 ) -> RunResult:
     """Initialize from the seed and advance the configured number of cycles.
@@ -325,33 +358,42 @@ def run_simulation(
     random weather regime only, by one draw per cycle, so identical
     configurations replay identically. `workers` must be at least 1; a run
     is one array pass per cycle, so the width does not change a run.
+    Each of `observers` is told of the run as it goes (see `RunObserver`);
+    the pre-cycle copies are made only when there is one.
+    `collect_agents=True` adds an `AgentRows`, returned as
+    `result.agent_rows`.
     """
     config.validate()
-    if workers < 1:
-        raise ConfigurationError(f"workers must be at least 1 (got {workers})")
+    check_workers(workers)
     if tables is None:
         tables = resolve_tables(config)
     rng = SplitMix64(config.seed)
     scape = initialize(config, tables, rng)
 
+    observers = list(observers)
+    agent_rows = AgentRows() if collect_agents else None
+    if agent_rows is not None:
+        observers.append(agent_rows)
+    for observer in observers:
+        observer.start(scape)
+
     records: list[CycleRecord] = []
-    agent_rows = AgentRows(scape) if collect_agents else None
     totals = np.zeros((4, scape.n_agents))  # per-agent sums of profit, rl, econ, env
 
     for t in range(config.cycles):
         wgc = wgc_for_cycle(config.climate, t, rng)
         ctx = context_for(config, tables, wgc)
-        if agent_rows is not None:
+        if observers:
             before = (scape.alloc.copy(), scape.tl.astype(np.int8), scape.al.copy())
         _, record = run_cycle(scape, ctx, cycle_index=t)
         records.append(record)
         totals += np.stack((scape.profit, scape.rl, scape.econ, scape.env))
-        if agent_rows is not None:
-            agent_rows.add_cycle(before, scape)
+        for observer in observers:
+            observer.cycle(t, before, scape, record)
 
     cycles = float(config.cycles)
     profit, rl, econ, env = totals.tolist()
-    return RunResult(
+    result = RunResult(
         config=config,
         records=records,
         landscape=scape,
@@ -361,3 +403,6 @@ def run_simulation(
         env_agreement_pct=[100.0 * c / cycles for c in env],
         agent_rows=agent_rows,
     )
+    for observer in observers:
+        observer.end(result)
+    return result

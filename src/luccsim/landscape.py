@@ -120,7 +120,7 @@ _FIELDS = {name: f for name, f in vars(CellView).items() if isinstance(f, _Field
 
 
 class Landscape:
-    """Dense row-major grid of agents plus the run's landscape constants.
+    """Dense row-major grid of agents.
 
     The agents' state is held in arrays in cell order: `alloc` (n, 3) area
     percentages, `tl` (tech level indices), `tenant` and `al` (aspiration),
@@ -132,11 +132,9 @@ class Landscape:
     """
 
     def __init__(self, rows: int, cols: int, cells: Optional[Sequence] = None, *,
-                 et_pct: float, rent_soy_tons: Optional[float],
-                 rent_usd_per_ha: Optional[float], alloc=None, tl=None, tenant=None, al=None):
+                 alloc=None, tl=None, tenant=None, al=None):
         self.n_agents = n = rows * cols
-        self.rows, self.cols, self.et_pct = rows, cols, et_pct
-        self.rent_soy_tons, self.rent_usd_per_ha = rent_soy_tons, rent_usd_per_ha
+        self.rows, self.cols = rows, cols
         if cells is not None:
             if len(cells) != n:
                 raise ValueError("cell count does not match grid dimensions")
@@ -296,9 +294,6 @@ def initialize(
     return Landscape(
         rows=config.grid_rows,
         cols=config.grid_cols,
-        et_pct=config.et_pct,
-        rent_soy_tons=config.rent_soy_tons,
-        rent_usd_per_ha=config.rent_usd_per_ha,
         alloc=100.0 * _balance_to_targets(draws, target),
         tl=tl,
         tenant=tenant,

@@ -55,8 +55,7 @@ def test_a_landscape_built_from_cells_has_the_same_arrays_and_records(tables):
     a = initialize(config, tables, rng)
     for t in range(2):
         run_cycle(a, context_for(config, tables, wgc_for_cycle(config.climate, t, rng)))
-    b = Landscape(rows=a.rows, cols=a.cols, cells=a.cells, et_pct=a.et_pct,
-                  rent_soy_tons=a.rent_soy_tons, rent_usd_per_ha=a.rent_usd_per_ha)
+    b = Landscape(rows=a.rows, cols=a.cols, cells=a.cells)
     for name in STATE:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name

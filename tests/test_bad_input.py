@@ -178,6 +178,24 @@ def test_validate_csv_that_is_not_utf8_is_rejected(tmp_path, capsys, bad):
     assert not (tmp_path / "fit.json").exists()
 
 
+@pytest.mark.parametrize("value, reason", [
+    ("nan", "not finite"), ("inf", "not finite"), ("-inf", "not finite"), ("abc", "not numeric"),
+])
+@pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
+def test_validate_bad_series_value_is_rejected_with_its_row(tmp_path, capsys, bad, value, reason):
+    good = tmp_path / "good.csv"
+    good.write_text("cycle,cover_m\n0,1.0\n1,2.0\n2,3.0\n")
+    path = tmp_path / "bad.csv"
+    path.write_text(f"cycle,cover_m\n0,1.0\n1,{value}\n2,3.0\n")
+    files = [str(path), str(good)] if bad == "run_csv" else [str(good), str(path)]
+    code = main(["validate", *files, "--series", "cover_m", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(path) in err and "'cover_m'" in err and "data row 2" in err and reason in err
+    assert not (tmp_path / "fit.json").exists()
+
+
 @pytest.mark.parametrize("case", ["yield", "split_yield"])
 def test_table_file_that_is_not_utf8_is_rejected(tmp_path, capsys, tables, case):
     body, path = _tables_case(tmp_path, tables, case)

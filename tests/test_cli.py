@@ -63,7 +63,7 @@ class TestRunCommand:
             ["run", "--config", str(config_path), "--out-dir", str(tmp_path)]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "cycles.csv")))
+        rows = list(csv.DictReader((tmp_path / "cycles.csv").read_text().splitlines()))
         assert len(rows) == 1
         assert rows[0]["wgc"] == "A"
         assert rows[0]["mean_p"] == "609.840000"
@@ -85,7 +85,7 @@ class TestRunCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "cycles.csv")))
+        rows = list(csv.DictReader((tmp_path / "cycles.csv").read_text().splitlines()))
         assert [r["wgc"] for r in rows] == ["VU", "A", "VF", "VU", "A", "VF"]
 
     def test_emit_agents_schema(self, tmp_path):
@@ -134,7 +134,7 @@ class TestRunCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "cycles.csv")))
+        rows = list(csv.DictReader((tmp_path / "cycles.csv").read_text().splitlines()))
         assert len(rows) == 27
 
     def test_missing_out_dir_is_io_error(self, tmp_path):
@@ -169,7 +169,7 @@ class TestRunCommand:
             assert code == 0
             outs.append((out / "cycles.csv").read_bytes())
         assert outs[0] == outs[1]
-        rows = list(csv.DictReader(open(tmp_path / "r1" / "cycles.csv")))
+        rows = list(csv.DictReader((tmp_path / "r1" / "cycles.csv").read_text().splitlines()))
         assert len({r["wgc"] for r in rows}) > 1
 
     def test_workers_flag_keeps_output_identical(self, tmp_path):
@@ -195,7 +195,7 @@ class TestRoundTrip:
         result = run_simulation(config, tables)
         path = tmp_path / "cycles.csv"
         write_cycles_csv(result.records, str(path))
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         for row, record in zip(rows, result.records):
             assert int(row["cycle"]) == record.cycle
             assert row["wgc"] == record.wgc.code
@@ -235,7 +235,7 @@ class TestValidateCommand:
             ]
         )
         assert code == 0
-        report = json.load(open(tmp_path / "fit.json"))
+        report = json.loads((tmp_path / "fit.json").read_text())
         assert report["cover_s"] == {"rmse": 0.0, "v": 0.0, "pm": 1.0, "iof": 1.0}
 
     def test_reversed_series_iof(self, tmp_path):
@@ -249,7 +249,7 @@ class TestValidateCommand:
             ]
         )
         assert code == 0
-        report = json.load(open(tmp_path / "fit.json"))
+        report = json.loads((tmp_path / "fit.json").read_text())
         assert report["cover_s"]["iof"] == -1.0
 
     def test_three_point_mixed_example(self, tmp_path):
@@ -263,7 +263,7 @@ class TestValidateCommand:
             ]
         )
         assert code == 0
-        report = json.load(open(tmp_path / "fit.json"))
+        report = json.loads((tmp_path / "fit.json").read_text())
         assert report["cover_s"]["pm"] == pytest.approx(2.0 / 3.0)
 
     def test_alias_headers_accepted(self, tmp_path):
@@ -327,7 +327,7 @@ class TestSweepCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 3
         assert [r["value"] for r in rows] == [
             "141.000000", "277.000000", "346.400000",
@@ -343,7 +343,7 @@ class TestSweepCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 5
 
     def test_wgc_mix_axis(self, tmp_path):
@@ -356,7 +356,7 @@ class TestSweepCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
         assert [r["value"] for r in rows] == ["reference", "VU", "VF"]
 
     def test_out_of_range_value_rejected(self, tmp_path):
@@ -408,7 +408,7 @@ class TestSummaryJson:
             ["run", "--config", str(config_path), "--out-dir", str(tmp_path)]
         )
         assert code == 0
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["agents"] == 1
         assert summary["cycles"] == 2
         assert summary["final_cover_pct"] == {"M": 0.0, "S": 100.0, "WS": 0.0}
@@ -432,7 +432,7 @@ class TestSummaryJson:
 
         config = replace(_preset("longterm", seed=4), cycles=2)
         result = run_simulation(config, collect_agents=True)
-        rows = list(csv.DictReader(open(tmp_path / "agents.csv")))
+        rows = list(csv.DictReader((tmp_path / "agents.csv").read_text().splitlines()))
         assert len(rows) == len(result.agent_rows)
         for row, rec in zip(rows, result.agent_rows):
             cycle, r, c, tenure, alloc, tl, al, cal, profit, rl, econ, env = rec
@@ -458,7 +458,7 @@ class TestValidateOnRealRun:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "cycles.csv")))
+        rows = list(csv.DictReader((tmp_path / "cycles.csv").read_text().splitlines()))
         obs_path = tmp_path / "observed.csv"
         with open(obs_path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -476,7 +476,7 @@ class TestValidateOnRealRun:
             ]
         )
         assert code == 0
-        report = json.load(open(tmp_path / "fit.json"))
+        report = json.loads((tmp_path / "fit.json").read_text())
         assert set(report) == {"cover_m", "cover_s", "cover_ws", "mean_p", "mean_rl"}
         for series in report.values():
             assert series["rmse"] == 0.0

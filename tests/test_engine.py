@@ -365,10 +365,7 @@ def test_two_agent_imitation_hand_computed(tables):
         row=0, col=1, tenure=Tenure.OWNER, allocation=(100.0, 0.0, 0.0),
         tl=L, al_usd_per_ha=400.0,
     )
-    scape = Landscape(
-        rows=1, cols=2, cells=[a, b], et_pct=50.0,
-        rent_soy_tons=None, rent_usd_per_ha=0.0,
-    )
+    scape = Landscape(rows=1, cols=2, cells=[a, b])
     ctx = _ctx(tables, wgc=Wgc.AVERAGE, rent=0.0)
     _, record = run_cycle(scape, ctx)
     # the landscape holds the agents' state; a and b only seeded it

@@ -120,8 +120,7 @@ def _tie_landscape(rows, cols, target):
             alloc, tl, al = (0.0, 100.0, 0.0), TechLevel.HIGH, 1.0 + i
         cells.append(AgentState(row=i // cols, col=i % cols, tenure=Tenure.OWNER,
                                 allocation=alloc, tl=tl, al_usd_per_ha=al))
-    return Landscape(rows=rows, cols=cols, cells=cells, et_pct=50.0,
-                     rent_soy_tons=None, rent_usd_per_ha=0.0)
+    return Landscape(rows=rows, cols=cols, cells=cells)
 
 
 @pytest.mark.parametrize(

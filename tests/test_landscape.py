@@ -76,7 +76,6 @@ def test_pergamino_initialization(tables):
     assert scape.n_agents == 625
     owners = sum(c.tenure is Tenure.OWNER for c in scape.cells)
     assert owners == round(0.63 * 625)  # 394
-    assert scape.et_pct == 50.0
 
     # tech-level counts: largest-remainder apportionment of the
     # normalized shares (32/98, 36/98, 30/98 of 625)
@@ -137,9 +136,6 @@ def _landscape_from_cells(cells, rows, cols):
         rows=rows,
         cols=cols,
         cells=cells,
-        et_pct=50.0,
-        rent_soy_tons=None,
-        rent_usd_per_ha=0.0,
     )
 
 
