@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .climate import ClimateRegime, RegimeKind, load_wgc_sequence
 from .errors import ConfigurationError
 from .numeric import sequential_sum
@@ -40,7 +42,6 @@ __all__ = ["ScenarioConfig", "preset", "parse_config", "resolve_tables", "PRESET
 
 _SHARE_TOLERANCE = 1e-6
 
-_DEFAULT_PRICES = {LandUse.MAIZE: 141.0, LandUse.SOYBEAN: 277.0, LandUse.WHEAT_SOY: 153.0}
 _DEFAULT_WHEAT_PRICE = 153.0
 
 
@@ -61,12 +62,12 @@ class ScenarioConfig:
     rent_soy_tons: Optional[float] = 1.6
     rent_usd_per_ha: Optional[float] = None
     prices: Mapping[LandUse, float] = field(
-        default_factory=lambda: dict(_DEFAULT_PRICES)
+        default_factory=lambda: dict(zip(LandUse, default_tables().price_usd_per_t.tolist()))
     )
     pricing_mode: str = "combined"
     wheat_price_usd_per_t: float = _DEFAULT_WHEAT_PRICE
-    split_wheat_yield: Optional[Mapping[tuple[TechLevel, Wgc], float]] = None
-    split_soy2_yield: Optional[Mapping[tuple[TechLevel, Wgc], float]] = None
+    split_wheat_yield: Optional[np.ndarray] = None  # [TechLevel, Wgc]
+    split_soy2_yield: Optional[np.ndarray] = None
     table_overrides: Mapping[str, str] = field(default_factory=dict)
 
     @property
@@ -150,10 +151,13 @@ class ScenarioConfig:
         for name in ("rent_soy_tons", "rent_usd_per_ha"):
             if getattr(self, name) is not None:
                 yield name, getattr(self, name)
-        for name in ("initial_cover_pct", "initial_tl_pct", "prices",
-                     "split_wheat_yield", "split_soy2_yield"):
-            for value in (getattr(self, name) or {}).values():
+        for name in ("initial_cover_pct", "initial_tl_pct", "prices"):
+            for value in getattr(self, name).values():
                 yield name, value
+        for name in ("split_wheat_yield", "split_soy2_yield"):
+            if getattr(self, name) is not None:
+                for value in np.ravel(getattr(self, name)).tolist():
+                    yield name, value
 
 
 def _check_shares(name: str, shares: Mapping, members: list) -> None:
@@ -405,8 +409,7 @@ def parse_climate_spec(spec) -> ClimateRegime:
         if "constant" in spec:
             return ClimateRegime.constant(Wgc.from_code(str(spec["constant"])))
         if "sequence" in spec:
-            seq = [Wgc.from_code(str(c)) for c in spec["sequence"]]
-            return ClimateRegime.explicit(seq)
+            return ClimateRegime.explicit(_wgc_list(spec["sequence"], "sequence"))
         if "sequence_file" in spec:
             return ClimateRegime.explicit(load_wgc_sequence(str(spec["sequence_file"])))
         if "mix" in spec:
@@ -415,7 +418,7 @@ def parse_climate_spec(spec) -> ClimateRegime:
                 raise ConfigurationError('mix requires {"fixed": code, "historical"[_file]: ...}')
             fixed = Wgc.from_code(str(mix["fixed"]))
             if "historical" in mix:
-                historical = [Wgc.from_code(str(c)) for c in mix["historical"]]
+                historical = _wgc_list(mix["historical"], "mix historical")
             elif "historical_file" in mix:
                 historical = load_wgc_sequence(str(mix["historical_file"]))
             else:
@@ -424,6 +427,14 @@ def parse_climate_spec(spec) -> ClimateRegime:
                 )
             return ClimateRegime.alternating_mix(historical, fixed)
     raise ConfigurationError(f"cannot parse climate spec {spec!r}")
+
+
+def _wgc_list(raw, name: str) -> list[Wgc]:
+    if not isinstance(raw, list):
+        raise ConfigurationError(
+            f"climate {name} must be a JSON array of weather codes (got {raw!r})"
+        )
+    return [Wgc.from_code(str(c)) for c in raw]
 
 
 def resolve_tables(config: ScenarioConfig) -> ParameterTables:

@@ -57,7 +57,12 @@ _DETRIMENTAL_OWN = 0.55  # weight on CAL when it was missed
 
 @dataclass(frozen=True)
 class CycleContext:
-    """Everything exogenous to the agents within one cycle."""
+    """Everything exogenous to the agents within one cycle.
+
+    `prices` is the output price per land use, indexed by LandUse (an
+    array or a mapping). The split-mode component yields are indexed
+    [TechLevel, Wgc]: a (3, 5) array or a mapping keyed (tl, wgc).
+    """
 
     wgc: Wgc
     prices: Mapping[LandUse, float]
@@ -66,54 +71,38 @@ class CycleContext:
     et_pct: float
     pricing_mode: str = "combined"
     wheat_price_usd_per_t: float = 153.0
-    split_wheat_yield: Optional[Mapping[tuple[TechLevel, Wgc], float]] = None
-    split_soy2_yield: Optional[Mapping[tuple[TechLevel, Wgc], float]] = None
+    split_wheat_yield: Optional[np.ndarray] = None
+    split_soy2_yield: Optional[np.ndarray] = None
 
     @cached_property
-    def margins(self) -> tuple[tuple[float, float, float], ...]:
-        """Per-hectare margin (gross income minus cost) by [tech level][land use].
+    def margins(self) -> np.ndarray:
+        """Per-hectare margin (gross income minus cost), [tech level, land use].
 
         Combined mode prices the double crop's total yield at its single
         listed price; split mode prices user-supplied wheat and second-crop
         soybean component yields separately.
         """
-        out = []
-        for tl in TechLevel:
-            row = []
-            for lu in LandUse:
-                cost = self.tables.cost_usd_per_ha[(lu, tl, self.wgc)]
-                if lu is LandUse.WHEAT_SOY and self.pricing_mode == "split":
-                    income = (
-                        self.split_wheat_yield[(tl, self.wgc)]
-                        * self.wheat_price_usd_per_t
-                        + self.split_soy2_yield[(tl, self.wgc)]
-                        * self.prices[LandUse.SOYBEAN]
-                    )
-                else:
-                    income = (
-                        self.tables.yield_t_per_ha[(lu, tl, self.wgc)]
-                        * self.prices[lu]
-                    )
-                row.append(income - cost)
-            out.append(tuple(row))
-        return tuple(out)
+        w = self.wgc
+        prices = np.array([self.prices[lu] for lu in LandUse])
+        income = self.tables.yield_t_per_ha[:, :, w].T * prices
+        if self.pricing_mode == "split":
+            income[:, LandUse.WHEAT_SOY] = [
+                self.split_wheat_yield[tl, w] * self.wheat_price_usd_per_t
+                + self.split_soy2_yield[tl, w] * prices[LandUse.SOYBEAN]
+                for tl in TechLevel
+            ]
+        return income - self.tables.cost_usd_per_ha[:, :, w].T
 
     @cached_property
-    def renewabilities(self) -> tuple[tuple[float, float, float], ...]:
-        """Renewability share by [tech level][land use] at this cycle's weather."""
-        return tuple(
-            tuple(
-                self.tables.renewability_pct[(lu, tl, self.wgc)]
-                for lu in LandUse
-            )
-            for tl in TechLevel
-        )
+    def renewabilities(self) -> np.ndarray:
+        """Renewability share by [tech level, land use] at this cycle's weather."""
+        return self.tables.renewability_pct[:, :, self.wgc].T
 
 
 def _weighted(alloc, tl, by_level):
     """(a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2, with v = by_level[tl]."""
     share = np.asarray(alloc, dtype=np.float64) / 100.0
-    v = np.array(by_level)[tl]
+    v = by_level[tl]
     return share[..., 0] * v[..., 0] + share[..., 1] * v[..., 1] + share[..., 2] * v[..., 2]
 
 
@@ -188,8 +177,7 @@ def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTab
     """
     own_w = np.where(p >= cal, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
     next_al = cal + own_w * (p - cal)
-    alpha_bn = np.array([[tables.alpha_bn[(a, b)] for b in TechLevel] for a in TechLevel])
-    copied = bn_cal * (1.0 + alpha_bn)[tl, bn_tl]
+    copied = bn_cal * (1.0 + tables.alpha_bn)[tl, bn_tl]
     next_al = np.where(decide_land_use(p, cal, bn_profit), copied, next_al)
     return np.where(next_al > 0.0, next_al, 0.0)
 
@@ -380,9 +368,13 @@ def run_simulation(
     records: list[CycleRecord] = []
     totals = np.zeros((4, scape.n_agents))  # per-agent sums of profit, rl, econ, env
 
+    # one context per weather condition, so each computes its margins once
+    contexts: dict[Wgc, CycleContext] = {}
     for t in range(config.cycles):
         wgc = wgc_for_cycle(config.climate, t, rng)
-        ctx = context_for(config, tables, wgc)
+        if wgc not in contexts:
+            contexts[wgc] = context_for(config, tables, wgc)
+        ctx = contexts[wgc]
         if observers:
             before = (scape.alloc.copy(), scape.tl.astype(np.int8), scape.al.copy())
         _, record = run_cycle(scape, ctx, cycle_index=t)

@@ -156,9 +156,6 @@ class Landscape:
             self._cells = [CellView(self, i) for i in range(self.n_agents)]
         return self._cells
 
-    def cell_at(self, row: int, col: int) -> CellView:
-        return self.cells[row * self.cols + col]
-
 
 @dataclass(frozen=True)
 class CycleRecord:
@@ -289,7 +286,6 @@ def initialize(
     lo, hi = np.where(swap, v, u), np.where(swap, u, v)
     draws = np.stack((lo, hi - lo, 1.0 - hi), axis=1)
     target = [config.initial_cover_pct[lu] / 100.0 for lu in LandUse]
-    wct = np.array([tables.wct_usd_per_ha[t] for t in TechLevel], dtype=np.float64)
 
     return Landscape(
         rows=config.grid_rows,
@@ -297,7 +293,7 @@ def initialize(
         alloc=100.0 * _balance_to_targets(draws, target),
         tl=tl,
         tenant=tenant,
-        al=config.initial_al_factor * wct[tl],
+        al=config.initial_al_factor * tables.wct_usd_per_ha[tl],
     )
 
 

@@ -2,9 +2,10 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from luccsim import ConfigurationError, TechLevel, Wgc, preset, run_simulation, run_sweep
+from luccsim import ConfigurationError, LandUse, TechLevel, Wgc, preset, run_simulation, run_sweep
 from luccsim.cli import main
 from luccsim.sweep import SweepAxis, SweepParameter
 
@@ -105,35 +106,78 @@ def _table_file(tmp_path, name, header, rows):
     return str(path)
 
 
-def _tables_case(tmp_path, tables, case):
-    """(scenario body, table file) with one non-finite value on line 3 of the file."""
-    if case == "yield":
-        rows = [(lu.code, tl.code, wgc.code, v) for (lu, tl, wgc), v in tables.yield_t_per_ha.items()]
-        rows[1] = (*rows[1][:3], "nan")
-        path = _table_file(tmp_path, "yield.csv", "lu,tl,wgc,value", rows)
-        return '"table_overrides": {"yield": "%s"}' % path, path
-    if case == "alpha_wgc":
-        rows = [(w.code, "nan" if w is Wgc.UNFAVORABLE else v) for w, v in tables.alpha_wgc.items()]
-        path = _table_file(tmp_path, "alpha_wgc.csv", "wgc,value", rows)
-        return '"climate": "constant-unfavorable", "table_overrides": {"alpha_wgc": "%s"}' % path, path
-    if case == "wct":
-        rows = [(t.code, "nan" if t is TechLevel.AVERAGE else v) for t, v in tables.wct_usd_per_ha.items()]
-        path = _table_file(tmp_path, "wct.csv", "tl,value", rows)
-        return '"table_overrides": {"wct": "%s"}' % path, path
-    rows = [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc]
-    rows[1] = (*rows[1][:2], "-inf")
-    path = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", rows)
-    soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
-    return ('"pricing_mode": "split", "split_yield_files": {"wheat": "%s", "soy2": "%s"}'
-            % (path, soy2)), path
+# table override name -> (ParameterTables field, CSV header)
+_TABLE_FILES = {
+    "yield": ("yield_t_per_ha", "lu,tl,wgc,value"),
+    "cost": ("cost_usd_per_ha", "lu,tl,wgc,value"),
+    "renewability": ("renewability_pct", "lu,tl,wgc,value"),
+    "alpha_wgc": ("alpha_wgc", "wgc,value"),
+    "alpha_bn": ("alpha_bn", "tl,bn_tl,value"),
+    "wct": ("wct_usd_per_ha", "tl,value"),
+}
+_KEY_ENUMS = {"lu": LandUse, "tl": TechLevel, "bn_tl": TechLevel, "wgc": Wgc}
+
+
+def _tables_case(tmp_path, tables, case, edit):
+    """(scenario body, table file): a complete table file, its rows passed through `edit`."""
+    if case == "split_yield":
+        rows = [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc]
+        path = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", edit(rows))
+        soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
+        return ('"pricing_mode": "split", "split_yield_files": {"wheat": "%s", "soy2": "%s"}'
+                % (path, soy2)), path
+    field, header = _TABLE_FILES[case]
+    table = getattr(tables, field)
+    enums = [_KEY_ENUMS[column] for column in header.split(",")[:-1]]
+    rows = [(*(e(i).code for e, i in zip(enums, index)), table[index].item())
+            for index in np.ndindex(table.shape)]
+    path = _table_file(tmp_path, f"{case}.csv", header, edit(rows))
+    return '"table_overrides": {"%s": "%s"}' % (case, path), path
+
+
+def _non_finite_on_line_3(case):
+    value = "-inf" if case == "split_yield" else "nan"
+    return lambda rows: [rows[0], (*rows[1][:-1], value), *rows[2:]]
 
 
 @pytest.mark.parametrize("case", ["yield", "alpha_wgc", "wct", "split_yield"])
 def test_non_finite_table_value_is_rejected_with_its_line(tmp_path, capsys, tables, case):
-    body, path = _tables_case(tmp_path, tables, case)
+    body, path = _tables_case(tmp_path, tables, case, _non_finite_on_line_3(case))
     code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
     assert code == 2
     assert err.count("\n") == 1 and f"{path}:3:" in err and "not finite" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("case", [*_TABLE_FILES, "split_yield"])
+def test_table_file_missing_an_entry_is_rejected(tmp_path, capsys, tables, case):
+    body, path = _tables_case(tmp_path, tables, case, lambda rows: rows[:-1])
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and path in err and "missing entry" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("row", ["L", "L,X,0.2"])
+def test_table_row_with_a_bad_key_is_rejected_with_its_line(tmp_path, capsys, row):
+    path = _table_file(tmp_path, "alpha_bn.csv", "tl,bn_tl,value", [("L", "L", 0.0), (row,)])
+    body = '"table_overrides": {"alpha_bn": "%s"}' % path
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{path}:3: unknown TechLevel code" in err
+    assert written == []
+
+
+@pytest.mark.parametrize(
+    "climate",
+    ['{"sequence": 5}', '{"sequence": "AF"}', '{"mix": {"fixed": "A", "historical": 7}}',
+     '{"mix": {"fixed": "A", "historical": "AU"}}'],
+)
+def test_weather_sequence_that_is_not_an_array_is_rejected(tmp_path, capsys, climate):
+    code, err, written = _run_config(
+        tmp_path, capsys, '{"preset": "longterm", "cycles": 2, "climate": %s}' % climate)
+    assert code == 2
+    assert err.count("\n") == 1 and "must be a JSON array" in err
     assert written == []
 
 
@@ -198,7 +242,7 @@ def test_validate_bad_series_value_is_rejected_with_its_row(tmp_path, capsys, ba
 
 @pytest.mark.parametrize("case", ["yield", "split_yield"])
 def test_table_file_that_is_not_utf8_is_rejected(tmp_path, capsys, tables, case):
-    body, path = _tables_case(tmp_path, tables, case)
+    body, path = _tables_case(tmp_path, tables, case, _non_finite_on_line_3(case))
     with open(path, "ab") as handle:
         handle.write(NOT_UTF8)
     code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)

@@ -206,10 +206,10 @@ def test_parse_config_sequence_file(tmp_path):
     assert config.climate.sequence == (Wgc.AVERAGE, Wgc.FAVORABLE, Wgc.VERY_FAVORABLE)
 
 
-def test_parse_config_with_table_overrides_end_to_end(tmp_path):
+def test_parse_config_with_table_overrides_end_to_end(tmp_path, capsys):
     import csv as _csv
 
-    from luccsim import default_tables, resolve_tables
+    from luccsim.cli import main
 
     price_path = tmp_path / "price.csv"
     with open(price_path, "w", newline="") as handle:
@@ -225,12 +225,14 @@ def test_parse_config_with_table_overrides_end_to_end(tmp_path):
             "table_overrides": {"price": str(price_path)},
         },
     )
-    config = parse_config(path)
-    tables = resolve_tables(config)
-    assert tables.price_usd_per_t[LandUse.SOYBEAN] == 300.0
-    # scenario prices are independent of the table override
-    assert config.prices[LandUse.SOYBEAN] == 277.0
-    assert default_tables().price_usd_per_t[LandUse.SOYBEAN] == 277.0
+    out = tmp_path / "out"
+    out.mkdir()
+    # output prices are the scenario's "prices", so a price table is not an override
+    assert main(["run", "--config", path, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "unknown table override 'price'" in err and "\"prices\" setting" in err
+    assert list(out.iterdir()) == []
 
 
 def test_parse_config_split_mode_end_to_end(tmp_path):

@@ -1,5 +1,7 @@
 import csv
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from luccsim import (
@@ -28,7 +30,7 @@ def test_spot_values(tables):
 
 
 def test_scalar_tables(tables):
-    assert tables.price_usd_per_t == {M: 141, S: 277, WS: 153}
+    assert tables.price_usd_per_t.tolist() == [141, 277, 153]
     assert [tables.alpha_wgc[w] for w in Wgc] == [-0.55, -0.28, 0.00, 0.22, 0.45]
     assert [tables.wct_usd_per_ha[t] for t in TechLevel] == [252, 333, 413]
     assert tables.alpha_bn[(L, H)] == 0.45
@@ -48,69 +50,53 @@ def test_lookup_rejects_unknown_kind(tables):
         lookup(tables, "prices", M, L, VU)
 
 
-def test_lookup_missing_key_is_configuration_error(tables):
-    broken = ParameterTables.from_dicts(
-        yield_t_per_ha={
-            k: v for k, v in tables.yield_t_per_ha.items() if k != (M, L, VU)
-        },
-        cost_usd_per_ha=dict(tables.cost_usd_per_ha),
-        renewability_pct=dict(tables.renewability_pct),
-        price_usd_per_t=dict(tables.price_usd_per_t),
-        alpha_wgc=dict(tables.alpha_wgc),
-        alpha_bn=dict(tables.alpha_bn),
-        wct_usd_per_ha=dict(tables.wct_usd_per_ha),
-    )
-    with pytest.raises(ConfigurationError):
-        lookup(broken, "yield", M, L, VU)
+def test_wrong_shaped_table_is_rejected(tables):
+    with pytest.raises(ConfigurationError, match=r"yield_t_per_ha has shape \(3, 3, 4\)"):
+        replace(tables, yield_t_per_ha=tables.yield_t_per_ha[:, :, 1:])
+    with pytest.raises(ConfigurationError, match="alpha_bn has shape"):
+        replace(tables, alpha_bn=tables.alpha_bn.ravel())
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(ParameterTables)])
+def test_tables_are_read_only(tables, field):
+    for table in (getattr(tables, field), getattr(replace(tables), field)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1.0
 
 
 def test_embedded_dataset_validates_clean(tables):
     assert validate_tables(tables) == []
 
 
-def _with(tables, **replacements):
-    fields = {
-        "yield_t_per_ha": dict(tables.yield_t_per_ha),
-        "cost_usd_per_ha": dict(tables.cost_usd_per_ha),
-        "renewability_pct": dict(tables.renewability_pct),
-        "price_usd_per_t": dict(tables.price_usd_per_t),
-        "alpha_wgc": dict(tables.alpha_wgc),
-        "alpha_bn": dict(tables.alpha_bn),
-        "wct_usd_per_ha": dict(tables.wct_usd_per_ha),
-    }
-    fields.update(replacements)
-    return ParameterTables.from_dicts(**fields)
-
-
 def test_zero_yield_is_one_violation(tables):
-    broken_yields = dict(tables.yield_t_per_ha)
+    broken_yields = tables.yield_t_per_ha.copy()
     broken_yields[(M, L, AV)] = 0.0
-    report = validate_tables(_with(tables, yield_t_per_ha=broken_yields))
+    report = validate_tables(replace(tables, yield_t_per_ha=broken_yields))
     positivity = [v for v in report if "non-positive yield" in v]
     assert len(positivity) == 1
     assert "yield[M,L,A]" in positivity[0]
 
 
 def test_bad_alpha_bn_sign_is_one_violation(tables):
-    broken = dict(tables.alpha_bn)
+    broken = tables.alpha_bn.copy()
     broken[(L, H)] = -0.1
-    report = validate_tables(_with(tables, alpha_bn=broken))
+    report = validate_tables(replace(tables, alpha_bn=broken))
     assert len(report) == 1
     assert "alpha_bn sign" in report[0]
     assert "alpha_bn[L,H]" in report[0]
 
 
 def test_decreasing_cost_in_weather_is_reported(tables):
-    broken = dict(tables.cost_usd_per_ha)
+    broken = tables.cost_usd_per_ha.copy()
     broken[(S, A, VF)] = 1.0
-    report = validate_tables(_with(tables, cost_usd_per_ha=broken))
+    report = validate_tables(replace(tables, cost_usd_per_ha=broken))
     assert any("decreasing in weather condition" in v for v in report)
 
 
 def test_non_increasing_wct_is_reported(tables):
-    broken = dict(tables.wct_usd_per_ha)
+    broken = tables.wct_usd_per_ha.copy()
     broken[H] = broken[A]
-    report = validate_tables(_with(tables, wct_usd_per_ha=broken))
+    report = validate_tables(replace(tables, wct_usd_per_ha=broken))
     assert report == ["wct[H]: not strictly increasing in tech level"]
 
 
@@ -119,10 +105,11 @@ def test_csv_override_roundtrip(tables, tmp_path):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["lu", "tl", "wgc", "value"])
-        for (lu, tl, wgc), value in tables.yield_t_per_ha.items():
-            writer.writerow([lu.code, tl.code, wgc.code, value])
+        for lu, tl, wgc in np.ndindex(tables.yield_t_per_ha.shape):
+            value = tables.yield_t_per_ha[lu, tl, wgc].item()
+            writer.writerow([LandUse(lu).code, TechLevel(tl).code, Wgc(wgc).code, value])
     loaded = load_table_overrides(tables, {"yield": str(path)})
-    assert dict(loaded.yield_t_per_ha) == dict(tables.yield_t_per_ha)
+    assert loaded.yield_t_per_ha.tolist() == tables.yield_t_per_ha.tolist()
 
 
 def test_partial_csv_override_is_rejected(tables, tmp_path):
@@ -136,10 +123,10 @@ def test_partial_csv_override_is_rejected(tables, tmp_path):
 
 
 def test_csv_override_bad_header(tables, tmp_path):
-    path = tmp_path / "price.csv"
+    path = tmp_path / "wct.csv"
     path.write_text("landuse,value\nM,141\n")
     with pytest.raises(ConfigurationError, match="expected header"):
-        load_table_overrides(tables, {"price": str(path)})
+        load_table_overrides(tables, {"wct": str(path)})
 
 
 def test_unknown_override_name(tables):
