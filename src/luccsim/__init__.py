@@ -28,7 +28,6 @@ from .engine import (
 )
 from .errors import ConfigurationError, LuccsimError, MetricUndefinedError
 from .landscape import (
-    AgentState,
     CycleRecord,
     Landscape,
     Tenure,

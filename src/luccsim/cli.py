@@ -220,7 +220,12 @@ def read_series_csv(path: str) -> dict[str, list[str]]:
         _COLUMN_ALIASES.get(h.strip().lower(), h.strip().lower())
         for h in reader.fieldnames
     ]
-    for name in names:
+    for header, name in zip(reader.fieldnames, names):
+        if name in columns:
+            first = reader.fieldnames[names.index(name)]
+            raise ConfigurationError(
+                f"{path}: headers {first!r} and {header!r} both name series {name!r}"
+            )
         columns[name] = []
     for row in reader:
         for raw_name, name in zip(reader.fieldnames, names):
@@ -255,6 +260,8 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
         config = preset(args.preset)
     else:
         raise ConfigurationError("one of --config or --preset is required")
+    if getattr(args, "climate", None) and getattr(args, "wgc_file", None):
+        raise ConfigurationError("give either --climate or --wgc-file, not both")
 
     updates: dict = {}
     if args.seed is not None:
@@ -393,8 +400,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="parallelism width, at least 1; each run is one array pass per "
-        "cycle, so today the width has no effect (output is identical at any width)",
+        help="kept for compatibility: must be at least 1 and has no effect "
+        "(output is identical at any width)",
     )
     parser.add_argument("--out-dir", default=".", help="output directory")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -236,6 +236,16 @@ _KNOWN_KEYS = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict, refusing a key given twice."""
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigurationError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_config(path: str) -> ScenarioConfig:
     """Load and validate a JSON scenario file.
 
@@ -250,11 +260,13 @@ def parse_config(path: str) -> ScenarioConfig:
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"cannot read config {path}: not UTF-8 ({exc.reason})") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}:{exc.lineno}: invalid JSON ({exc.msg})"
         ) from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top-level value must be an object")
 

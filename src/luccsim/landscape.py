@@ -3,18 +3,17 @@
 Farms are equal-area cells on a non-wrapping rectangular grid; border cells
 simply have fewer Moore neighbors. The agents' state is a set of numpy
 arrays in row-major cell order (struct of arrays); `Landscape.cells` offers
-live per-cell views of them. Initialization consumes the run's seeded
-stream in a fixed order (tenure shuffle, tech-level shuffle, then one
-allocation draw per cell in row-major order) so a seed fully determines the
-starting landscape.
+read-only live per-cell views of them. Initialization consumes the run's
+seeded stream in a fixed order (tenure shuffle, tech-level shuffle, then
+one allocation draw per cell in row-major order) so a seed fully
+determines the starting landscape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
 __all__ = [
     "Tenure",
-    "AgentState",
     "CellView",
     "Landscape",
     "CycleRecord",
@@ -53,49 +51,12 @@ class Tenure(IntEnum):
 TENURES, TECH_LEVELS = tuple(Tenure), tuple(TechLevel)  # index -> member
 
 
-@dataclass(slots=True)
-class AgentState:
-    """One farmer cell.
-
-    `allocation` is the farm-area percentage per land use in enum order and
-    always sums to 100. The `last_*` fields and goal flags hold the most
-    recent cycle's realized outcomes; before the first cycle they are the
-    zero/false placeholders set here.
-    """
-
-    row: int
-    col: int
-    tenure: Tenure
-    allocation: tuple[float, float, float]
-    tl: TechLevel
-    al_usd_per_ha: float
-    last_profit_usd_per_ha: float = 0.0
-    last_rl_pct: float = 0.0
-    last_cal_usd_per_ha: float = 0.0
-    econ_ok: bool = False
-    env_ok: bool = False
-
-
-class _Field(property):
-    """A CellView attribute backed by element `index` of one landscape array."""
-
-    def __init__(self, array: str, dtype, to_python=None):
-        get = attrgetter(array)
-        if array == "alloc":  # a row of three floats
-            fget = lambda v: tuple(get(v.landscape)[v.index].tolist())  # noqa: E731
-        elif to_python is None:
-            fget = lambda v: get(v.landscape).item(v.index)  # noqa: E731
-        else:
-            fget = lambda v: to_python(get(v.landscape).item(v.index))  # noqa: E731
-        super().__init__(fget, lambda v, value: get(v.landscape).__setitem__(v.index, value))
-        self.array, self.dtype = array, dtype
-
-
 class CellView:
-    """Live view of one agent: reads and writes go to the landscape's arrays.
+    """Read-only live view of one agent: every read sees the current arrays.
 
-    It has AgentState's fields and returns Python floats and bools, Tenure
-    and TechLevel members, and the allocation as a tuple.
+    Reads return Python floats and bools, Tenure and TechLevel members, and
+    the allocation as a tuple; the agents' state changes only through the
+    landscape's arrays.
     """
 
     __slots__ = ("landscape", "index")
@@ -105,18 +66,15 @@ class CellView:
 
     row = property(lambda self: self.index // self.landscape.cols)
     col = property(lambda self: self.index % self.landscape.cols)
-    tenure = _Field("tenant", bool, TENURES.__getitem__)
-    allocation = _Field("alloc", np.float64)
-    tl = _Field("tl", np.intp, TECH_LEVELS.__getitem__)
-    al_usd_per_ha = _Field("al", np.float64)
-    last_profit_usd_per_ha = _Field("profit", np.float64)
-    last_rl_pct = _Field("rl", np.float64)
-    last_cal_usd_per_ha = _Field("cal", np.float64)
-    econ_ok = _Field("econ", bool)
-    env_ok = _Field("env", bool)
-
-
-_FIELDS = {name: f for name, f in vars(CellView).items() if isinstance(f, _Field)}
+    tenure = property(lambda self: TENURES[self.landscape.tenant.item(self.index)])
+    allocation = property(lambda self: tuple(self.landscape.alloc[self.index].tolist()))
+    tl = property(lambda self: TECH_LEVELS[self.landscape.tl.item(self.index)])
+    al_usd_per_ha = property(lambda self: self.landscape.al.item(self.index))
+    last_profit_usd_per_ha = property(lambda self: self.landscape.profit.item(self.index))
+    last_rl_pct = property(lambda self: self.landscape.rl.item(self.index))
+    last_cal_usd_per_ha = property(lambda self: self.landscape.cal.item(self.index))
+    econ_ok = property(lambda self: self.landscape.econ.item(self.index))
+    env_ok = property(lambda self: self.landscape.env.item(self.index))
 
 
 class Landscape:
@@ -124,34 +82,26 @@ class Landscape:
 
     The agents' state is held in arrays in cell order: `alloc` (n, 3) area
     percentages, `tl` (tech level indices), `tenant` and `al` (aspiration),
-    and the latest cycle's `profit`, `rl`, `cal`, `econ` and `env`. Build a
-    landscape either from `cells`, a list of objects with AgentState's
-    fields whose list index is their position, or from the `alloc`, `tl`,
-    `tenant` and `al` arrays, with the outcomes zero/false. `cells` is a
-    list of live CellViews of the arrays.
+    given to the constructor (each is copied and may be broadcast), and the
+    latest cycle's `profit`, `rl`, `cal`, `econ` and `env`, which start at
+    zero/false. `cells` is a list of read-only live CellViews of the arrays.
     """
 
-    def __init__(self, rows: int, cols: int, cells: Optional[Sequence] = None, *,
-                 alloc=None, tl=None, tenant=None, al=None):
+    def __init__(self, rows: int, cols: int, *, alloc, tl, tenant, al):
         self.n_agents = n = rows * cols
         self.rows, self.cols = rows, cols
-        if cells is not None:
-            if len(cells) != n:
-                raise ValueError("cell count does not match grid dimensions")
-            state = {f.array: [getattr(c, name) for c in cells] for name, f in _FIELDS.items()}
-        elif any(a is None for a in (alloc, tl, tenant, al)):
-            raise TypeError("Landscape needs cells or the alloc, tl, tenant and al arrays")
-        else:
-            state = dict(alloc=alloc, tl=tl, tenant=tenant, al=al)
-        for f in _FIELDS.values():  # the outcomes start at zero/false
-            shape = (n, 3) if f.array == "alloc" else (n,)
-            setattr(self, f.array, np.array(np.broadcast_to(state.get(f.array, 0), shape), f.dtype))
+        self.alloc = np.array(np.broadcast_to(alloc, (n, 3)), np.float64)
+        self.tl = np.array(np.broadcast_to(tl, n), np.intp)
+        self.tenant = np.array(np.broadcast_to(tenant, n), bool)
+        self.al = np.array(np.broadcast_to(al, n), np.float64)
+        self.profit, self.rl, self.cal = np.zeros(n), np.zeros(n), np.zeros(n)
+        self.econ, self.env = np.zeros(n, bool), np.zeros(n, bool)
         self.moore_table = moore_table(rows, cols)
         self._cells: Optional[list[CellView]] = None
 
     @property
     def cells(self) -> list[CellView]:
-        """Live views of the agents in cell order, made on first use."""
+        """Read-only live views of the agents in cell order, made on first use."""
         if self._cells is None:
             self._cells = [CellView(self, i) for i in range(self.n_agents)]
         return self._cells

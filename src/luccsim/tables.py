@@ -334,7 +334,7 @@ def _parse_value(row: dict, path: str) -> float:
 def _load_keyed_csv(path: str, key_columns: tuple[str, ...]) -> np.ndarray:
     """A `key_columns...,value` CSV as a read-only array indexed by the keys.
 
-    Every key combination must be given; a repeated key keeps its last value.
+    Every key combination must be given exactly once.
     """
     table = np.full(_shape(key_columns), np.nan)
     for row in _read_rows(path, [*key_columns, "value"]):
@@ -342,6 +342,10 @@ def _load_keyed_csv(path: str, key_columns: tuple[str, ...]) -> np.ndarray:
             index = tuple(_KEY_ENUMS[c].from_code(row[c] or "") for c in key_columns)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}:{row['_line']}: {exc}") from None
+        if not np.isnan(table[index]):
+            raise ConfigurationError(
+                f"{path}:{row['_line']}: repeated entry ({_codes(key_columns, index)})"
+            )
         table[index] = _parse_value(row, path)
     missing = list(zip(*np.nonzero(np.isnan(table))))  # values are finite once set
     if missing:

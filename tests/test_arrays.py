@@ -1,17 +1,16 @@
-"""The landscape's arrays are the agents' state; cells and agent rows read them."""
+"""The landscape's arrays are the agents' state; cells and agent rows only read them."""
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from luccsim import (
     ClimateRegime,
-    Landscape,
     SplitMix64,
     TechLevel,
     Tenure,
     Wgc,
-    compute_profit,
     context_for,
     initialize,
     preset,
@@ -21,6 +20,11 @@ from luccsim import (
 )
 
 STATE = ("alloc", "tl", "tenant", "al", "profit", "rl", "cal", "econ", "env")
+# CellView attribute -> the array it reads, for the float and bool fields
+VIEWS = {
+    "al_usd_per_ha": "al", "last_profit_usd_per_ha": "profit", "last_rl_pct": "rl",
+    "last_cal_usd_per_ha": "cal", "econ_ok": "econ", "env_ok": "env",
+}
 
 
 def _config(**changes):
@@ -30,41 +34,31 @@ def _config(**changes):
     )
 
 
-def test_a_write_through_a_cell_is_seen_by_run_cycle(tables):
+def test_a_view_taken_before_a_cycle_reads_its_results_and_cannot_be_written(tables):
     config = _config()
     scape = initialize(config, tables, SplitMix64(config.seed))
-    cell = scape.cells[7]
-    cell.allocation = (20.0, 30.0, 50.0)
-    cell.tl = TechLevel.HIGH
-    cell.tenure = Tenure.TENANT
-    cell.al_usd_per_ha = 1e6
-    assert scape.alloc[7].tolist() == [20.0, 30.0, 50.0]
-    assert (scape.tl[7], scape.tenant[7], scape.al[7]) == (TechLevel.HIGH, True, 1e6)
+    cells = scape.cells
+    before = [(c.allocation, c.al_usd_per_ha, c.last_profit_usd_per_ha) for c in cells]
+    run_cycle(scape, context_for(config, tables, Wgc.UNFAVORABLE))
+    assert scape.cells is cells
+    for i, cell in enumerate(cells):
+        assert (cell.row, cell.col) == divmod(i, config.grid_cols)
+        assert cell.tenure is Tenure(scape.tenant[i]) and cell.tl is TechLevel(scape.tl[i])
+        assert cell.allocation == tuple(scape.alloc[i].tolist())
+        for attr, name in VIEWS.items():
+            value = getattr(cell, attr)
+            assert type(value) is type(getattr(scape, name)[i].item())
+            assert value == getattr(scape, name)[i], attr
+    assert any(alloc != c.allocation for (alloc, _, _), c in zip(before, cells))
+    assert [al for _, al, _ in before] != scape.al.tolist()
+    assert all(profit == 0.0 for _, _, profit in before) and scape.profit.all()
 
-    ctx = context_for(config, tables, Wgc.FAVORABLE)
-    run_cycle(scape, ctx)
-    assert cell.last_profit_usd_per_ha == compute_profit((20.0, 30.0, 50.0), TechLevel.HIGH, True, ctx)
-    assert cell.last_cal_usd_per_ha == 1e6 * (1.0 + tables.alpha_wgc[Wgc.FAVORABLE])
-    assert not cell.econ_ok
-    assert (cell.row, cell.col) == (1, 1) and cell.tenure is Tenure.TENANT
-
-
-def test_a_landscape_built_from_cells_has_the_same_arrays_and_records(tables):
-    config = _config()
-    rng = SplitMix64(config.seed)
-    a = initialize(config, tables, rng)
-    for t in range(2):
-        run_cycle(a, context_for(config, tables, wgc_for_cycle(config.climate, t, rng)))
-    b = Landscape(rows=a.rows, cols=a.cols, cells=a.cells)
+    state = {name: getattr(scape, name).copy() for name in STATE}
+    for attr in ("row", "col", "tenure", "allocation", "tl", *VIEWS):
+        with pytest.raises(AttributeError):
+            setattr(cells[7], attr, getattr(cells[7], attr))
     for name in STATE:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
-        assert not np.shares_memory(x, y), name
-    for t in range(2, config.cycles):
-        ctx = context_for(config, tables, wgc_for_cycle(config.climate, t, rng))
-        assert run_cycle(a, ctx, cycle_index=t)[1] == run_cycle(b, ctx, cycle_index=t)[1]
-    for name in STATE:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(getattr(scape, name), state[name]), name
 
 
 def test_agent_rows_replay_the_cells_cycle_by_cycle(tables):

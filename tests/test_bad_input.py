@@ -249,3 +249,57 @@ def test_table_file_that_is_not_utf8_is_rejected(tmp_path, capsys, tables, case)
     assert code == 2
     assert err.count("\n") == 1 and path in err and "UTF-8" in err
     assert written == []
+
+
+@pytest.mark.parametrize("case, key", [("wct", "L"), ("split_yield", "L,VU")])
+def test_table_file_repeating_an_entry_is_rejected_with_its_line(tmp_path, capsys, tables, case, key):
+    body, path = _tables_case(tmp_path, tables, case, lambda rows: [rows[0], *rows])
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{path}:3: repeated entry ({key})" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("body, key", [
+    ('"seed": 1, "seed": 2', "seed"),
+    ('"prices": {"M": 141, "S": 277, "S": 300, "WS": 153}', "S"),
+    ('"rent": {"usd_per_ha": 400, "usd_per_ha": 300}', "usd_per_ha"),
+    ('"climate": {"sequence": ["A"], "sequence": ["U"]}', "sequence"),
+    ('"table_overrides": {"wct": "a.csv", "wct": "b.csv"}', "wct"),
+])
+def test_scenario_key_given_twice_is_rejected(tmp_path, capsys, body, key):
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and "scenario.json" in err and f"repeated key {key!r}" in err
+    assert written == []
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--axis", "soy-price", "--values", "200"]]
+)
+def test_climate_and_weather_file_together_are_rejected(tmp_path, capsys, command):
+    weather = tmp_path / "wgc.txt"
+    weather.write_text("A\nU\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main([*command, "--preset", "longterm", "--cycles", "2", "--climate",
+                 "constant-favorable", "--wgc-file", str(weather), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "either --climate or --wgc-file" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("first, second", [("cover_soy", "cover_soybean"), ("Cover_M", "cover_m")])
+@pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
+def test_validate_headers_naming_one_series_are_rejected(tmp_path, capsys, bad, first, second):
+    good = tmp_path / "good.csv"
+    good.write_text("cycle,cover_m,cover_s\n0,1.0,2.0\n1,2.0,3.0\n")
+    path = tmp_path / "bad.csv"
+    path.write_text(f"cycle,{first},{second}\n0,1.0,2.0\n1,2.0,3.0\n")
+    files = [str(path), str(good)] if bad == "run_csv" else [str(good), str(path)]
+    code = main(["validate", *files, "--series", "cover_m,cover_s", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and repr(first) in err and repr(second) in err
+    assert not (tmp_path / "fit.json").exists()

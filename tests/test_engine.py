@@ -27,7 +27,6 @@ from luccsim import (
     update_aspiration,
     update_technology,
 )
-from luccsim.landscape import AgentState
 
 from conftest import uniform_config
 
@@ -229,7 +228,7 @@ class TestRunCycle:
         config = uniform_config()
         scape = initialize(config, tables, SplitMix64(0))
         cell = scape.cells[0]
-        cell.al_usd_per_ha = 151.2
+        scape.al[0] = 151.2
         ctx = context_for(config, tables, Wgc.AVERAGE)
         _, record = run_cycle(scape, ctx)
         assert record.mean_profit_usd_per_ha == pytest.approx(609.84, abs=1e-9)
@@ -357,18 +356,12 @@ def test_two_agent_imitation_hand_computed(tables):
     # number below is worked out from the tables by hand.
     from luccsim import Landscape
 
-    a = AgentState(
-        row=0, col=0, tenure=Tenure.OWNER, allocation=(0.0, 100.0, 0.0),
-        tl=H, al_usd_per_ha=100.0,
+    scape = Landscape(
+        rows=1, cols=2, alloc=[(0.0, 100.0, 0.0), (100.0, 0.0, 0.0)], tl=[H, L],
+        tenant=False, al=[100.0, 400.0],
     )
-    b = AgentState(
-        row=0, col=1, tenure=Tenure.OWNER, allocation=(100.0, 0.0, 0.0),
-        tl=L, al_usd_per_ha=400.0,
-    )
-    scape = Landscape(rows=1, cols=2, cells=[a, b])
     ctx = _ctx(tables, wgc=Wgc.AVERAGE, rent=0.0)
     _, record = run_cycle(scape, ctx)
-    # the landscape holds the agents' state; a and b only seeded it
     a, b = scape.cells
 
     # A: full soybean at high tech, 3.92*277 - 476 = 609.84, satisfied
@@ -408,20 +401,11 @@ def test_run_cycle_is_the_composition_of_the_public_ops(tables):
     ctx = context_for(config, tables, Wgc.FAVORABLE)
     run_cycle(scape, ctx)
 
-    ghosts = [
-        AgentState(
-            row=i // 4, col=i % 4, tenure=tenure, allocation=alloc,
-            tl=tl, al_usd_per_ha=al,
-        )
-        for i, (alloc, tl, al, tenure) in enumerate(pre)
-    ]
-    profits = [compute_profit(g.allocation, g.tl, g.tenure is Tenure.TENANT, ctx)
-               for g in ghosts]
-    rls = [compute_rl(g.allocation, g.tl, ctx) for g in ghosts]
-    cals = [
-        climate_adjusted_aspiration(g.al_usd_per_ha, ctx.wgc, tables)
-        for g in ghosts
-    ]
+    allocs, tls, als, tenures = zip(*pre)
+    profits = [compute_profit(alloc, tl, tenure is Tenure.TENANT, ctx)
+               for alloc, tl, tenure in zip(allocs, tls, tenures)]
+    rls = [compute_rl(alloc, tl, ctx) for alloc, tl in zip(allocs, tls)]
+    cals = [climate_adjusted_aspiration(al, ctx.wgc, tables) for al in als]
 
     from luccsim import moore_neighbors
 
@@ -438,9 +422,9 @@ def test_run_cycle_is_the_composition_of_the_public_ops(tables):
         )
         bn = neighbors[k]
         imitate = decide_land_use(profits[i], cals[i], bn_profit)
-        expected_alloc = ghosts[bn].allocation if imitate else ghosts[i].allocation
+        expected_alloc = allocs[bn] if imitate else allocs[i]
         expected_al = update_aspiration(
-            cals[i], profits[i], cals[bn], bn_profit, ghosts[i].tl, ghosts[bn].tl, tables
+            cals[i], profits[i], cals[bn], bn_profit, tls[i], tls[bn], tables
         )
         assert cell.allocation == expected_alloc
         assert cell.al_usd_per_ha == expected_al

@@ -12,7 +12,6 @@ from luccsim import (
     Landscape,
     SplitMix64,
     TechLevel,
-    Tenure,
     Wgc,
     climate_adjusted_aspiration,
     compute_profit,
@@ -28,7 +27,7 @@ from luccsim import (
     update_aspiration,
     update_technology,
 )
-from luccsim.landscape import AgentState, moore_table
+from luccsim.landscape import moore_table
 from luccsim.numeric import sequential_sum
 
 from conftest import uniform_config
@@ -98,7 +97,7 @@ def test_an_agent_with_no_neighbor_gets_the_pad_index_and_never_imitates(tables)
     scape = initialize(uniform_config(), tables, SplitMix64(0))
     cell = scape.cells[0]
     before = cell.allocation
-    cell.al_usd_per_ha = 1e9
+    scape.al[0] = 1e9
     run_cycle(scape, context_for(uniform_config(), tables, Wgc.AVERAGE))
     assert not cell.econ_ok
     assert cell.allocation == before
@@ -112,15 +111,12 @@ def _tie_landscape(rows, cols, target):
     All of them earn the same profit; each holds its own aspiration, 1 + its
     index, so the aspiration the target adopts names the neighbor copied.
     """
-    cells = []
-    for i in range(rows * cols):
-        if i == target:
-            alloc, tl, al = (100.0, 0.0, 0.0), TechLevel.LOW, 400.0
-        else:
-            alloc, tl, al = (0.0, 100.0, 0.0), TechLevel.HIGH, 1.0 + i
-        cells.append(AgentState(row=i // cols, col=i % cols, tenure=Tenure.OWNER,
-                                allocation=alloc, tl=tl, al_usd_per_ha=al))
-    return Landscape(rows=rows, cols=cols, cells=cells)
+    n = rows * cols
+    alloc = np.tile((0.0, 100.0, 0.0), (n, 1))
+    tl = np.full(n, TechLevel.HIGH)
+    al = 1.0 + np.arange(n)
+    alloc[target], tl[target], al[target] = (100.0, 0.0, 0.0), TechLevel.LOW, 400.0
+    return Landscape(rows=rows, cols=cols, alloc=alloc, tl=tl, tenant=False, al=al)
 
 
 @pytest.mark.parametrize(
@@ -162,17 +158,14 @@ def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc)
     ctx = context_for(config, tables, wgc)
     imitations = 0
     for cycle in range(6):
-        ghosts = [
-            AgentState(row=c.row, col=c.col, tenure=c.tenure, allocation=c.allocation,
-                       tl=c.tl, al_usd_per_ha=c.al_usd_per_ha)
-            for c in scape.cells
-        ]
+        alloc, tl, tenant, al = (
+            a.tolist() for a in (scape.alloc, scape.tl, scape.tenant, scape.al)
+        )
         _, record = run_cycle(scape, ctx, cycle_index=cycle)
-        profits = [compute_profit(g.allocation, g.tl, g.tenure is Tenure.TENANT, ctx)
-                   for g in ghosts]
-        rls = [compute_rl(g.allocation, g.tl, ctx) for g in ghosts]
-        cals = [climate_adjusted_aspiration(g.al_usd_per_ha, wgc, tables) for g in ghosts]
-        assert record.mean_profit_usd_per_ha == sequential_sum(profits) / len(ghosts)
+        profits = [compute_profit(*agent, ctx) for agent in zip(alloc, tl, tenant)]
+        rls = [compute_rl(a, t, ctx) for a, t in zip(alloc, tl)]
+        cals = [climate_adjusted_aspiration(a, wgc, tables) for a in al]
+        assert record.mean_profit_usd_per_ha == sequential_sum(profits) / len(al)
         for i, cell in enumerate(scape.cells):
             assert type(cell.last_profit_usd_per_ha) is float and type(cell.econ_ok) is bool
             assert cell.last_profit_usd_per_ha == profits[i]
@@ -186,10 +179,10 @@ def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc)
             )
             bn = neighbors[k]
             imitate = decide_land_use(profits[i], cals[i], bn_profit)
-            assert cell.allocation == (ghosts[bn] if imitate else ghosts[i]).allocation
+            assert cell.allocation == tuple(alloc[bn if imitate else i])
             imitations += bool(imitate)
             assert cell.al_usd_per_ha == update_aspiration(
-                cals[i], profits[i], cals[bn], bn_profit, ghosts[i].tl, ghosts[bn].tl, tables
+                cals[i], profits[i], cals[bn], bn_profit, tl[i], tl[bn], tables
             )
             assert cell.tl is TechLevel(update_technology(profits[i], tables))
     assert imitations > 0

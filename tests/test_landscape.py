@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from luccsim import (
     moore_neighbors,
     preset,
 )
-from luccsim.landscape import AgentState
 
 from conftest import uniform_config
 
@@ -131,32 +131,15 @@ def test_owner_share_zero_and_hundred(tables):
         assert all(c.tenure is tenure for c in scape.cells)
 
 
-def _landscape_from_cells(cells, rows, cols):
-    return Landscape(
-        rows=rows,
-        cols=cols,
-        cells=cells,
-    )
-
-
-def _agent(i, cols, alloc, tl=TechLevel.LOW, profit=0.0, rl=0.0, econ=False, env=False):
-    return AgentState(
-        row=i // cols,
-        col=i % cols,
-        tenure=Tenure.OWNER,
-        allocation=alloc,
-        tl=tl,
-        al_usd_per_ha=0.0,
-        last_profit_usd_per_ha=profit,
-        last_rl_pct=rl,
-        econ_ok=econ,
-        env_ok=env,
-    )
+def _landscape(rows, cols, alloc, profit=0.0, rl=0.0, econ=False, env=False):
+    """Low-tech owners with zero aspiration and the given allocation and outcomes."""
+    scape = Landscape(rows, cols, alloc=alloc, tl=TechLevel.LOW, tenant=False, al=0.0)
+    scape.profit[:], scape.rl[:], scape.econ[:], scape.env[:] = profit, rl, econ, env
+    return scape
 
 
 def test_aggregate_uniform_soybean_landscape():
-    cells = [_agent(i, 2, (0.0, 100.0, 0.0)) for i in range(4)]
-    record = aggregate(_landscape_from_cells(cells, 2, 2), 0, Wgc.AVERAGE)
+    record = aggregate(_landscape(2, 2, (0.0, 100.0, 0.0)), 0, Wgc.AVERAGE)
     assert record.cover_pct == {
         LandUse.MAIZE: 0.0,
         LandUse.SOYBEAN: 100.0,
@@ -165,38 +148,35 @@ def test_aggregate_uniform_soybean_landscape():
 
 
 def test_aggregate_mean_profit():
-    cells = [
-        _agent(0, 2, (100.0, 0.0, 0.0), profit=100.0),
-        _agent(1, 2, (100.0, 0.0, 0.0), profit=300.0),
-    ]
-    record = aggregate(_landscape_from_cells(cells, 1, 2), 3, Wgc.FAVORABLE)
+    scape = _landscape(1, 2, (100.0, 0.0, 0.0), profit=[100.0, 300.0])
+    record = aggregate(scape, 3, Wgc.FAVORABLE)
     assert record.mean_profit_usd_per_ha == 200.0
     assert record.cycle == 3
     assert record.wgc is Wgc.FAVORABLE
 
 
 def test_aggregate_env_share():
-    cells = [
-        _agent(i, 25, (0.0, 0.0, 100.0), env=(i < 200)) for i in range(625)
-    ]
-    record = aggregate(_landscape_from_cells(cells, 25, 25), 0, Wgc.AVERAGE)
+    scape = _landscape(25, 25, (0.0, 0.0, 100.0), env=np.arange(625) < 200)
+    record = aggregate(scape, 0, Wgc.AVERAGE)
     assert record.pct_env_ok == 32.0
 
 
 def test_aggregate_is_order_independent(tables):
     config = preset("longterm", seed=3)
     scape = initialize(config, tables, SplitMix64(3))
-    for i, cell in enumerate(scape.cells):
-        cell.last_profit_usd_per_ha = float(i % 7) - 3.0
-        cell.last_rl_pct = 30.0 + (i % 11)
-        cell.econ_ok = i % 2 == 0
-        cell.env_ok = i % 3 == 0
+    i = np.arange(scape.n_agents)
+    scape.profit[:] = i % 7 - 3.0
+    scape.rl[:] = 30.0 + i % 11
+    scape.econ[:] = i % 2 == 0
+    scape.env[:] = i % 3 == 0
     record = aggregate(scape, 0, Wgc.AVERAGE)
 
-    reordered = list(scape.cells)
-    reordered.reverse()
     # permuted row/col identities do not matter to the aggregation
-    permuted = _landscape_from_cells(reordered, scape.rows, scape.cols)
+    permuted = Landscape(scape.rows, scape.cols, **{
+        name: getattr(scape, name)[::-1] for name in ("alloc", "tl", "tenant", "al")
+    })
+    for name in ("profit", "rl", "cal", "econ", "env"):
+        getattr(permuted, name)[:] = getattr(scape, name)[::-1]
     record2 = aggregate(permuted, 0, Wgc.AVERAGE)
     assert record2.mean_profit_usd_per_ha == pytest.approx(
         record.mean_profit_usd_per_ha, rel=1e-12
