@@ -35,7 +35,7 @@ from .config import (
     resolve_tables,
 )
 from .engine import AgentCycle, AgentRows, RunResult, check_workers, run_simulation
-from .errors import ConfigurationError, MetricUndefinedError
+from .errors import ConfigurationError, MetricUndefinedError, read_text
 from .landscape import TENURES, CycleRecord, Landscape
 from .metrics import distribution_summary, fit_report
 from .numeric import sequential_sum
@@ -181,15 +181,14 @@ def _summary_dict(result: RunResult) -> dict:
 
     records = result.records
     final = records[-1]
+    mean_profit, mean_rl = result.whole_run_means()
     return {
         "agents": result.landscape.n_agents,
         "cycles": len(records),
         "seed": result.config.seed,
         "climate": result.config.climate.describe(),
-        "mean_profit_usd_per_ha": sequential_sum(
-            [r.mean_profit_usd_per_ha for r in records]
-        ) / len(records),
-        "mean_rl_pct": sequential_sum([r.mean_rl_pct for r in records]) / len(records),
+        "mean_profit_usd_per_ha": mean_profit,
+        "mean_rl_pct": mean_rl,
         "per_agent_mean_profit": dist(result.mean_profit_per_agent),
         "per_agent_mean_rl": dist(result.mean_rl_per_agent),
         "econ_goal_agreement_pct": dist(result.econ_agreement_pct),
@@ -205,14 +204,7 @@ def _summary_dict(result: RunResult) -> dict:
 
 def read_series_csv(path: str) -> dict[str, list[str]]:
     """Read a CSV into columns keyed by normalized header names."""
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path, "series file", newline=""), newline=""))
     if not reader.fieldnames:
         raise ConfigurationError(f"{path}: empty file")
     columns: dict[str, list[str]] = {}
@@ -227,7 +219,9 @@ def read_series_csv(path: str) -> dict[str, list[str]]:
                 f"{path}: headers {first!r} and {header!r} both name series {name!r}"
             )
         columns[name] = []
-    for row in reader:
+    for number, row in enumerate(reader, start=1):
+        if None in row:  # DictReader files fields beyond the header under None
+            raise ConfigurationError(f"{path}: data row {number}: more fields than the header")
         for raw_name, name in zip(reader.fieldnames, names):
             columns[name].append(row[raw_name])
     return columns
@@ -369,8 +363,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     axis = SweepAxis(
         parameter, values, allow_outside_range=args.allow_outside_range
     )
-    result = run_sweep(config, axis, tables, workers=args.workers)
-    print(result.climate_note)
+    check_workers(args.workers)
+    result = run_sweep(config, axis, tables)
+    print(f"base climate: {config.climate.describe()}")
     out = args.out_dir.rstrip("/")
     write_sweep_csv(result, f"{out}/sweep.csv")
     print(f"wrote {out}/sweep.csv ({len(result.rows)} rows)")

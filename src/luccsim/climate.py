@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_text
 from .rng import SplitMix64
 from .tables import Wgc
 
@@ -130,15 +130,8 @@ def wgc_for_cycle(
 
 def load_wgc_sequence(path: str) -> tuple[Wgc, ...]:
     """Read a weather sequence file: one VU/U/A/F/VF code per line."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read weather file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"cannot read weather file {path}: not UTF-8 ({exc.reason})") from None
     sequence = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path, "weather file").split("\n"), start=1):
         code = line.strip()
         if not code:
             continue

@@ -26,7 +26,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from .climate import ClimateRegime, RegimeKind, load_wgc_sequence
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_text
 from .numeric import sequential_sum
 from .tables import (
     LandUse,
@@ -114,6 +114,12 @@ class ScenarioConfig:
         if self.pricing_mode not in ("combined", "split"):
             raise ConfigurationError(
                 f"pricing_mode must be 'combined' or 'split', got {self.pricing_mode!r}"
+            )
+        if self.pricing_mode == "combined" and (
+            self.split_wheat_yield is not None or self.split_soy2_yield is not None
+        ):
+            raise ConfigurationError(
+                'split yield tables (split_yield_files) need "pricing_mode": "split"'
             )
         if self.pricing_mode == "split":
             if self.split_wheat_yield is None or self.split_soy2_yield is None:
@@ -252,13 +258,7 @@ def parse_config(path: str) -> ScenarioConfig:
     The file may start from a preset (``"preset": "longterm"``) and override
     any field. See the README for the full key reference.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"cannot read config {path}: not UTF-8 ({exc.reason})") from None
+    text = read_text(path, "config")
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -279,6 +279,8 @@ def parse_config(path: str) -> ScenarioConfig:
     try:
         config = _build_config(data)
         config.validate()
+        if "wheat_price_usd_per_t" in data and config.pricing_mode != "split":
+            raise ConfigurationError('wheat_price_usd_per_t needs "pricing_mode": "split"')
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     return config

@@ -29,6 +29,7 @@ from .climate import wgc_for_cycle
 from .config import ScenarioConfig, resolve_tables
 from .errors import ConfigurationError
 from .landscape import TECH_LEVELS, TENURES, CycleRecord, Landscape, aggregate, initialize
+from .numeric import sequential_sum
 from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
@@ -324,6 +325,12 @@ class RunResult:
     econ_agreement_pct: list[float]
     env_agreement_pct: list[float]
     agent_rows: Optional[AgentRows] = field(default=None, repr=False)
+
+    def whole_run_means(self) -> tuple[float, float]:
+        """Whole-run (mean profit, mean RL): the cycles' landscape means, summed in order."""
+        records = self.records
+        profit, rl = sequential_sum([(r.mean_profit_usd_per_ha, r.mean_rl_pct) for r in records])
+        return profit / len(records), rl / len(records)
 
 
 def check_workers(workers: int) -> None:

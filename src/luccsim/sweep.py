@@ -7,9 +7,9 @@ parameter alone. The reference value's row is always present: for numeric
 axes it is inserted if missing; for the weather-mix axis the unmixed base
 run itself is the reference row.
 
-Crop-price axes hold tenant rent at the base run's resolved US$/ha value,
-since rent is its own swept parameter and soybean-equivalent rent would
-otherwise ride along with the soybean price.
+Every numeric axis runs with the base rent resolved to US$/ha, since rent
+is its own swept parameter and soybean-equivalent rent would otherwise
+ride along with the soybean price.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .climate import ClimateRegime, wgc_for_cycle
 from .config import ScenarioConfig
 from .engine import run_simulation
 from .errors import ConfigurationError
-from .numeric import sequential_sum
 from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
@@ -126,7 +125,29 @@ class SweepRow:
 class SweepResult:
     parameter: SweepParameter
     rows: tuple[SweepRow, ...]
-    climate_note: str
+
+
+# The setting each numeric axis moves: a config field and, for a price, its
+# land use. Under split pricing the wheat-price axis moves
+# `wheat_price_usd_per_t` instead (see `_setting`).
+_SETTINGS = {
+    SweepParameter.SOYBEAN_PRICE: ("prices", LandUse.SOYBEAN),
+    SweepParameter.MAIZE_PRICE: ("prices", LandUse.MAIZE),
+    SweepParameter.WHEAT_PRICE: ("prices", LandUse.WHEAT_SOY),
+    SweepParameter.OWNER_SHARE: ("owner_share_pct", None),
+    SweepParameter.RENT_USD: ("rent_usd_per_ha", None),
+}
+
+
+def _setting(base: ScenarioConfig, parameter: SweepParameter):
+    if parameter is SweepParameter.WHEAT_PRICE and base.pricing_mode == "split":
+        return "wheat_price_usd_per_t", None
+    return _SETTINGS[parameter]
+
+
+def _rent_resolved(base: ScenarioConfig) -> ScenarioConfig:
+    """The base config with its rent in US$/ha, where every numeric axis starts."""
+    return replace(base, rent_usd_per_ha=base.rent_usd(), rent_soy_tons=None)
 
 
 def _materialize_sequence(config: ScenarioConfig) -> tuple[Wgc, ...]:
@@ -144,86 +165,47 @@ def _materialize_sequence(config: ScenarioConfig) -> tuple[Wgc, ...]:
 def _config_for_value(
     base: ScenarioConfig, parameter: SweepParameter, value
 ) -> ScenarioConfig:
-    pin_rent = {
-        "rent_usd_per_ha": base.rent_usd(),
-        "rent_soy_tons": None,
-    }
-    if parameter is SweepParameter.SOYBEAN_PRICE:
-        prices = dict(base.prices)
-        prices[LandUse.SOYBEAN] = float(value)
-        return replace(base, prices=prices, **pin_rent)
-    if parameter is SweepParameter.MAIZE_PRICE:
-        prices = dict(base.prices)
-        prices[LandUse.MAIZE] = float(value)
-        return replace(base, prices=prices, **pin_rent)
-    if parameter is SweepParameter.WHEAT_PRICE:
-        if base.pricing_mode == "split":
-            return replace(
-                base, wheat_price_usd_per_t=float(value), **pin_rent
-            )
-        prices = dict(base.prices)
-        prices[LandUse.WHEAT_SOY] = float(value)
-        return replace(base, prices=prices, **pin_rent)
-    if parameter is SweepParameter.OWNER_SHARE:
-        return replace(base, owner_share_pct=float(value))
-    if parameter is SweepParameter.RENT_USD:
-        return replace(
-            base, rent_usd_per_ha=float(value), rent_soy_tons=None
-        )
     if parameter is SweepParameter.WGC_MIX_LEVEL:
         history = _materialize_sequence(base)
         return replace(
             base, climate=ClimateRegime.alternating_mix(history, value)
         )
-    raise ValueError(f"unhandled sweep parameter {parameter}")
+    name, land_use = _setting(base, parameter)
+    start = _rent_resolved(base)
+    setting = float(value)
+    if land_use is not None:
+        setting = {**start.prices, land_use: setting}
+    return replace(start, **{name: setting})
 
 
 def _reference_value(
     base: ScenarioConfig, parameter: SweepParameter
 ) -> Optional[float]:
-    if parameter is SweepParameter.SOYBEAN_PRICE:
-        return base.prices[LandUse.SOYBEAN]
-    if parameter is SweepParameter.MAIZE_PRICE:
-        return base.prices[LandUse.MAIZE]
-    if parameter is SweepParameter.WHEAT_PRICE:
-        if base.pricing_mode == "split":
-            return base.wheat_price_usd_per_t
-        return base.prices[LandUse.WHEAT_SOY]
-    if parameter is SweepParameter.OWNER_SHARE:
-        return base.owner_share_pct
-    if parameter is SweepParameter.RENT_USD:
-        return base.rent_usd()
-    return None  # weather mix: the unmixed base run is the reference
+    if parameter is SweepParameter.WGC_MIX_LEVEL:
+        return None  # the unmixed base run is the reference
+    name, land_use = _setting(base, parameter)
+    setting = getattr(_rent_resolved(base), name)
+    return setting if land_use is None else setting[land_use]
 
 
 def _row_from_run(
-    config: ScenarioConfig,
     tables: Optional[ParameterTables],
     label: str,
     value,
     is_reference: bool,
-    workers: int,
+    config: ScenarioConfig,
 ) -> SweepRow:
-    result = run_simulation(config, tables, workers=workers)
-    records = result.records
-    n = len(records)
-    return SweepRow(
-        value_label=label,
-        value=value,
-        is_reference=is_reference,
-        mean_profit=sequential_sum([r.mean_profit_usd_per_ha for r in records]) / n,
-        mean_rl=sequential_sum([r.mean_rl_pct for r in records]) / n,
-        final_cover_pct=dict(records[-1].cover_pct),
-        final_tl_counts=dict(records[-1].tl_counts),
-    )
+    result = run_simulation(config, tables)
+    mean_profit, mean_rl = result.whole_run_means()
+    final = result.records[-1]
+    return SweepRow(label, value, is_reference, mean_profit, mean_rl,
+                    dict(final.cover_pct), dict(final.tl_counts))
 
 
 def run_sweep(
     base: ScenarioConfig,
     axis: SweepAxis,
     tables: Optional[ParameterTables] = None,
-    *,
-    workers: int = 1,
 ) -> SweepResult:
     """Run the scenario once per axis value, all with the base seed.
 
@@ -233,38 +215,20 @@ def run_sweep(
     then one row per mixed-in level in level order.
     """
     base.validate()
-    note = f"base climate: {base.climate.describe()}"
     parameter = axis.parameter
-
     if parameter is SweepParameter.WGC_MIX_LEVEL:
-        rows = [
-            _row_from_run(base, tables, "reference", None, True, workers)
+        runs = [("reference", None, True, base)] + [
+            (level.code, level, False, _config_for_value(base, parameter, level))
+            for level in sorted(set(axis.values))
         ]
-        for level in sorted(set(axis.values)):
-            config = _config_for_value(base, parameter, level)
-            rows.append(
-                _row_from_run(
-                    config, tables, level.code, level, False, workers
-                )
-            )
-        return SweepResult(parameter, tuple(rows), note)
-
-    reference = _reference_value(base, parameter)
-    values = sorted({float(v) for v in axis.values} | {reference})
-    rows = []
-    for value in values:
-        config = _config_for_value(base, parameter, value)
-        rows.append(
-            _row_from_run(
-                config,
-                tables,
-                f"{value:.6f}",
-                value,
-                value == reference,
-                workers,
-            )
-        )
-    return SweepResult(parameter, tuple(rows), note)
+    else:
+        reference = _reference_value(base, parameter)
+        runs = [
+            (f"{value:.6f}", value, value == reference,
+             _config_for_value(base, parameter, value))
+            for value in sorted({float(v) for v in axis.values} | {reference})
+        ]
+    return SweepResult(parameter, tuple(_row_from_run(tables, *run) for run in runs))
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_text
 
 __all__ = [
     "LandUse",
@@ -299,13 +299,7 @@ def validate_tables(tables: ParameterTables) -> list[str]:
 # condition are given as codes (M/S/WS, L/A/H, VU/U/A/F/VF).
 
 def _read_rows(path: str, expected_header: list[str]) -> Iterable[dict]:
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read table file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"cannot read table file {path}: not UTF-8 ({exc.reason})") from None
+    text = read_text(path, "table file", newline="")
     reader = csv.DictReader(io.StringIO(text, newline=""))
     header = reader.fieldnames or []
     if [h.strip().lower() for h in header] != expected_header:
@@ -314,6 +308,8 @@ def _read_rows(path: str, expected_header: list[str]) -> Iterable[dict]:
             f"found {','.join(header)!r}"
         )
     for lineno, row in enumerate(reader, start=2):
+        if None in row:  # DictReader files fields beyond the header under None
+            raise ConfigurationError(f"{path}:{lineno}: more fields than the header")
         row["_line"] = lineno
         yield row
 

@@ -5,9 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from luccsim import ConfigurationError, LandUse, TechLevel, Wgc, preset, run_simulation, run_sweep
+from luccsim import ConfigurationError, LandUse, TechLevel, Wgc, preset, run_simulation
 from luccsim.cli import main
-from luccsim.sweep import SweepAxis, SweepParameter
 
 
 def _run_config(tmp_path, capsys, text):
@@ -89,9 +88,6 @@ def test_library_rejects_workers_below_one(tables, width):
     config = replace(preset("longterm"), cycles=2)
     with pytest.raises(ConfigurationError, match="workers"):
         run_simulation(config, tables, workers=width)
-    axis = SweepAxis(SweepParameter.SOYBEAN_PRICE, (200.0,))
-    with pytest.raises(ConfigurationError, match="workers"):
-        run_sweep(config, axis, tables, workers=width)
 
 
 def test_library_rejects_nan_setting(tables):
@@ -303,3 +299,41 @@ def test_validate_headers_naming_one_series_are_rejected(tmp_path, capsys, bad, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(path) in err and repr(first) in err and repr(second) in err
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("case", ["wct", "split_yield"])
+def test_table_row_longer_than_its_header_is_rejected_with_its_line(tmp_path, capsys, tables, case):
+    body, path = _tables_case(tmp_path, tables, case, lambda rows: [rows[0], (*rows[1], 99), *rows[2:]])
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{path}:3: more fields than the header" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
+def test_validate_row_longer_than_its_header_is_rejected(tmp_path, capsys, bad):
+    good = tmp_path / "good.csv"
+    good.write_text("cycle,cover_m\n0,1.0\n1,2.0\n")
+    path = tmp_path / "bad.csv"
+    path.write_text("cycle,cover_m\n0,1.0\n1,2.0,9\n")
+    files = [str(path), str(good)] if bad == "run_csv" else [str(good), str(path)]
+    code = main(["validate", *files, "--series", "cover_m", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}: data row 2: more fields than the header" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("setting", ["split_yield_files", "wheat_price_usd_per_t"])
+def test_split_pricing_setting_under_combined_pricing_is_rejected(tmp_path, capsys, setting):
+    if setting == "split_yield_files":
+        wheat = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc])
+        soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
+        body = '"split_yield_files": {"wheat": "%s", "soy2": "%s"}' % (wheat, soy2)
+    else:
+        body = '"wheat_price_usd_per_t": 999'
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and setting in err and '"pricing_mode": "split"' in err
+    assert written == []
