@@ -222,6 +222,8 @@ def read_series_csv(path: str) -> dict[str, list[str]]:
     for number, row in enumerate(reader, start=1):
         if None in row:  # DictReader files fields beyond the header under None
             raise ConfigurationError(f"{path}: data row {number}: more fields than the header")
+        if None in row.values():  # and fills the columns a short row lacks with None
+            raise ConfigurationError(f"{path}: data row {number}: fewer fields than the header")
         for raw_name, name in zip(reader.fieldnames, names):
             columns[name].append(row[raw_name])
     return columns

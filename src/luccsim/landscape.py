@@ -169,31 +169,34 @@ def _largest_remainder_counts(shares: dict, members: list, total: int) -> dict:
 
 
 def _balance_to_targets(
-    shares: np.ndarray, target: list[float], tol: float = 1e-12
+    cols: np.ndarray, target: list[float], tol: float = 1e-12
 ) -> np.ndarray:
-    """Rescale (n, 3) simplex rows per component so the column means hit `target`.
+    """Rescale n simplex rows, given as (3, n) columns, so each component's mean hits `target`.
 
     One rescale biases the means again once rows are renormalized, so the
     rescale/renormalize pair is iterated to its fixed point (a Sinkhorn-style
     balancing). Rows keep their relative heterogeneity; zero targets zero
-    out the corresponding component. Returns the balanced rows.
+    out the corresponding component. Returns the balanced rows, (n, 3).
     """
-    n = len(shares)
+    n = cols.shape[1]
     for _ in range(500):
-        means = [total / n for total in sequential_sum(shares)]
+        means = [total / n for total in sequential_sum(cols.T)]
         if all(abs(means[k] - target[k]) <= tol for k in range(3)):
-            return shares
+            return np.ascontiguousarray(cols.T)
         scale = [
             (target[k] / means[k]) if target[k] > 0.0 and means[k] > 0.0 else 0.0
             for k in range(3)
         ]
-        scaled = shares * scale
-        total = scaled[:, 0] + scaled[:, 1] + scaled[:, 2]
+        scaled = cols * np.array(scale)[:, None]
+        total = scaled[0] + scaled[1] + scaled[2]
         # a row with mass only in zeroed-out components (needs an exactly-zero
         # draw, so effectively unreachable) restarts at the target
         dead = total <= 0.0
-        shares = np.where(dead[:, None], target, scaled / np.where(dead, 1.0, total)[:, None])
-    means = [total / n for total in sequential_sum(shares)]
+        if dead.any():
+            cols = np.where(dead, np.array(target)[:, None], scaled / np.where(dead, 1.0, total))
+        else:
+            cols = scaled / total
+    means = [total / n for total in sequential_sum(cols.T)]
     worst = max(abs(means[k] - target[k]) for k in range(3))
     raise ConfigurationError(
         f"initial cover balancing did not converge (residual {worst:.3e})"
@@ -225,7 +228,7 @@ def initialize(
     tl_counts = _largest_remainder_counts(
         config.initial_tl_pct, list(TechLevel), n
     )
-    tl_pool = [int(tl) for tl in TechLevel for _ in range(tl_counts[tl])]
+    tl_pool = np.repeat(list(TechLevel), [tl_counts[tl] for tl in TechLevel]).tolist()
     rng.shuffle(tl_pool)
     tl = np.array(tl_pool, dtype=np.intp)
 
@@ -234,7 +237,7 @@ def initialize(
     u, v = rng.random_array(2 * n).reshape(n, 2).T
     swap = u > v
     lo, hi = np.where(swap, v, u), np.where(swap, u, v)
-    draws = np.stack((lo, hi - lo, 1.0 - hi), axis=1)
+    draws = np.stack((lo, hi - lo, 1.0 - hi))
     target = [config.initial_cover_pct[lu] / 100.0 for lu in LandUse]
 
     return Landscape(

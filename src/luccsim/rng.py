@@ -20,7 +20,9 @@ is a Fisher-Yates pass from the last element down.
 
 The k-th output ahead depends only on state + k * gamma, so a block of
 outputs can be computed as one array expression (`next_u64_array`,
-`random_array`) that matches the scalar calls bit for bit.
+`random_array`) that matches the scalar calls bit for bit. `shuffle` takes
+its indices from one such block, bit-identical to the scalar randrange
+stream, and falls back to randrange if a draw in the block is rejected.
 """
 
 from __future__ import annotations
@@ -83,7 +85,13 @@ class SplitMix64:
                 return u % n
 
     def shuffle(self, seq: MutableSequence) -> None:
-        """In-place Fisher-Yates shuffle, iterating from the end."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """In-place Fisher-Yates shuffle from the end: swap i with randrange(i + 1)."""
+        k, saved = max(len(seq) - 1, 0), self._state
+        u, m = self.next_u64_array(k), np.arange(k + 1, 1, -1, dtype=np.uint64)
+        if np.all(u <= ~((np.uint64(0) - m) % m)):  # randrange(m) accepts u < 2^64 - 2^64 % m
+            js = (u % m).tolist()
+        else:
+            self._state = saved
+            js = [self.randrange(i + 1) for i in range(k, 0, -1)]
+        for i, j in zip(range(k, 0, -1), js):
             seq[i], seq[j] = seq[j], seq[i]

@@ -307,10 +307,10 @@ def _read_rows(path: str, expected_header: list[str]) -> Iterable[dict]:
             f"{path}: expected header {','.join(expected_header)!r}, "
             f"found {','.join(header)!r}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:  # DictReader skips blank lines; line_num counts them
         if None in row:  # DictReader files fields beyond the header under None
-            raise ConfigurationError(f"{path}:{lineno}: more fields than the header")
-        row["_line"] = lineno
+            raise ConfigurationError(f"{path}:{reader.line_num}: more fields than the header")
+        row["_line"] = reader.line_num
         yield row
 
 

@@ -38,3 +38,10 @@ def uniform_config(
         initial_tl_pct=tl_pct,
     )
     return replace(config, **overrides) if overrides else config
+
+
+def scalar_shuffle(rng, seq):
+    """Reference Fisher-Yates pass: swap i with rng.randrange(i + 1), from the end."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]

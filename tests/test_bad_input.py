@@ -310,6 +310,31 @@ def test_table_row_longer_than_its_header_is_rejected_with_its_line(tmp_path, ca
     assert written == []
 
 
+@pytest.mark.parametrize("case", ["wct", "split_yield"])
+def test_table_message_after_a_blank_line_names_the_physical_line(tmp_path, capsys, tables, case):
+    non_finite_on_line_3 = _non_finite_on_line_3(case)
+    body, path = _tables_case(tmp_path, tables, case, lambda rows: [rows[0], ("",), *non_finite_on_line_3(rows)[1:]])
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{path}:4:" in err and "not finite" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
+def test_validate_row_shorter_than_its_header_is_rejected(tmp_path, capsys, bad):
+    good = tmp_path / "good.csv"
+    good.write_text("cycle,cover_m\n0,1.0\n1,2.0\n")
+    path = tmp_path / "bad.csv"
+    path.write_text("cycle,cover_m\n0,1.0\n1\n")
+    files = [str(path), str(good)] if bad == "run_csv" else [str(good), str(path)]
+    code = main(["validate", *files, "--series", "cover_m", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}: data row 2: fewer fields than the header" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
 @pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
 def test_validate_row_longer_than_its_header_is_rejected(tmp_path, capsys, bad):
     good = tmp_path / "good.csv"

@@ -17,8 +17,10 @@ from luccsim import (
     moore_neighbors,
     preset,
 )
+from luccsim import landscape
+from luccsim.numeric import sequential_sum
 
-from conftest import uniform_config
+from conftest import scalar_shuffle, uniform_config
 
 
 def test_interior_cell_has_eight_neighbors_in_scan_order():
@@ -122,6 +124,56 @@ def test_initialization_is_seed_deterministic(tables):
     assert [c.allocation for c in a.cells] == [c.allocation for c in b.cells]
     assert [c.tl for c in a.cells] == [c.tl for c in b.cells]
     assert [c.tenure for c in a.cells] == [c.tenure for c in b.cells]
+
+
+def rowwise_balance(shares, target, tol=1e-12):
+    """Reference cover balancing on (n, 3) rows, renormalizing every row."""
+    n = len(shares)
+    for _ in range(500):
+        means = [total / n for total in sequential_sum(shares)]
+        if all(abs(means[k] - target[k]) <= tol for k in range(3)):
+            return shares
+        scale = [
+            (target[k] / means[k]) if target[k] > 0.0 and means[k] > 0.0 else 0.0
+            for k in range(3)
+        ]
+        scaled = shares * scale
+        total = scaled[:, 0] + scaled[:, 1] + scaled[:, 2]
+        dead = total <= 0.0
+        shares = np.where(dead[:, None], target, scaled / np.where(dead, 1.0, total)[:, None])
+    raise AssertionError("reference balancing did not converge")
+
+
+class ScalarShuffle(SplitMix64):
+    __slots__ = ()
+
+    def shuffle(self, seq):
+        scalar_shuffle(self, seq)
+
+
+@pytest.mark.parametrize("rows, cols, seed", [(7, 13, 5), (13, 7, 2**64 - 1), (1, 1, 0), (1, 1, 9)])
+def test_initialize_matches_the_scalar_reference(tables, monkeypatch, rows, cols, seed):
+    config = replace(preset("longterm", seed=seed), grid_rows=rows, grid_cols=cols, owner_share_pct=40.0)
+    rng = SplitMix64(seed)
+    scape = initialize(config, tables, rng)
+    monkeypatch.setattr(landscape, "_balance_to_targets", lambda columns, target: rowwise_balance(columns.T, target))
+    reference_rng = ScalarShuffle(seed)
+    reference = initialize(config, tables, reference_rng)
+    for name in ("tenant", "tl", "alloc"):
+        assert getattr(scape, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert rng.next_u64() == reference_rng.next_u64()
+
+
+@pytest.mark.parametrize("target", [[0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [0.6, 0.0, 0.4]])
+def test_balance_matches_the_rowwise_reference(target):
+    u, v = SplitMix64(3).random_array(2 * 500).reshape(500, 2).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    draws = np.stack((lo, hi - lo, 1.0 - hi), axis=1)
+    # a row with mass only where the target is zero restarts at the target
+    draws[[7, 8]] = [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]
+    balanced = landscape._balance_to_targets(np.ascontiguousarray(draws.T), target)
+    assert balanced.flags.c_contiguous
+    assert balanced.tobytes() == rowwise_balance(draws, target).tobytes()
 
 
 def test_owner_share_zero_and_hundred(tables):
