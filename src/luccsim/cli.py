@@ -100,12 +100,57 @@ _AGENTS_HEADER = ("cycle", "row", "col", "tenure", "alloc_m", "alloc_s", "alloc_
 # Agents formatted per `%` call: large enough to amortise the call, small
 # enough that the boxed cells and the block's text stay well under 1 MB.
 _AGENT_BLOCK = 1024
-# After "cycle,": "row,col,tenure", three allocations, the tech level code,
-# al, cal, profit, rl, and "econ_ok,env_ok". '%.6f' and f"{x:.6f}" are the
-# same correctly rounded conversion, so rows match a csv.writer of those
-# strings. The two flags are one "%s" of a prebuilt string: a '%s' of a
-# str costs about a third of a '%d' of a bool.
-_AGENT_ROW = "%s,%.6f,%.6f,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%s\r\n"
+# After "cycle,": the agent's "row,col,tenure,alloc_m,alloc_s,alloc_ws"
+# prefix, the tech level code, al, cal, its "profit,rl" pair and
+# "econ_ok,env_ok". '%.6f' and f"{x:.6f}" are the same correctly rounded
+# conversion, so rows match a csv.writer of those strings. The flags are
+# one "%s" of a prebuilt string: a '%s' of a str costs about a third of a
+# '%d' of a bool.
+_AGENT_ROW = "%s,%s,%.6f,%.6f,%s,%s\r\n"
+_PREFIX = "%d,%d,%s,%.6f,%.6f,%.6f"
+_PROFIT_RL = "%.6f,%.6f"
+
+
+def _format_block(form: str, cells: np.ndarray, columns: Sequence) -> str:
+    """`form` once per row of `columns`, at most a block of rows, in one `%`."""
+    block = cells[: len(columns[0])]
+    for j, column in enumerate(columns):
+        block[:, j] = column
+    return form * len(block) % tuple(block.ravel().tolist())
+
+
+class _Texts:
+    """Each agent's text for a group of columns, kept with the bits of its float columns.
+
+    `update` compares the bits, not the values (-0.0 and 0.0 print
+    differently), and reformats only the agents whose bits changed; when
+    more than half of them did, it reformats the whole group.
+    """
+
+    def __init__(self, form: str, n: int, fixed: Sequence[np.ndarray], floats: int):
+        self.form = form + "\n"
+        self.fixed = fixed
+        self.text = np.empty(n, dtype=object)
+        self.bits = np.empty((floats, n), np.uint64)
+        self.cells = np.empty((min(n, _AGENT_BLOCK), len(fixed) + floats), dtype=object)
+        self.fresh = False
+
+    def update(self, floats: Sequence[np.ndarray]) -> None:
+        n = len(self.text)
+        changed = np.zeros(n, bool)
+        for kept, column in zip(self.bits, floats):
+            bits = column.view(np.uint64)
+            changed |= kept != bits
+            kept[:] = bits
+        index = np.flatnonzero(changed)
+        if self.fresh and 2 * len(index) <= n:
+            spans = [index[lo : lo + _AGENT_BLOCK] for lo in range(0, len(index), _AGENT_BLOCK)]
+        else:
+            spans = [slice(lo, lo + _AGENT_BLOCK) for lo in range(0, n, _AGENT_BLOCK)]
+        self.fresh = True
+        for at in spans:
+            columns = [column[at] for column in (*self.fixed, *floats)]
+            self.text[at] = _format_block(self.form, self.cells, columns).split("\n")[:-1]
 
 
 class AgentsCsv:
@@ -113,8 +158,11 @@ class AgentsCsv:
 
     One row per agent and cycle; booleans are written as 0/1. The bytes
     are what a csv.writer writes for the rows of an `AgentRows` with every
-    float as f"{x:.6f}" and every flag as int(flag). Memory does not grow
-    with the cycles: each cycle is formatted as it ends.
+    float as f"{x:.6f}" and every flag as int(flag). Each agent's
+    "row,col,tenure,allocation" prefix and "profit,rl" pair are kept as
+    text and reformatted only when their bits change, so a quiet cycle
+    formats little more than al and cal. Memory grows with the agents,
+    not with the cycles: each cycle is formatted as it ends.
     """
 
     def __init__(self, handle):
@@ -125,33 +173,31 @@ class AgentsCsv:
         self.begin(row, col, [TENURES[t] for t in landscape.tenant.tolist()])
 
     def begin(self, row, col, tenure) -> None:
-        """Write the header and build each agent's "row,col,tenure" once."""
-        self.places = np.array([f"{r},{c},{t.code}" for r, c, t in zip(
-            row.tolist(), col.tolist(), tenure)], dtype=object)
+        """Write the header and keep what each agent's prefix is formatted from."""
+        n = len(row)
+        tenure = np.array([t.code for t in tenure], dtype=object)
+        self.prefix = _Texts(_PREFIX, n, (row, col, tenure), 3)
+        self.profit_rl = _Texts(_PROFIT_RL, n, (), 2)
         # made per writer, not at import: a run without --emit-agents makes no object array
         self.tl_codes = np.array([tl.code for tl in TechLevel], dtype=object)
         self.flag_codes = np.array(["0,0", "0,1", "1,0", "1,1"], dtype=object)  # 2*econ + env
-        self.cells = np.empty((min(len(self.places), _AGENT_BLOCK), 10), dtype=object)
+        self.cells = np.empty((min(n, _AGENT_BLOCK), 6), dtype=object)
         self.handle.write(",".join(_AGENTS_HEADER) + "\r\n")
 
     def cycle(self, t: int, before, s: Landscape, record: CycleRecord) -> None:
         self.write_cycle(t, AgentCycle(*before, s.cal, s.profit, s.rl, s.econ, s.env))
 
     def write_cycle(self, t: int, cycle: AgentCycle) -> None:
-        """Format one cycle's rows, a block of agents per `%`."""
-        places, cells = self.places, self.cells
-        n = len(places)
+        """Bring the kept texts up to date, then format the rows a block of agents per `%`."""
+        self.prefix.update(cycle.alloc.T)
+        self.profit_rl.update((cycle.profit, cycle.rl))
+        prefix, profit_rl = self.prefix.text, self.profit_rl.text
         row = f"{t}," + _AGENT_ROW
-        for lo in range(0, n, _AGENT_BLOCK):
-            block = cells[: min(n - lo, _AGENT_BLOCK)]
-            hi = lo + len(block)
-            block[:, 0] = places[lo:hi]
-            block[:, 1:4] = cycle.alloc[lo:hi]
-            block[:, 4] = self.tl_codes[cycle.tl[lo:hi]]
-            for j, a in enumerate((cycle.al, cycle.cal, cycle.profit, cycle.rl), start=5):
-                block[:, j] = a[lo:hi]
-            block[:, 9] = self.flag_codes[2 * cycle.econ[lo:hi] + cycle.env[lo:hi]]
-            self.handle.write(row * len(block) % tuple(block.ravel().tolist()))
+        for lo in range(0, len(prefix), _AGENT_BLOCK):
+            at = slice(lo, lo + _AGENT_BLOCK)
+            self.handle.write(_format_block(row, self.cells, (
+                prefix[at], self.tl_codes[cycle.tl[at]], cycle.al[at], cycle.cal[at],
+                profit_rl[at], self.flag_codes[2 * cycle.econ[at] + cycle.env[at]])))
 
     def end(self, result: RunResult) -> None:
         pass

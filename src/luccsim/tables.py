@@ -310,12 +310,14 @@ def _read_rows(path: str, expected_header: list[str]) -> Iterable[dict]:
     for row in reader:  # DictReader skips blank lines; line_num counts them
         if None in row:  # DictReader files fields beyond the header under None
             raise ConfigurationError(f"{path}:{reader.line_num}: more fields than the header")
+        if None in row.values():  # and fills the columns a short row lacks with None
+            raise ConfigurationError(f"{path}:{reader.line_num}: fewer fields than the header")
         row["_line"] = reader.line_num
         yield row
 
 
 def _parse_value(row: dict, path: str) -> float:
-    raw = (row.get("value") or "").strip()
+    raw = row["value"].strip()
     try:
         value = float(raw)
     except ValueError:
@@ -334,8 +336,8 @@ def _load_keyed_csv(path: str, key_columns: tuple[str, ...]) -> np.ndarray:
     """
     table = np.full(_shape(key_columns), np.nan)
     for row in _read_rows(path, [*key_columns, "value"]):
-        try:  # a short row leaves its last columns None
-            index = tuple(_KEY_ENUMS[c].from_code(row[c] or "") for c in key_columns)
+        try:
+            index = tuple(_KEY_ENUMS[c].from_code(row[c]) for c in key_columns)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}:{row['_line']}: {exc}") from None
         if not np.isnan(table[index]):

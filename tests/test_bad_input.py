@@ -160,7 +160,18 @@ def test_table_row_with_a_bad_key_is_rejected_with_its_line(tmp_path, capsys, ro
     body = '"table_overrides": {"alpha_bn": "%s"}' % path
     code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
     assert code == 2
-    assert err.count("\n") == 1 and f"{path}:3: unknown TechLevel code" in err
+    # "L" lacks the bn_tl and value fields: it is a short row before it is a bad key
+    problem = "fewer fields than the header" if row == "L" else "unknown TechLevel code"
+    assert err.count("\n") == 1 and f"{path}:3: {problem}" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("case", [*_TABLE_FILES, "split_yield"])
+def test_table_row_shorter_than_its_header_is_rejected_with_its_line(tmp_path, capsys, tables, case):
+    body, path = _tables_case(tmp_path, tables, case, lambda rows: [rows[0], rows[1][:-1], *rows[2:]])
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{path}:3: fewer fields than the header" in err
     assert written == []
 
 

@@ -23,6 +23,10 @@ import pytest
 from luccsim.cli import main
 
 _HISTORY = ["A", "F", "VU", "U", "VF", "A", "U", "F", "VF", "VU", "A", "F"]
+# Quiet stretches between weather changes: most cycles repeat most agents'
+# allocations, profits and renewabilities, and each change of level moves
+# every profit.
+_STRETCHES = ["A"] * 6 + ["F", "U", "F"] + ["U"] * 5 + ["VU", "VF"] + ["A"] * 4
 
 # name -> (command, scenario overrides on the longterm preset, extra CLI args)
 SCENARIOS = {
@@ -56,6 +60,11 @@ SCENARIOS = {
     "sweep-wgc-mix": ("sweep", {"grid_rows": 4, "grid_cols": 6,
                                 "climate": {"sequence": _HISTORY}},
                       ["--axis", "wgc-mix", "--values", "VU,VF"]),
+    # 1600 agents: more than one agents.csv block, at a scale the others miss.
+    # Recorded at commit 4489926, before agents.csv kept texts between cycles.
+    "stretches-40x40": ("run", {"grid_rows": 40, "grid_cols": 40, "seed": 11, "cycles": 20,
+                                "owner_share_pct": 30.0, "climate": {"sequence": _STRETCHES}},
+                        []),
 }
 
 GOLDEN = {
@@ -103,6 +112,11 @@ GOLDEN = {
         "agents.csv": "26766b6ad4db9f323ff808e062644f45bcaea6881733677605915a3a88b40e82",
         "cycles.csv": "96b64c840ac36abea9aedb107a95e9fa65396e28b028ed12f5d778b47071933b",
         "summary.json": "8f091392b5817d76a203ddc1190c4a664ba06dee89e9ae44878634c70a81f61f"
+    },
+    "stretches-40x40": {
+        "agents.csv": "5c82e2ef69d4b503ebdd444740c2e38e5c97b74cf22e69a5ee0c6392ad0683ff",
+        "cycles.csv": "f453daf25541dcc50677151a1a5784b033d52d3ce54bafa4334ae7a081a06439",
+        "summary.json": "b650e0a1592068e6da13a721c846a703517ab3fd36d783a1d78f4ec9cf9e5302"
     },
     "sweep-owner-share": {
         "sweep.csv": "69d92342e622383ebd63cc17eb66e53d9c0f1b67ab2bb70fab4cc66b34dbcba0"
