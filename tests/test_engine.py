@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from luccsim import (
@@ -142,12 +142,16 @@ class TestSelectBestNeighbor:
         assert self._best([]) == (0, -np.inf)
 
     # power-of-two factors scale exactly, so no two distinct profits can
-    # collapse into a tie and perturb the argmax
+    # collapse into a tie and perturb the argmax; a factor below 1 is exact
+    # only above the subnormal range (-5e-324 * 0.25 rounds to -0.0, a tie with
+    # 0.0), so lists that a factor does not scale exactly are drawn again
     @given(st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=1, max_size=8),
            st.sampled_from([0.25, 0.5, 2.0, 8.0, 64.0]))
     def test_scaling_profits_keeps_argmax(self, profits, factor):
+        scaled = [p * factor for p in profits]
+        assume(all(s / factor == p for s, p in zip(scaled, profits)))
         best, _ = self._best(profits)
-        best_scaled, _ = self._best([p * factor for p in profits])
+        best_scaled, _ = self._best(scaled)
         assert best == best_scaled
 
 
