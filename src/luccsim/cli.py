@@ -34,7 +34,8 @@ from .config import (
     preset,
     resolve_tables,
 )
-from .engine import AgentCycle, AgentRows, RunResult, check_workers, run_simulation
+from .engine import (AgentCycle, AgentRows, RunResult, check_scale, check_workers,
+                     run_simulation)
 from .errors import ConfigurationError, MetricUndefinedError, read_text
 from .landscape import TENURES, CycleRecord, Landscape
 from .metrics import distribution_summary, fit_report
@@ -220,7 +221,7 @@ def _summary_dict(result: RunResult) -> dict:
             # cv is undefined at zero mean; quartiles are shift-equivariant,
             # so recover them from a shifted copy and null out cv.
             shift = 1.0 - sequential_sum(values) / len(values)
-            shifted = asdict(distribution_summary([v + shift for v in values]))
+            shifted = asdict(distribution_summary(values + shift))
             return {
                 k: (None if k == "cv" else v - shift) for k, v in shifted.items()
             }
@@ -327,7 +328,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
     config.validate()
     tables = resolve_tables(config)
-    check_workers(args.workers)  # before agents.csv is opened
+    check_scale(config, tables)  # both before agents.csv is opened
+    check_workers(args.workers)
     out = args.out_dir.rstrip("/")
     observers = []
     with contextlib.ExitStack() as stack:

@@ -18,6 +18,8 @@ takes its best neighbors from the landscape's padded Moore table.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -101,10 +103,14 @@ class CycleContext:
 
 
 def _weighted(alloc, tl, by_level):
-    """(a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2, with v = by_level[tl]."""
-    share = np.asarray(alloc, dtype=np.float64) / 100.0
-    v = by_level[tl]
-    return share[..., 0] * v[..., 0] + share[..., 1] * v[..., 1] + share[..., 2] * v[..., 2]
+    """(a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2, with vk = by_level[tl, k].
+
+    Each of the three terms reads a column of `alloc` and gathers a column
+    of `by_level` by tech level, so no (n, 3) temporary is built.
+    """
+    a0, a1, a2 = np.asarray(alloc, dtype=np.float64).T
+    v0, v1, v2 = (values.take(tl) for values in by_level.T)
+    return a0 / 100.0 * v0 + a1 / 100.0 * v1 + a2 / 100.0 * v2
 
 
 def compute_profit(alloc, tl, tenant, ctx: CycleContext):
@@ -178,7 +184,8 @@ def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTab
     """
     own_w = np.where(p >= cal, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
     next_al = cal + own_w * (p - cal)
-    copied = bn_cal * (1.0 + tables.alpha_bn)[tl, bn_tl]
+    factor = 1.0 + tables.alpha_bn
+    copied = bn_cal * factor.take(factor.shape[1] * tl + bn_tl)  # factor[tl, bn_tl]
     next_al = np.where(decide_land_use(p, cal, bn_profit), copied, next_al)
     return np.where(next_al > 0.0, next_al, 0.0)
 
@@ -315,15 +322,21 @@ class AgentRows:
 
 @dataclass
 class RunResult:
-    """A whole run: per-cycle records plus per-agent summary material."""
+    """A whole run: per-cycle records plus per-agent summary material.
+
+    The four per-agent summaries are float64 arrays in row-major cell
+    order: each agent's mean profit and mean renewability over the cycles,
+    and the percentage of cycles in which it met its economic and its
+    environmental goal.
+    """
 
     config: ScenarioConfig
     records: list[CycleRecord]
     landscape: Landscape
-    mean_profit_per_agent: list[float]
-    mean_rl_per_agent: list[float]
-    econ_agreement_pct: list[float]
-    env_agreement_pct: list[float]
+    mean_profit_per_agent: np.ndarray
+    mean_rl_per_agent: np.ndarray
+    econ_agreement_pct: np.ndarray
+    env_agreement_pct: np.ndarray
     agent_rows: Optional[AgentRows] = field(default=None, repr=False)
 
     def whole_run_means(self) -> tuple[float, float]:
@@ -339,6 +352,42 @@ def check_workers(workers: int) -> None:
         raise ConfigurationError(f"workers must be at least 1 (got {workers})")
 
 
+def check_scale(config: ScenarioConfig, tables: ParameterTables) -> None:
+    """Refuse margins, rent or initial aspirations too large for a run's outputs.
+
+    Each is refused when its magnitude is not finite or exceeds
+    sqrt(max float / (16 * max(agents, cycles))). A profit is a margin
+    minus the rent, so it stays within twice that; a difference of two
+    profits within four times, whose square summed over the agents (the
+    spread in summary.json) stays finite, and so do the sums over the
+    agents or the cycles.
+    """
+    count = max(config.n_agents, config.cycles)
+    limit = math.sqrt(sys.float_info.max / (16.0 * count))
+
+    def check(values, describe) -> None:
+        """Refuse the first of `values` beyond the limit, named by `describe(*index)`."""
+        values = np.asarray(values)
+        beyond = np.flatnonzero(~(np.abs(values) <= limit))
+        if beyond.size:
+            index = np.unravel_index(beyond[0], values.shape)
+            raise ConfigurationError(
+                f"{describe(*index)} is {values[index]:.6g} US$/ha; a run of "
+                f"{config.n_agents} agents and {config.cycles} cycles needs it within "
+                f"+/-{limit:.3g}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for wgc in Wgc:
+            check(context_for(config, tables, wgc).margins, lambda tl, lu: (
+                f"the margin of {LandUse(lu).code} at tech level {TechLevel(tl).code}, "
+                f"weather {wgc.code} (from the prices and the yield and cost tables)"))
+        check(config.rent_usd(), lambda: "the rent from " + (
+            "rent_usd_per_ha" if config.rent_usd_per_ha is not None
+            else "rent_soy_tons x the soybean price"))
+        check(config.initial_al_factor * tables.wct_usd_per_ha,
+              lambda tl: f"initial_al_factor x wct at tech level {TechLevel(tl).code}")
+
+
 def run_simulation(
     config: ScenarioConfig,
     tables: Optional[ParameterTables] = None,
@@ -352,7 +401,9 @@ def run_simulation(
     The seeded stream is consumed by initialization first and then, for the
     random weather regime only, by one draw per cycle, so identical
     configurations replay identically. `workers` must be at least 1; a run
-    is one array pass per cycle, so the width does not change a run.
+    is one array pass per cycle, so the width does not change a run. A
+    configuration whose margins, rent or initial aspirations are too large
+    for the run's sums raises ConfigurationError (see `check_scale`).
     Each of `observers` is told of the run as it goes (see `RunObserver`);
     the pre-cycle copies are made only when there is one.
     `collect_agents=True` adds an `AgentRows`, returned as
@@ -362,6 +413,7 @@ def run_simulation(
     check_workers(workers)
     if tables is None:
         tables = resolve_tables(config)
+    check_scale(config, tables)
     rng = SplitMix64(config.seed)
     scape = initialize(config, tables, rng)
 
@@ -386,20 +438,21 @@ def run_simulation(
             before = (scape.alloc.copy(), scape.tl.astype(np.int8), scape.al.copy())
         _, record = run_cycle(scape, ctx, cycle_index=t)
         records.append(record)
-        totals += np.stack((scape.profit, scape.rl, scape.econ, scape.env))
+        for total, outcome in zip(totals, (scape.profit, scape.rl, scape.econ, scape.env)):
+            total += outcome
         for observer in observers:
             observer.cycle(t, before, scape, record)
 
     cycles = float(config.cycles)
-    profit, rl, econ, env = totals.tolist()
+    profit, rl, econ, env = totals
     result = RunResult(
         config=config,
         records=records,
         landscape=scape,
-        mean_profit_per_agent=[s / cycles for s in profit],
-        mean_rl_per_agent=[s / cycles for s in rl],
-        econ_agreement_pct=[100.0 * c / cycles for c in econ],
-        env_agreement_pct=[100.0 * c / cycles for c in env],
+        mean_profit_per_agent=profit / cycles,
+        mean_rl_per_agent=rl / cycles,
+        econ_agreement_pct=100.0 * econ / cycles,
+        env_agreement_pct=100.0 * env / cycles,
         agent_rows=agent_rows,
     )
     for observer in observers:

@@ -1,5 +1,6 @@
 """Bad numbers exit with code 2 and a one-line message, and write nothing."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,12 @@ from luccsim import ConfigurationError, LandUse, TechLevel, Wgc, preset, run_sim
 from luccsim.cli import main
 
 
-def _run_config(tmp_path, capsys, text):
+def _run_config(tmp_path, capsys, text, *options):
     config = tmp_path / "scenario.json"
     config.write_text(text)
     out = tmp_path / "out"
     out.mkdir()
-    code = main(["run", "--config", str(config), "--out-dir", str(out)])
+    code = main(["run", "--config", str(config), "--out-dir", str(out), *options])
     return code, capsys.readouterr().err, list(out.iterdir())
 
 
@@ -373,3 +374,79 @@ def test_split_pricing_setting_under_combined_pricing_is_rejected(tmp_path, caps
     assert code == 2
     assert err.count("\n") == 1 and setting in err and '"pricing_mode": "split"' in err
     assert written == []
+
+
+# Finite settings whose margins, rent or initial aspirations are too large
+# for a run's sums: before the check, each wrote inf or NaN with exit 0.
+_HUGE_SETTINGS = [
+    ('"prices": {"M": 1e308, "S": 277, "WS": 153}', "margin of M"),
+    ('"prices": {"M": 141, "S": 1e200, "WS": 153}, "rent": {"usd_per_ha": 300}', "margin of S"),
+    ('"rent": {"usd_per_ha": 1e308}', "rent_usd_per_ha"),
+    ('"rent": {"soy_tons": 1e308}', "rent_soy_tons"),
+    ('"initial_al_factor": 1e308', "initial_al_factor"),
+]
+
+
+@pytest.mark.parametrize("body, setting", _HUGE_SETTINGS)
+def test_setting_too_large_for_the_run_is_rejected(tmp_path, capsys, body, setting):
+    code, err, written = _run_config(
+        tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body, "--emit-agents")
+    assert code == 2
+    assert err.count("\n") == 1 and setting in err and "needs it within" in err
+    assert written == []
+
+
+def test_table_giving_a_margin_too_large_for_the_run_is_rejected(tmp_path, capsys, tables):
+    def huge_costs(rows):  # scaled alike, so the dataset's invariants still hold
+        return [(*row[:-1], row[-1] * 1e298) for row in rows]
+
+    body, _ = _tables_case(tmp_path, tables, "cost", huge_costs)
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and "margin of M" in err and "cost tables" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("axis, setting", [("soy-price", "margin of S"), ("rent", "rent_usd_per_ha")])
+def test_sweep_value_too_large_for_the_run_is_rejected(tmp_path, capsys, axis, setting):
+    code = main(["sweep", "--preset", "longterm", "--cycles", "2", "--axis", axis,
+                 "--values", "1e308", "--allow-outside-range", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and setting in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_library_rejects_a_rent_too_large_for_the_run(tables):
+    config = replace(preset("longterm"), cycles=2, rent_soy_tons=None, rent_usd_per_ha=1e308)
+    with pytest.raises(ConfigurationError, match="rent_usd_per_ha"):
+        run_simulation(config, tables)
+
+
+@pytest.mark.parametrize("rows, cols, cycles", [(1, 1, 1), (2, 3, 4), (25, 25, 50)])
+def test_settings_just_within_the_bound_give_finite_outputs(tmp_path, capsys, tables, rows, cols, cycles):
+    """At 99% of the bound the check reports, every output is finite."""
+    grid = '"grid_rows": %d, "grid_cols": %d, "cycles": %d' % (rows, cols, cycles)
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    code, err, _ = _run_config(probe, capsys, '{"preset": "longterm", %s, "rent": {"usd_per_ha": 1e308}}' % grid)
+    assert code == 2
+    limit = 0.99 * float(err.rsplit("+/-", 1)[1])
+    price = limit / float(np.max(tables.yield_t_per_ha))
+    body = ('%s, "climate": "random", "owner_share_pct": 50, "rent": {"usd_per_ha": %r}, '
+            '"initial_al_factor": %r, "prices": {"M": %r, "S": %r, "WS": %r}'
+            % (grid, limit, limit / float(np.max(tables.wct_usd_per_ha)), price, price, price))
+    run = tmp_path / "run"
+    run.mkdir()
+    with np.errstate(all="raise"):
+        code, err, written = _run_config(run, capsys, '{"preset": "longterm", %s}' % body, "--emit-agents")
+    assert code == 0, err
+    assert sorted(p.name for p in written) == ["agents.csv", "cycles.csv", "summary.json"]
+    for path in written:
+        text = path.read_text()
+        assert "inf" not in text and "nan" not in text.lower(), path.name
+    json.loads((run / "out" / "summary.json").read_text(), parse_constant=_refuse)
+
+
+def _refuse(token):
+    raise ValueError(f"non-finite JSON token {token}")
