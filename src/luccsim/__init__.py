@@ -9,7 +9,7 @@ sweep harness, all behind a deterministic seeded core and a CLI.
 """
 
 from .climate import ClimateRegime, RegimeKind, load_wgc_sequence, wgc_for_cycle
-from .config import ScenarioConfig, parse_config, preset, resolve_tables
+from .config import ScenarioConfig, parse_config, preset, resolve_tables, with_settings
 from .engine import (
     CycleContext,
     RunObserver,
@@ -40,7 +40,6 @@ from .metrics import (
     FitReport,
     distribution_summary,
     fit_report,
-    goal_agreement,
     ordinal_fit,
     rmse_and_v,
 )

@@ -19,21 +19,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .climate import ClimateRegime, load_wgc_sequence
-from .config import (
-    PRESET_NAMES,
-    ScenarioConfig,
-    parse_climate_spec,
-    parse_config,
-    preset,
-    resolve_tables,
-)
+from .config import (PRESET_NAMES, ScenarioConfig, parse_config, preset, resolve_tables,
+                     with_settings)
 from .engine import (AgentCycle, AgentRows, RunResult, check_scale, check_workers,
                      run_simulation)
 from .errors import ConfigurationError, MetricUndefinedError, read_text
@@ -294,6 +287,11 @@ def _numeric_series(columns: dict, name: str, path: str) -> list[float]:
     return values
 
 
+# Override flags whose dest is the scenario-file key they set; --wgc-file
+# sets "climate" to {"sequence_file": path}.
+_FLAG_KEYS = ("seed", "cycles", "owner_share_pct", "climate")
+
+
 def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.config and args.preset:
         raise ConfigurationError("give either --config or --preset, not both")
@@ -303,25 +301,12 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
         config = preset(args.preset)
     else:
         raise ConfigurationError("one of --config or --preset is required")
-    if getattr(args, "climate", None) and getattr(args, "wgc_file", None):
+    if args.climate is not None and args.wgc_file is not None:
         raise ConfigurationError("give either --climate or --wgc-file, not both")
-
-    updates: dict = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.cycles is not None:
-        updates["cycles"] = args.cycles
-    if getattr(args, "owner_share", None) is not None:
-        updates["owner_share_pct"] = args.owner_share
-    if getattr(args, "climate", None):
-        updates["climate"] = parse_climate_spec(args.climate)
-    if getattr(args, "wgc_file", None):
-        updates["climate"] = ClimateRegime.explicit(
-            load_wgc_sequence(args.wgc_file)
-        )
-    if updates:
-        config = replace(config, **updates)
-    return config
+    settings = {key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None}
+    if args.wgc_file is not None:
+        settings["climate"] = {"sequence_file": args.wgc_file}
+    return with_settings(config, settings)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -389,7 +374,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if config.climate is None:
         # No historical series available: fall back for the sweep base.
-        config = replace(config, climate=ClimateRegime.constant_average())
+        config = with_settings(config, {"climate": "constant-average"})
         print("note: no weather sequence given; sweep base uses constant-average")
     config.validate()
     tables = resolve_tables(config)
@@ -430,7 +415,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--cycles", type=int, help="override the cycle count")
     parser.add_argument(
-        "--owner-share", type=float, dest="owner_share",
+        "--owner-share", type=float, dest="owner_share_pct",
         help="override the owner share (percent)",
     )
     parser.add_argument(
@@ -440,7 +425,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--wgc-file",
-        dest="wgc_file",
         help="explicit weather sequence file (one VU/U/A/F/VF code per line)",
     )
     parser.add_argument(

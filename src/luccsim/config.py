@@ -14,6 +14,10 @@ table overrides. Two presets are built in:
 ``longterm``
     The 50-cycle scenario family: everything starts at equal thirds and
     the tenure mix and weather regime are chosen per experiment.
+
+A preset, a scenario file and the CLI's override flags are all settings
+keyed as in a scenario file, and `with_settings` is the one path from
+settings to a config.
 """
 
 from __future__ import annotations
@@ -38,11 +42,18 @@ from .tables import (
     load_tl_wgc_table_csv,
 )
 
-__all__ = ["ScenarioConfig", "preset", "parse_config", "resolve_tables", "PRESET_NAMES"]
+__all__ = ["ScenarioConfig", "preset", "parse_config", "with_settings", "resolve_tables",
+           "PRESET_NAMES"]
 
 _SHARE_TOLERANCE = 1e-6
 
 _DEFAULT_WHEAT_PRICE = 153.0
+
+# What `validate` calls the series of each regime that plays a weather series.
+_SEQUENCE_NAMES = {
+    RegimeKind.SEQUENCE: "weather sequence",
+    RegimeKind.MIX: "mix regime's historical sequence",
+}
 
 
 @dataclass(frozen=True)
@@ -134,19 +145,12 @@ class ScenarioConfig:
                 "a climate regime is required (the pergamino-1988 preset needs "
                 "an explicit weather sequence; see --wgc-file)"
             )
-        if self.climate.kind is RegimeKind.SEQUENCE:
-            if len(self.climate.sequence) < self.cycles:
-                raise ConfigurationError(
-                    f"weather sequence has {len(self.climate.sequence)} entries "
-                    f"but the scenario runs {self.cycles} cycles"
-                )
-        if self.climate.kind is RegimeKind.MIX:
-            if len(self.climate.sequence) < self.cycles:
-                raise ConfigurationError(
-                    f"mix regime's historical sequence has "
-                    f"{len(self.climate.sequence)} entries but the scenario "
-                    f"runs {self.cycles} cycles"
-                )
+        series = _SEQUENCE_NAMES.get(self.climate.kind)
+        if series and len(self.climate.sequence) < self.cycles:
+            raise ConfigurationError(
+                f"{series} has {len(self.climate.sequence)} entries "
+                f"but the scenario runs {self.cycles} cycles"
+            )
 
     def _float_fields(self):
         """(name, value) of every float setting, table entries included."""
@@ -184,62 +188,51 @@ def _normalized(shares: dict) -> dict:
     return {k: v * 100.0 / total for k, v in shares.items()}
 
 
-def preset(name: str, seed: int = 0) -> ScenarioConfig:
-    """Build one of the named presets; override fields with dataclasses.replace."""
-    if name == "pergamino-1988":
-        return ScenarioConfig(
-            grid_rows=25,
-            grid_cols=25,
-            cycles=27,
-            seed=seed,
-            owner_share_pct=63.0,
-            climate=None,  # the historical series must be supplied
-            initial_cover_pct=_normalized(
-                {LandUse.MAIZE: 20.0, LandUse.SOYBEAN: 36.2, LandUse.WHEAT_SOY: 35.8}
-            ),
-            initial_tl_pct=_normalized(
-                {TechLevel.LOW: 32.0, TechLevel.AVERAGE: 36.0, TechLevel.HIGH: 30.0}
-            ),
-        )
-    if name == "longterm":
-        third = 100.0 / 3.0
-        return ScenarioConfig(
-            grid_rows=25,
-            grid_cols=25,
-            cycles=50,
-            seed=seed,
-            owner_share_pct=50.0,
-            climate=ClimateRegime.constant_average(),
-            initial_cover_pct={lu: third for lu in LandUse},
-            initial_tl_pct={tl: third for tl in TechLevel},
-        )
-    raise ConfigurationError(
-        f"unknown preset {name!r} (expected one of {', '.join(PRESET_NAMES)})"
-    )
+_THIRD = 100.0 / 3.0
 
-
-PRESET_NAMES = ("pergamino-1988", "longterm")
-
-
-_KNOWN_KEYS = {
-    "preset",
-    "grid_rows",
-    "grid_cols",
-    "cycles",
-    "seed",
-    "owner_share_pct",
-    "climate",
-    "initial_cover_pct",
-    "initial_tl_pct",
-    "initial_al_factor",
-    "et_pct",
-    "rent",
-    "prices",
-    "pricing_mode",
-    "wheat_price_usd_per_t",
-    "split_yield_files",
-    "table_overrides",
+# Each preset as the settings a scenario file gives: `preset(name, seed)` is
+# the file holding these settings and "seed".
+_PRESETS = {
+    "pergamino-1988": {
+        "grid_rows": 25,
+        "grid_cols": 25,
+        "cycles": 27,
+        "owner_share_pct": 63.0,
+        # no "climate": the historical series must be supplied
+        "initial_cover_pct": _normalized({"M": 20.0, "S": 36.2, "WS": 35.8}),
+        "initial_tl_pct": _normalized({"L": 32.0, "A": 36.0, "H": 30.0}),
+    },
+    "longterm": {
+        "grid_rows": 25,
+        "grid_cols": 25,
+        "cycles": 50,
+        "owner_share_pct": 50.0,
+        "climate": "constant-average",
+        "initial_cover_pct": {"M": _THIRD, "S": _THIRD, "WS": _THIRD},
+        "initial_tl_pct": {"L": _THIRD, "A": _THIRD, "H": _THIRD},
+    },
 }
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def preset(name: str, seed: int = 0) -> ScenarioConfig:
+    """Build one of the named presets; override fields with `with_settings`."""
+    if name not in _PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {name!r} (expected one of {', '.join(PRESET_NAMES)})"
+        )
+    return with_settings(_blank(), {**_PRESETS[name], "seed": seed})
+
+
+def _blank() -> ScenarioConfig:
+    """The config that a scenario file without a preset fills in."""
+    return ScenarioConfig(
+        grid_rows=1, grid_cols=1, cycles=1, seed=0, owner_share_pct=0.0,
+        climate=None,
+        initial_cover_pct={lu: 0.0 for lu in LandUse},
+        initial_tl_pct={tl: 0.0 for tl in TechLevel},
+    )
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -270,14 +263,15 @@ def parse_config(path: str) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top-level value must be an object")
 
-    for key in data:
-        if key not in _KNOWN_KEYS:
+    settings = {key: value for key, value in data.items() if key != "preset"}
+    for key in settings:
+        if key not in _SETTINGS:
             raise ConfigurationError(
                 f"{path}:{_line_of_key(text, key)}: unknown key {key!r}"
             )
 
     try:
-        config = _build_config(data)
+        config = with_settings(_start(data), settings)
         config.validate()
         if "wheat_price_usd_per_t" in data and config.pricing_mode != "split":
             raise ConfigurationError('wheat_price_usd_per_t needs "pricing_mode": "split"')
@@ -294,92 +288,125 @@ def _line_of_key(text: str, key: str) -> int:
     return 1
 
 
-_NUMBER_KEYS = (
-    ("grid_rows", int),
-    ("grid_cols", int),
-    ("cycles", int),
-    ("seed", int),
-    ("owner_share_pct", float),
-    ("initial_al_factor", float),
-    ("et_pct", float),
-    ("wheat_price_usd_per_t", float),
-)
+_REQUIRED_KEYS = ("grid_rows", "grid_cols", "cycles", "seed", "owner_share_pct",
+                  "initial_cover_pct", "initial_tl_pct")
 
 
-def _build_config(data: dict) -> ScenarioConfig:
+def _start(data: dict) -> ScenarioConfig:
+    """The config a scenario file's settings apply to: its preset, or a blank one."""
     if "preset" in data:
-        config = preset(str(data["preset"]))
-    else:
-        required = ("grid_rows", "grid_cols", "cycles", "seed", "owner_share_pct",
-                    "initial_cover_pct", "initial_tl_pct")
-        missing = [k for k in required if k not in data]
-        if missing:
-            raise ConfigurationError(
-                f"missing required keys: {', '.join(missing)} "
-                "(or start from a preset)"
-            )
-        config = ScenarioConfig(
-            grid_rows=1, grid_cols=1, cycles=1, seed=0, owner_share_pct=0.0,
-            climate=None,
-            initial_cover_pct={lu: 0.0 for lu in LandUse},
-            initial_tl_pct={tl: 0.0 for tl in TechLevel},
+        return preset(str(data["preset"]))
+    missing = [k for k in _REQUIRED_KEYS if k not in data]
+    if missing:
+        raise ConfigurationError(
+            f"missing required keys: {', '.join(missing)} "
+            "(or start from a preset)"
         )
+    return _blank()
 
-    updates: dict = {}
-    for key, convert in _NUMBER_KEYS:
-        if key in data:
-            updates[key] = _number(data[key], convert, key)
-    if "pricing_mode" in data:
-        updates["pricing_mode"] = str(data["pricing_mode"])
-    if "initial_cover_pct" in data:
-        updates["initial_cover_pct"] = _parse_keyed(
-            data["initial_cover_pct"], LandUse, "initial_cover_pct"
-        )
-    if "initial_tl_pct" in data:
-        updates["initial_tl_pct"] = _parse_keyed(
-            data["initial_tl_pct"], TechLevel, "initial_tl_pct"
-        )
-    if "prices" in data:
-        updates["prices"] = _parse_keyed(data["prices"], LandUse, "prices")
-    if "rent" in data:
-        rent = data["rent"]
-        if not isinstance(rent, dict) or len(rent) != 1 or not (
-            "soy_tons" in rent or "usd_per_ha" in rent
-        ):
-            raise ConfigurationError(
-                'rent must be {"soy_tons": x} or {"usd_per_ha": x}'
-            )
-        if "soy_tons" in rent:
-            updates["rent_soy_tons"] = _number(rent["soy_tons"], float, "rent.soy_tons")
-            updates["rent_usd_per_ha"] = None
-        else:
-            updates["rent_soy_tons"] = None
-            updates["rent_usd_per_ha"] = _number(rent["usd_per_ha"], float, "rent.usd_per_ha")
-    if "climate" in data:
-        updates["climate"] = parse_climate_spec(data["climate"])
-    if "split_yield_files" in data:
-        files = data["split_yield_files"]
-        if not isinstance(files, dict) or set(files) != {"wheat", "soy2"}:
-            raise ConfigurationError(
-                'split_yield_files must be {"wheat": path, "soy2": path}'
-            )
-        updates["split_wheat_yield"] = load_tl_wgc_table_csv(str(files["wheat"]))
-        updates["split_soy2_yield"] = load_tl_wgc_table_csv(str(files["soy2"]))
-    if "table_overrides" in data:
-        overrides = data["table_overrides"]
-        if not isinstance(overrides, dict):
-            raise ConfigurationError("table_overrides must be an object")
-        updates["table_overrides"] = {str(k): str(v) for k, v in overrides.items()}
 
-    return replace(config, **updates)
+def _integer(value, key: str) -> dict:
+    return {key: _number(value, int, key)}
+
+
+def _real(value, key: str) -> dict:
+    return {key: _number(value, float, key)}
+
+
+def _text(value, key: str) -> dict:
+    return {key: str(value)}
+
+
+def _land_use_values(value, key: str) -> dict:
+    return {key: _parse_keyed(value, LandUse, key)}
+
+
+def _tech_level_values(value, key: str) -> dict:
+    return {key: _parse_keyed(value, TechLevel, key)}
+
+
+def _rent(value, key: str) -> dict:
+    if not isinstance(value, dict) or len(value) != 1 or not (
+        "soy_tons" in value or "usd_per_ha" in value
+    ):
+        raise ConfigurationError('rent must be {"soy_tons": x} or {"usd_per_ha": x}')
+    if "soy_tons" in value:
+        return {"rent_soy_tons": _number(value["soy_tons"], float, "rent.soy_tons"),
+                "rent_usd_per_ha": None}
+    return {"rent_soy_tons": None,
+            "rent_usd_per_ha": _number(value["usd_per_ha"], float, "rent.usd_per_ha")}
+
+
+def _climate(value, key: str) -> dict:
+    return {key: parse_climate_spec(value)}
+
+
+def _split_yields(value, key: str) -> dict:
+    if not isinstance(value, dict) or set(value) != {"wheat", "soy2"}:
+        raise ConfigurationError('split_yield_files must be {"wheat": path, "soy2": path}')
+    return {"split_wheat_yield": load_tl_wgc_table_csv(str(value["wheat"])),
+            "split_soy2_yield": load_tl_wgc_table_csv(str(value["soy2"]))}
+
+
+def _table_files(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError("table_overrides must be an object")
+    return {key: {str(k): str(v) for k, v in value.items()}}
+
+
+# Each scenario-file key and the parser that turns its JSON value into the
+# ScenarioConfig fields the key sets. Settings are parsed in this order, so
+# of two bad settings the one listed first is reported.
+_SETTINGS = {
+    "grid_rows": _integer,
+    "grid_cols": _integer,
+    "cycles": _integer,
+    "seed": _integer,
+    "owner_share_pct": _real,
+    "initial_al_factor": _real,
+    "et_pct": _real,
+    "wheat_price_usd_per_t": _real,
+    "pricing_mode": _text,
+    "initial_cover_pct": _land_use_values,
+    "initial_tl_pct": _tech_level_values,
+    "prices": _land_use_values,
+    "rent": _rent,
+    "climate": _climate,
+    "split_yield_files": _split_yields,
+    "table_overrides": _table_files,
+}
+
+
+def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> ScenarioConfig:
+    """`config` with scenario-file settings applied, in one `replace`.
+
+    `settings` maps scenario-file keys (every key but "preset") to values as
+    JSON gives them. An unknown key is an error; the result is not validated.
+    """
+    for key in settings:
+        if key not in _SETTINGS:
+            raise ConfigurationError(f"unknown key {key!r}")
+    fields: dict = {}
+    for key, parse in _SETTINGS.items():
+        if key in settings:
+            fields.update(parse(settings[key], key))
+    return replace(config, **fields)
 
 
 def _parse_keyed(raw, enum_cls, name: str) -> dict:
+    """code -> value as member -> float, refusing a member given under two spellings."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{name} must be an object of code -> value")
     out = {}
+    spelling = {}
     for code, value in raw.items():
-        out[enum_cls.from_code(str(code))] = _number(value, float, f"{name}.{code}")
+        member = enum_cls.from_code(str(code))
+        if member in spelling:
+            raise ConfigurationError(
+                f"{name}: {member.code} given twice ({spelling[member]!r} and {code!r})"
+            )
+        spelling[member] = code
+        out[member] = _number(value, float, f"{name}.{code}")
     return out
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "rmse_and_v",
     "ordinal_fit",
     "fit_report",
-    "goal_agreement",
     "distribution_summary",
 ]
 
@@ -106,13 +105,6 @@ def fit_report(
     rmse, v = rmse_and_v(observed, simulated)
     pm, iof = ordinal_fit(observed, simulated)
     return FitReport(rmse=rmse, v=v, pm=pm, iof=iof)
-
-
-def goal_agreement(per_cycle_flags: Sequence[bool]) -> float:
-    """Percentage of cycles in which a goal was fulfilled."""
-    if not per_cycle_flags:
-        raise MetricUndefinedError("goal agreement needs at least one cycle")
-    return 100.0 * sum(bool(f) for f in per_cycle_flags) / len(per_cycle_flags)
 
 
 def distribution_summary(values: Sequence[float]) -> DistributionSummary:

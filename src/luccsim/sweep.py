@@ -212,7 +212,8 @@ def run_sweep(
     Numeric axes return rows in ascending value order, with the reference
     value's row inserted when not among the requested values. The
     weather-mix axis returns the unmixed base run first (the reference),
-    then one row per mixed-in level in level order.
+    then one row per mixed-in level in level order. Two values whose
+    six-decimal labels match are refused before any run.
     """
     base.validate()
     parameter = axis.parameter
@@ -228,7 +229,20 @@ def run_sweep(
              _config_for_value(base, parameter, value))
             for value in sorted({float(v) for v in axis.values} | {reference})
         ]
+    _check_labels(runs)
     return SweepResult(parameter, tuple(_row_from_run(tables, *run) for run in runs))
+
+
+def _check_labels(runs: list) -> None:
+    """Refuse two runs whose sweep.csv rows would carry the same value label."""
+    values = {}
+    for label, value, is_reference, _ in runs:
+        named = f"{value!r} (the reference)" if is_reference else repr(value)
+        if label in values:
+            raise ConfigurationError(
+                f"sweep values {values[label]} and {named} both print as {label}"
+            )
+        values[label] = named
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:

@@ -266,7 +266,8 @@ def test_criterion_7_sweep_protocol(tables):
             SweepParameter.MAIZE_PRICE: (69.76, 141.0, 185.28),
             SweepParameter.WHEAT_PRICE: (100.28, 153.0, 249.23),
             SweepParameter.OWNER_SHARE: (10.0, 30.0, 50.0, 70.0, 90.0),
-            SweepParameter.RENT_USD: (221.6, 443.2, 775.6),
+            # the reference rent, 1.6 t at 277 US$/t; 443.2 prints alike and is refused
+            SweepParameter.RENT_USD: (221.6, 1.6 * 277.0, 775.6),
         }
         from luccsim.sweep import _reference_value
 

@@ -282,6 +282,20 @@ def test_scenario_key_given_twice_is_rejected(tmp_path, capsys, body, key):
     assert written == []
 
 
+@pytest.mark.parametrize("body, message", [
+    ('"prices": {"M": 141, "m": 999, "S": 277, "WS": 153}', "prices: M given twice ('M' and 'm')"),
+    ('"initial_cover_pct": {"M": 50, " m": 20, "S": 30, "WS": 20}',
+     "initial_cover_pct: M given twice ('M' and ' m')"),
+    ('"initial_tl_pct": {"L": 40, "A": 30, "H": 30, "h ": 0}',
+     "initial_tl_pct: H given twice ('H' and 'h ')"),
+])
+def test_scenario_code_given_twice_under_two_spellings_is_rejected(tmp_path, capsys, body, message):
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"scenario.json: {message}" in err
+    assert written == []
+
+
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--axis", "soy-price", "--values", "200"]]
 )

@@ -481,3 +481,26 @@ class TestValidateOnRealRun:
         for series in report.values():
             assert series["rmse"] == 0.0
             assert series["pm"] == 1.0
+
+
+_WEATHER = ["VU", "F", "A", "U", "VF"] * 10
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--seed", "9"], {"seed": 9}),
+    (["--cycles", "7"], {"cycles": 7}),
+    (["--owner-share", "12.5"], {"owner_share_pct": 12.5}),
+    (["--climate", "seesaw"], {"climate": "seesaw"}),
+    (["--wgc-file", "wgc.txt"], {"climate": {"sequence_file": "wgc.txt"}}),
+])
+def test_override_flag_gives_the_outputs_of_its_scenario_key(tmp_path, monkeypatch, flags, setting):
+    monkeypatch.chdir(tmp_path)
+    _write_wgc(tmp_path, _WEATHER)
+    (tmp_path / "scenario.json").write_text(json.dumps({"preset": "longterm", **setting}))
+    outputs = []
+    for source in (["--preset", "longterm", *flags], ["--config", "scenario.json"]):
+        out = tmp_path / f"out{len(outputs)}"
+        out.mkdir()
+        assert _run(["run", *source, "--out-dir", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("cycles.csv", "summary.json")])
+    assert outputs[0] == outputs[1]

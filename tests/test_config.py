@@ -11,7 +11,9 @@ from luccsim import (
     Wgc,
     parse_config,
     preset,
+    with_settings,
 )
+from luccsim.config import _PRESETS, PRESET_NAMES
 
 
 def test_pergamino_preset_matches_initialization_conditions():
@@ -270,3 +272,28 @@ def test_parse_config_split_mode_end_to_end(tmp_path):
     assert compute_profit((0.0, 0.0, 100.0), TechLevel.HIGH, False, ctx) == pytest.approx(
         expected, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_equals_the_scenario_file_of_its_settings(tmp_path, name):
+    config = preset(name, seed=11)
+    settings = {**_PRESETS[name], "seed": 11}
+    if config.climate is None:  # a file must name a climate to pass validation
+        settings["climate"] = {"sequence": ["A"] * settings["cycles"]}
+    parsed = parse_config(_write(tmp_path, settings))
+    if config.climate is None:
+        parsed = replace(parsed, climate=None)
+    assert parsed == config
+
+
+def test_with_settings_applies_scenario_file_values():
+    config = with_settings(preset("longterm"), {
+        "seed": 4, "rent": {"usd_per_ha": 300}, "prices": {"m": 150, "S": 300, "WS": 160},
+    })
+    assert config.seed == 4
+    assert (config.rent_soy_tons, config.rent_usd_per_ha) == (None, 300.0)
+    assert config.prices == {LandUse.MAIZE: 150.0, LandUse.SOYBEAN: 300.0, LandUse.WHEAT_SOY: 160.0}
+    with pytest.raises(ConfigurationError, match="unknown key 'cycels'"):
+        with_settings(preset("longterm"), {"cycels": 3})
+    with pytest.raises(ConfigurationError, match="seed must be a number written as an integer"):
+        with_settings(preset("longterm"), {"seed": 2.5})

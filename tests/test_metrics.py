@@ -9,7 +9,6 @@ from luccsim import (
     SplitMix64,
     distribution_summary,
     fit_report,
-    goal_agreement,
     ordinal_fit,
     rmse_and_v,
 )
@@ -125,23 +124,6 @@ class TestFitReport:
             except MetricUndefinedError:
                 continue
             assert iof == 2.0 * pm - 1.0
-
-
-class TestGoalAgreement:
-    def test_half(self):
-        assert goal_agreement([True, True, False, False]) == 50.0
-
-    def test_never_fulfilled(self):
-        assert goal_agreement([False] * 28) == 0.0
-
-    def test_five_of_twentyseven(self):
-        assert goal_agreement([True] * 5 + [False] * 22) == pytest.approx(
-            18.518518518, abs=1e-6
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(MetricUndefinedError):
-            goal_agreement([])
 
 
 class TestDistributionSummary:

@@ -1,15 +1,21 @@
-"""The README's library examples run against the current API."""
+"""The README's library examples run against the current API, and its scenario reference matches the code."""
 
+import json
 import re
 from pathlib import Path
+
+from luccsim.config import _PRESETS, _SETTINGS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _library_use_blocks():
+def _section(heading):
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^```python\n(.*?)^```", section, re.DOTALL | re.MULTILINE)
+    return text.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+
+
+def _library_use_blocks():
+    return re.findall(r"^```python\n(.*?)^```", _section("## Library use"), re.DOTALL | re.MULTILINE)
 
 
 def test_library_use_examples_run(capsys):
@@ -19,3 +25,19 @@ def test_library_use_examples_run(capsys):
         exec(compile(block, str(README), "exec"), {})
     # the landscape example's comment states what it prints
     assert "False (0.0, 100.0, 0.0)\n" in capsys.readouterr().out
+
+
+def test_key_reference_lists_exactly_the_keys_a_scenario_file_takes():
+    rows = re.findall(r"^\| (`.*?) \|", _section("### Scenario files"), re.MULTILINE)
+    listed = [key for row in rows for key in re.findall(r"`(\w+)`", row)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {"preset", *_SETTINGS}
+
+
+def test_presets_are_shown_as_their_settings():
+    pairs = re.findall(r"^- `([\w-]+)`.*?```json\n(.*?)^ *```", _section("### Scenario presets"),
+                       re.DOTALL | re.MULTILINE)
+    shown = {name: json.loads(block) for name, block in pairs}
+    assert shown == _PRESETS
+    for name, settings in shown.items():
+        assert list(settings) == list(_PRESETS[name])

@@ -163,3 +163,34 @@ def test_price_sweep_holds_rent_at_reference(tables):
     # all-tenant landscape: if rent rode along, the price gain would be
     # partially cancelled; with pinned rent the soybean-heavy margin grows
     assert high.mean_profit > ref.mean_profit
+
+
+def test_values_printing_alike_are_rejected_before_any_run(tables, monkeypatch):
+    import luccsim.sweep as sweep
+
+    monkeypatch.setattr(sweep, "run_simulation", None)  # a run would raise TypeError
+    axis = SweepAxis(SweepParameter.SOYBEAN_PRICE, (200.0000001, 200.0000004, 277.0000002))
+    with pytest.raises(ConfigurationError,
+                       match=r"^sweep values 200\.0000001 and 200\.0000004 both print as 200\.000000$"):
+        run_sweep(_base(cycles=3), axis, tables)
+    # the reference value (277.0) and a value beside it
+    axis = SweepAxis(SweepParameter.SOYBEAN_PRICE, (141.0, 277.0000002))
+    with pytest.raises(ConfigurationError,
+                       match=r"^sweep values 277\.0 \(the reference\) and 277\.0000002 "):
+        run_sweep(_base(cycles=3), axis, tables)
+    # the reference rent is 1.6 t x 277 US$/t = 443.20000000000005 US$/ha
+    axis = SweepAxis(SweepParameter.RENT_USD, (221.6, 443.2))
+    with pytest.raises(ConfigurationError, match=r"^sweep values 443\.2 and "
+                       r"443\.20000000000005 \(the reference\) both print as 443\.200000$"):
+        run_sweep(_base(cycles=3), axis, tables)
+
+
+def test_cli_sweep_with_values_printing_alike_exits_2_and_writes_nothing(tmp_path, capsys):
+    from luccsim.cli import main
+
+    code = main(["sweep", "--preset", "longterm", "--cycles", "3", "--axis", "soy-price",
+                 "--values", "200.0000001,200.0000004,277.0000002", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "200.0000001 and 200.0000004" in err
+    assert list(tmp_path.iterdir()) == []
