@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from .climate import REGIME_NAMES
 from .config import (PRESET_NAMES, ScenarioConfig, parse_config, preset, resolve_tables,
                      with_settings)
 from .engine import (AgentCycle, AgentRows, RunResult, check_scale, check_workers,
@@ -309,13 +311,20 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     return with_settings(config, settings)
 
 
+def _out_dir(args: argparse.Namespace) -> str:
+    """`--out-dir` without trailing slashes; refused, before any run, unless it is a directory."""
+    if not os.path.isdir(args.out_dir):
+        raise NotADirectoryError(f"--out-dir {args.out_dir!r} is not an existing directory")
+    return args.out_dir.rstrip("/")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     config = _build_config(args)
     config.validate()
     tables = resolve_tables(config)
     check_scale(config, tables)  # both before agents.csv is opened
     check_workers(args.workers)
-    out = args.out_dir.rstrip("/")
     observers = []
     with contextlib.ExitStack() as stack:
         if args.emit_agents:
@@ -371,6 +380,7 @@ _AXES = {p.value: p for p in SweepParameter}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     config = _build_config(args)
     if config.climate is None:
         # No historical series available: fall back for the sweep base.
@@ -401,7 +411,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     check_workers(args.workers)
     result = run_sweep(config, axis, tables)
     print(f"base climate: {config.climate.describe()}")
-    out = args.out_dir.rstrip("/")
     write_sweep_csv(result, f"{out}/sweep.csv")
     print(f"wrote {out}/sweep.csv ({len(result.rows)} rows)")
     return 0
@@ -420,8 +429,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--climate",
-        help="override the weather regime (constant-unfavorable, "
-        "constant-average, constant-favorable, seesaw, random)",
+        help=f"override the weather regime ({', '.join(REGIME_NAMES)})",
     )
     parser.add_argument(
         "--wgc-file",

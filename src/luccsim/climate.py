@@ -6,6 +6,8 @@ regime draws iid uniform levels from the run's seeded stream. A mix
 regime alternates a historical sequence (even cycle indices) with one
 fixed level (odd indices), which is how weather sensitivity scenarios
 are built.
+
+The regime's names and parser (`parse_climate_spec`) live here too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .errors import ConfigurationError, read_text
 from .rng import SplitMix64
 from .tables import Wgc
 
-__all__ = ["RegimeKind", "ClimateRegime", "wgc_for_cycle", "load_wgc_sequence"]
+__all__ = ["RegimeKind", "ClimateRegime", "wgc_for_cycle", "load_wgc_sequence",
+           "parse_climate_spec", "REGIME_NAMES"]
 
 
 class RegimeKind(Enum):
@@ -30,6 +33,12 @@ class RegimeKind(Enum):
 
 
 _SEESAW_PATTERN = (Wgc.VERY_UNFAVORABLE, Wgc.AVERAGE, Wgc.VERY_FAVORABLE)
+
+# What messages call the series of each regime that plays a weather series.
+_SERIES_NAMES = {
+    RegimeKind.SEQUENCE: "weather sequence",
+    RegimeKind.MIX: "mix regime's historical sequence",
+}
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,20 @@ class ClimateRegime:
             return f"mix[{len(self.sequence)} historical / {self.level.code}]"
         return self.kind.value
 
+    def check_cycles(self, cycles: int) -> None:
+        """Refuse a weather series shorter than a run of `cycles` cycles."""
+        series = _SERIES_NAMES.get(self.kind)
+        if series and len(self.sequence) < cycles:
+            raise ConfigurationError(
+                f"{series} has {len(self.sequence)} entries "
+                f"but the scenario runs {cycles} cycles"
+            )
+
+    def levels(self, cycles: int, seed: int) -> tuple[Wgc, ...]:
+        """The levels of cycles 0 .. cycles-1, random ones drawn from a fresh `SplitMix64(seed)`."""
+        rng = SplitMix64(seed)
+        return tuple(wgc_for_cycle(self, t, rng) for t in range(cycles))
+
 
 def wgc_for_cycle(
     regime: ClimateRegime, cycle_index: int, rng: Optional[SplitMix64] = None
@@ -109,20 +132,13 @@ def wgc_for_cycle(
         if rng is None:
             raise ValueError("random regime needs a seeded stream")
         return Wgc(rng.randrange(len(Wgc)))
-    if regime.kind is RegimeKind.SEQUENCE:
+    if regime.kind is RegimeKind.MIX and cycle_index % 2 == 1:
+        return regime.level
+    if regime.kind in _SERIES_NAMES:
         if cycle_index >= len(regime.sequence):
             raise ConfigurationError(
-                f"weather sequence has {len(regime.sequence)} entries but "
+                f"{_SERIES_NAMES[regime.kind]} has {len(regime.sequence)} entries but "
                 f"cycle {cycle_index} was requested"
-            )
-        return regime.sequence[cycle_index]
-    if regime.kind is RegimeKind.MIX:
-        if cycle_index % 2 == 1:
-            return regime.level
-        if cycle_index >= len(regime.sequence):
-            raise ConfigurationError(
-                f"mix regime's historical sequence has {len(regime.sequence)} "
-                f"entries but cycle {cycle_index} was requested"
             )
         return regime.sequence[cycle_index]
     raise ValueError(f"unhandled regime kind {regime.kind}")
@@ -142,3 +158,57 @@ def load_wgc_sequence(path: str) -> tuple[Wgc, ...]:
     if not sequence:
         raise ConfigurationError(f"{path}: no weather codes found")
     return tuple(sequence)
+
+
+_NAMED_REGIMES = {
+    "constant-unfavorable": ClimateRegime.constant_unfavorable,
+    "constant-average": ClimateRegime.constant_average,
+    "constant-favorable": ClimateRegime.constant_favorable,
+    "seesaw": ClimateRegime.seesaw,
+    "random": ClimateRegime.random_uniform,
+}
+
+REGIME_NAMES = tuple(_NAMED_REGIMES)
+
+_MIX_FORMS = ({"fixed", "historical"}, {"fixed", "historical_file"})
+
+
+def parse_climate_spec(spec) -> ClimateRegime:
+    """Parse the climate value of a config file or CLI flag."""
+    if isinstance(spec, str):
+        name = spec.strip().lower()
+        if name in _NAMED_REGIMES:
+            return _NAMED_REGIMES[name]()
+        raise ConfigurationError(
+            f"unknown climate regime {spec!r} (expected one of "
+            f"{', '.join(sorted(_NAMED_REGIMES))}, or an object)"
+        )
+    if isinstance(spec, dict) and len(spec) == 1:
+        if "constant" in spec:
+            return ClimateRegime.constant(Wgc.from_code(str(spec["constant"])))
+        if "sequence" in spec:
+            return ClimateRegime.explicit(_wgc_list(spec["sequence"], "sequence"))
+        if "sequence_file" in spec:
+            return ClimateRegime.explicit(load_wgc_sequence(str(spec["sequence_file"])))
+        if "mix" in spec:
+            mix = spec["mix"]
+            if not isinstance(mix, dict) or set(mix) not in _MIX_FORMS:
+                raise ConfigurationError(
+                    'mix must be {"fixed": code, "historical": [codes]} '
+                    'or {"fixed": code, "historical_file": path}'
+                )
+            fixed = Wgc.from_code(str(mix["fixed"]))
+            if "historical" in mix:
+                historical = _wgc_list(mix["historical"], "mix historical")
+            else:
+                historical = load_wgc_sequence(str(mix["historical_file"]))
+            return ClimateRegime.alternating_mix(historical, fixed)
+    raise ConfigurationError(f"cannot parse climate spec {spec!r}")
+
+
+def _wgc_list(raw, name: str) -> list[Wgc]:
+    if not isinstance(raw, list):
+        raise ConfigurationError(
+            f"climate {name} must be a JSON array of weather codes (got {raw!r})"
+        )
+    return [Wgc.from_code(str(c)) for c in raw]

@@ -29,14 +29,13 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .climate import ClimateRegime, RegimeKind, load_wgc_sequence
+from .climate import ClimateRegime, parse_climate_spec
 from .errors import ConfigurationError, read_text
 from .numeric import sequential_sum
 from .tables import (
     LandUse,
     ParameterTables,
     TechLevel,
-    Wgc,
     default_tables,
     load_table_overrides,
     load_tl_wgc_table_csv,
@@ -48,12 +47,6 @@ __all__ = ["ScenarioConfig", "preset", "parse_config", "with_settings", "resolve
 _SHARE_TOLERANCE = 1e-6
 
 _DEFAULT_WHEAT_PRICE = 153.0
-
-# What `validate` calls the series of each regime that plays a weather series.
-_SEQUENCE_NAMES = {
-    RegimeKind.SEQUENCE: "weather sequence",
-    RegimeKind.MIX: "mix regime's historical sequence",
-}
 
 
 @dataclass(frozen=True)
@@ -145,12 +138,7 @@ class ScenarioConfig:
                 "a climate regime is required (the pergamino-1988 preset needs "
                 "an explicit weather sequence; see --wgc-file)"
             )
-        series = _SEQUENCE_NAMES.get(self.climate.kind)
-        if series and len(self.climate.sequence) < self.cycles:
-            raise ConfigurationError(
-                f"{series} has {len(self.climate.sequence)} entries "
-                f"but the scenario runs {self.cycles} cycles"
-            )
+        self.climate.check_cycles(self.cycles)
 
     def _float_fields(self):
         """(name, value) of every float setting, table entries included."""
@@ -425,57 +413,6 @@ def _number(value, convert, name: str):
         return convert(value)
     except OverflowError:
         raise ConfigurationError(f"{name} must be a number (got {value!r})") from None
-
-
-_NAMED_REGIMES = {
-    "constant-unfavorable": ClimateRegime.constant_unfavorable,
-    "constant-average": ClimateRegime.constant_average,
-    "constant-favorable": ClimateRegime.constant_favorable,
-    "seesaw": ClimateRegime.seesaw,
-    "random": ClimateRegime.random_uniform,
-}
-
-
-def parse_climate_spec(spec) -> ClimateRegime:
-    """Parse the climate value of a config file or CLI flag."""
-    if isinstance(spec, str):
-        name = spec.strip().lower()
-        if name in _NAMED_REGIMES:
-            return _NAMED_REGIMES[name]()
-        raise ConfigurationError(
-            f"unknown climate regime {spec!r} (expected one of "
-            f"{', '.join(sorted(_NAMED_REGIMES))}, or an object)"
-        )
-    if isinstance(spec, dict) and len(spec) == 1:
-        if "constant" in spec:
-            return ClimateRegime.constant(Wgc.from_code(str(spec["constant"])))
-        if "sequence" in spec:
-            return ClimateRegime.explicit(_wgc_list(spec["sequence"], "sequence"))
-        if "sequence_file" in spec:
-            return ClimateRegime.explicit(load_wgc_sequence(str(spec["sequence_file"])))
-        if "mix" in spec:
-            mix = spec["mix"]
-            if not isinstance(mix, dict) or "fixed" not in mix:
-                raise ConfigurationError('mix requires {"fixed": code, "historical"[_file]: ...}')
-            fixed = Wgc.from_code(str(mix["fixed"]))
-            if "historical" in mix:
-                historical = _wgc_list(mix["historical"], "mix historical")
-            elif "historical_file" in mix:
-                historical = load_wgc_sequence(str(mix["historical_file"]))
-            else:
-                raise ConfigurationError(
-                    "mix requires a historical sequence (historical or historical_file)"
-                )
-            return ClimateRegime.alternating_mix(historical, fixed)
-    raise ConfigurationError(f"cannot parse climate spec {spec!r}")
-
-
-def _wgc_list(raw, name: str) -> list[Wgc]:
-    if not isinstance(raw, list):
-        raise ConfigurationError(
-            f"climate {name} must be a JSON array of weather codes (got {raw!r})"
-        )
-    return [Wgc.from_code(str(c)) for c in raw]
 
 
 def resolve_tables(config: ScenarioConfig) -> ParameterTables:

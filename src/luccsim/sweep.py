@@ -19,11 +19,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
-from .climate import ClimateRegime, wgc_for_cycle
-from .config import ScenarioConfig
-from .engine import run_simulation
+from .climate import ClimateRegime
+from .config import ScenarioConfig, resolve_tables
+from .engine import check_scale, run_simulation
 from .errors import ConfigurationError
-from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
 __all__ = [
@@ -150,23 +149,12 @@ def _rent_resolved(base: ScenarioConfig) -> ScenarioConfig:
     return replace(base, rent_usd_per_ha=base.rent_usd(), rent_soy_tons=None)
 
 
-def _materialize_sequence(config: ScenarioConfig) -> tuple[Wgc, ...]:
-    """The base regime's cycle-by-cycle levels, for use as mix history.
-
-    A random base regime is materialized from a fresh stream seeded with the
-    scenario seed, so the mix history is deterministic.
-    """
-    rng = SplitMix64(config.seed)
-    return tuple(
-        wgc_for_cycle(config.climate, t, rng) for t in range(config.cycles)
-    )
-
-
 def _config_for_value(
     base: ScenarioConfig, parameter: SweepParameter, value
 ) -> ScenarioConfig:
     if parameter is SweepParameter.WGC_MIX_LEVEL:
-        history = _materialize_sequence(base)
+        # a random base regime gives a deterministic history: a fresh stream of the base seed
+        history = base.climate.levels(base.cycles, base.seed)
         return replace(
             base, climate=ClimateRegime.alternating_mix(history, value)
         )
@@ -213,7 +201,8 @@ def run_sweep(
     value's row inserted when not among the requested values. The
     weather-mix axis returns the unmixed base run first (the reference),
     then one row per mixed-in level in level order. Two values whose
-    six-decimal labels match are refused before any run.
+    six-decimal labels match, and a run that `validate` or `check_scale`
+    refuses, are refused before any run.
     """
     base.validate()
     parameter = axis.parameter
@@ -230,6 +219,11 @@ def run_sweep(
             for value in sorted({float(v) for v in axis.values} | {reference})
         ]
     _check_labels(runs)
+    if tables is None:
+        tables = resolve_tables(base)  # every run shares the base's table overrides
+    for *_, config in runs:
+        config.validate()
+        check_scale(config, tables)
     return SweepResult(parameter, tuple(_row_from_run(tables, *run) for run in runs))
 
 

@@ -189,6 +189,32 @@ def test_weather_sequence_that_is_not_an_array_is_rejected(tmp_path, capsys, cli
     assert written == []
 
 
+_MIX_FORMS = '{"fixed": code, "historical": [codes]} or {"fixed": code, "historical_file": path}'
+
+
+@pytest.mark.parametrize(
+    "climate, message",
+    [
+        ('{"constant": "VF", "level": "A"}', "cannot parse climate spec"),
+        ('{"constnt": "VF"}', "cannot parse climate spec"),
+        ('{"sequence": ["A", "U"], "cycles": 2}', "cannot parse climate spec"),
+        ('{"sequense": ["A", "U"]}', "cannot parse climate spec"),
+        ('{"sequence_file": "w.txt", "fixed": "A"}', "cannot parse climate spec"),
+        ('{"sequence_fle": "w.txt"}', "cannot parse climate spec"),
+        ('{"mix": {"fixed": "VF", "historical": ["A", "A"], "fixd": "U"}}', _MIX_FORMS),
+        ('{"mix": {"fixed": "VF", "historical": ["A", "A"], "historical_file": "w.txt"}}', _MIX_FORMS),
+        ('{"mix": {"fixed": "VF", "historicl": ["A", "A"]}}', _MIX_FORMS),
+        ('{"mix": {"historical": ["A", "A"]}}', _MIX_FORMS),
+    ],
+)
+def test_climate_object_with_a_key_it_does_not_read_is_rejected(tmp_path, capsys, climate, message):
+    code, err, written = _run_config(
+        tmp_path, capsys, '{"preset": "longterm", "cycles": 2, "climate": %s}' % climate)
+    assert code == 2
+    assert err.count("\n") == 1 and message in err
+    assert written == []
+
+
 NOT_UTF8 = b"\xff"
 
 

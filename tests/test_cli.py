@@ -380,6 +380,27 @@ class TestSweepCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("existing", ["nothing", "a file"])
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--axis", "soy-price", "--values", "200,250"]]
+)
+def test_out_dir_that_is_not_a_directory_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch, command, existing):
+    import luccsim.cli as cli
+
+    monkeypatch.setattr(cli, "run_simulation", None)  # a run would raise TypeError
+    monkeypatch.setattr(cli, "run_sweep", None)
+    out = tmp_path / "out"
+    if existing == "a file":
+        out.write_text("")
+    code = main([*command, "--preset", "longterm", "--climate", "random", "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("i/o error:")
+    assert str(out) in captured.err
+
+
 def test_read_series_csv_normalizes_aliases(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("Year,cover_maize,cover_soy,cover_ws\n1,2,3,4\n")

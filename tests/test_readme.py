@@ -4,6 +4,10 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
+from luccsim.cli import main
+from luccsim.climate import REGIME_NAMES
 from luccsim.config import _PRESETS, _SETTINGS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -41,3 +45,13 @@ def test_presets_are_shown_as_their_settings():
     assert shown == _PRESETS
     for name, settings in shown.items():
         assert list(settings) == list(_PRESETS[name])
+
+
+def test_climate_help_and_key_reference_name_the_regimes_climate_py_parses(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse would wrap the help at a hyphen
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = re.search(r"--climate CLIMATE\s+override the weather regime \((.*?)\)",
+                          capsys.readouterr().out).group(1)
+    row = re.search(r"^\| `climate` \|(.*)$", _section("### Scenario files"), re.MULTILINE).group(1)
+    assert help_text.split(", ") == re.findall(r'`"([\w-]+)"`', row) == list(REGIME_NAMES)

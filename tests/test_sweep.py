@@ -185,6 +185,22 @@ def test_values_printing_alike_are_rejected_before_any_run(tables, monkeypatch):
         run_sweep(_base(cycles=3), axis, tables)
 
 
+@pytest.mark.parametrize("given_tables", [True, False])
+@pytest.mark.parametrize("parameter, values, message", [
+    (SweepParameter.SOYBEAN_PRICE, (141.0, 200.0, 1e200), "the margin of S at tech level L"),
+    (SweepParameter.SOYBEAN_PRICE, (141.0, float("inf")), r"^prices must be finite \(got inf\)$"),
+    (SweepParameter.RENT_USD, (300.0, 1e308), "^the rent from rent_usd_per_ha is 1e"),
+])
+def test_a_run_that_would_be_refused_is_refused_before_any_run(
+        tables, monkeypatch, given_tables, parameter, values, message):
+    import luccsim.sweep as sweep
+
+    monkeypatch.setattr(sweep, "run_simulation", None)  # a run would raise TypeError
+    axis = SweepAxis(parameter, values, allow_outside_range=True)
+    with pytest.raises(ConfigurationError, match=message):
+        run_sweep(_base(cycles=3), axis, tables if given_tables else None)
+
+
 def test_cli_sweep_with_values_printing_alike_exits_2_and_writes_nothing(tmp_path, capsys):
     from luccsim.cli import main
 
