@@ -52,113 +52,98 @@ _COLUMN_ALIASES = {
 }
 
 
+_CYCLES_HEADER = ("cycle", "wgc", "cover_m", "cover_s", "cover_ws", "mean_p", "mean_rl",
+                  "pct_econ_ok", "pct_env_ok", "tl_l", "tl_a", "tl_h")
+
+
 def write_cycles_csv(records: Sequence[CycleRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "cycle",
-                "wgc",
-                "cover_m",
-                "cover_s",
-                "cover_ws",
-                "mean_p",
-                "mean_rl",
-                "pct_econ_ok",
-                "pct_env_ok",
-                "tl_l",
-                "tl_a",
-                "tl_h",
-            ]
-        )
+        writer.writerow(_CYCLES_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    r.cycle,
-                    r.wgc.code,
-                    f"{r.cover_pct[LandUse.MAIZE]:.6f}",
-                    f"{r.cover_pct[LandUse.SOYBEAN]:.6f}",
-                    f"{r.cover_pct[LandUse.WHEAT_SOY]:.6f}",
-                    f"{r.mean_profit_usd_per_ha:.6f}",
-                    f"{r.mean_rl_pct:.6f}",
-                    f"{r.pct_econ_ok:.6f}",
-                    f"{r.pct_env_ok:.6f}",
-                    r.tl_counts[TechLevel.LOW],
-                    r.tl_counts[TechLevel.AVERAGE],
-                    r.tl_counts[TechLevel.HIGH],
-                ]
-            )
+            means = (r.mean_profit_usd_per_ha, r.mean_rl_pct, r.pct_econ_ok, r.pct_env_ok)
+            writer.writerow([r.cycle, r.wgc.code, *(f"{r.cover_pct[lu]:.6f}" for lu in LandUse),
+                             *(f"{v:.6f}" for v in means), *(r.tl_counts[tl] for tl in TechLevel)])
 
 
 _AGENTS_HEADER = ("cycle", "row", "col", "tenure", "alloc_m", "alloc_s", "alloc_ws",
                  "tl", "al", "cal", "profit", "rl", "econ_ok", "env_ok")
 
-# Agents formatted per `%` call: large enough to amortise the call, small
-# enough that the boxed cells and the block's text stay well under 1 MB.
+# Agents per `tobytes`: bounds the transient text of a block well under 1 MB.
 _AGENT_BLOCK = 1024
-# After "cycle,": the agent's "row,col,tenure,alloc_m,alloc_s,alloc_ws"
-# prefix, the tech level code, al, cal, its "profit,rl" pair and
-# "econ_ok,env_ok". '%.6f' and f"{x:.6f}" are the same correctly rounded
-# conversion, so rows match a csv.writer of those strings. The flags are
-# one "%s" of a prebuilt string: a '%s' of a str costs about a third of a
-# '%d' of a bool.
-_AGENT_ROW = "%s,%s,%.6f,%.6f,%s,%s\r\n"
-_PREFIX = "%d,%d,%s,%.6f,%.6f,%.6f"
-_PROFIT_RL = "%.6f,%.6f"
+# uint64 operands throughout, so numpy 1.x's value-based casting never mixes
+# uint64 with a Python int (which it would promote to float64).
+_MILLION, _GROUP = np.uint64(10**6), np.uint64(10**4)
 
 
-def _format_block(form: str, cells: np.ndarray, columns: Sequence) -> str:
-    """`form` once per row of `columns`, at most a block of rows, in one `%`."""
-    block = cells[: len(columns[0])]
-    for j, column in enumerate(columns):
-        block[:, j] = column
-    return form * len(block) % tuple(block.ravel().tolist())
+def _texts(texts: Sequence[bytes], width: int = 0) -> np.ndarray:
+    """`texts` right-aligned with 0 bytes into the rows of a byte matrix at least `width` wide."""
+    width = max([width, *map(len, texts)])
+    return np.frombuffer(b"".join(s.rjust(width, b"\0") for s in texts), "u1").reshape(-1, width)
 
 
-class _Texts:
-    """Each agent's text for a group of columns, kept with the bits of its float columns.
+class _Band:
+    """A float column's ",%.6f" texts as 4-byte words, each at a byte offset of every row.
 
-    `update` compares the bits, not the values (-0.0 and 0.0 print
-    differently), and reformats only the agents whose bits changed; when
-    more than half of them did, it reformats the whole group.
+    A row is ",", a sign byte if any value is negative, the whole part in
+    4-digit groups from `pad` and `blank` (leading zeros blanked), ".dd" and
+    "dddd"; 0 bytes pad, and the next word overwrites a word's stray bytes.
+    Halves below 2**52 are doubles, so y = fl(|x|·1e6) is on the same side of
+    each as |x|·1e6 and rint(y) rounds as '%.6f' does unless y is a half:
+    such a value, |x| >= 2**32 and a non-finite value go to '%.6f' itself.
     """
 
-    def __init__(self, form: str, n: int, fixed: Sequence[np.ndarray], floats: int):
-        self.form = form + "\n"
-        self.fixed = fixed
-        self.text = np.empty(n, dtype=object)
-        self.bits = np.empty((floats, n), np.uint64)
-        self.cells = np.empty((min(n, _AGENT_BLOCK), len(fixed) + floats), dtype=object)
-        self.fresh = False
+    def __init__(self, x: np.ndarray):
+        """Round the column and measure the band; the words are made as `fill` writes them."""
+        exact = np.abs(x) < 2.0**32  # False for NaN
+        y = np.where(exact, np.abs(x), 0.0) * 1e6
+        q = np.rint(y)
+        exact &= np.abs(y - q) < 0.5
+        self.slow = np.flatnonzero(~exact)
+        self.q, self.sign = q.astype(np.uint64), np.signbit(x)
+        self.start = 1 + bool(self.sign.any())  # the first digit's offset
+        self.point = self.start + len(str(self.q.max() // _MILLION))  # the "."'s offset
+        self.texts = [b",%.6f" % v for v in x[self.slow].tolist()]
+        self.width = max([self.point + 7, *map(len, self.texts)])
 
-    def update(self, floats: Sequence[np.ndarray]) -> None:
-        n = len(self.text)
-        changed = np.zeros(n, bool)
-        for kept, column in zip(self.bits, floats):
-            bits = column.view(np.uint64)
-            changed |= kept != bits
-            kept[:] = bits
-        index = np.flatnonzero(changed)
-        if self.fresh and 2 * len(index) <= n:
-            spans = [index[lo : lo + _AGENT_BLOCK] for lo in range(0, len(index), _AGENT_BLOCK)]
-        else:
-            spans = [slice(lo, lo + _AGENT_BLOCK) for lo in range(0, n, _AGENT_BLOCK)]
-        self.fresh = True
-        for at in spans:
-            columns = [column[at] for column in (*self.fixed, *floats)]
-            self.text[at] = _format_block(self.form, self.cells, columns).split("\n")[:-1]
+    def fill(self, m: np.ndarray, at: slice, pad: np.ndarray, blank: np.ndarray) -> None:
+        """Write the band into the columns `at` of `m`, right-aligned."""
+        start, point, lead = self.start, self.point, at.stop - self.point - 7
+        m[:, at.start : lead] = 0
+
+        def put(offset, word):  # each row's little-endian word at that byte, unaligned
+            np.ndarray(len(m), "<u4", m, lead + offset, (m.shape[1],))[:] = word
+
+        put(0, np.where(self.sign, np.uint32(0x2D2C), np.uint32(0x2C)))  # ",-" or ","
+        whole = self.q // _MILLION
+        for k in reversed(range(-(-(point - start) // 4))):
+            at_k, above = point - 4 * (k + 1), whole // np.uint64(10 ** (4 * k))  # digits to k
+            if at_k <= start:  # the first group, its unused leading bytes dropped
+                word = blank.take(above) >> np.uint32(8 * (start - at_k))
+            else:
+                group = above - above // _GROUP * _GROUP
+                word = np.where(above < _GROUP, blank.take(group), pad.take(group))
+            if k:
+                word[above == 0] = 0
+            put(max(at_k, start), word)
+        frac = self.q - whole * _MILLION
+        head = frac // _GROUP  # the first two decimals
+        put(point, (pad.take(head) >> np.uint32(8)) - np.uint32(2))  # "00dd" -> ".dd"
+        put(point + 3, pad.take(frac - head * _GROUP))
+        if len(self.slow):
+            m[self.slow, at] = _texts(self.texts, at.stop - at.start)
 
 
 class AgentsCsv:
     """A `RunObserver` that writes agents.csv to an open text handle as the run goes.
 
-    One row per agent and cycle; booleans are written as 0/1. The bytes
-    are what a csv.writer writes for the rows of an `AgentRows` with every
-    float as f"{x:.6f}" and every flag as int(flag). Each agent's
-    "row,col,tenure,allocation" prefix and "profit,rl" pair are kept as
-    text and reformatted only when their bits change, so a quiet cycle
-    formats little more than al and cal. Memory grows with the agents,
-    not with the cycles: each cycle is formatted as it ends.
+    The bytes are what a csv.writer writes for an `AgentRows` with floats
+    as f"{x:.6f}" and flags as int(flag). The rows are one (agents, bytes)
+    matrix, a band of columns per field, 0 bytes as padding. A float band
+    is refilled only when its column's bits change (-0.0 and 0.0 print
+    differently), so a quiet cycle formats little more than al and cal. A
+    band only widens, and the matrix is laid out again when one does. Memory
+    grows with the agents, not with the cycles.
     """
 
     def __init__(self, handle):
@@ -169,31 +154,55 @@ class AgentsCsv:
         self.begin(row, col, [TENURES[t] for t in landscape.tenant.tolist()])
 
     def begin(self, row, col, tenure) -> None:
-        """Write the header and keep what each agent's prefix is formatted from."""
-        n = len(row)
-        tenure = np.array([t.code for t in tenure], dtype=object)
-        self.prefix = _Texts(_PREFIX, n, (row, col, tenure), 3)
-        self.profit_rl = _Texts(_PROFIT_RL, n, (), 2)
-        # made per writer, not at import: a run without --emit-agents makes no object array
-        self.tl_codes = np.array([tl.code for tl in TechLevel], dtype=object)
-        self.flag_codes = np.array(["0,0", "0,1", "1,0", "1,1"], dtype=object)  # 2*econ + env
-        self.cells = np.empty((min(n, _AGENT_BLOCK), 6), dtype=object)
+        """Write the header and make the prefix bytes and the digit tables."""
+        self.prefix = _texts([b",%d,%d,%s" % (r, c, t.code.encode())
+                              for r, c, t in zip(row, col, tenure)])
+        self.bits = np.empty((7, len(self.prefix)), np.uint64)
+        self.widths = None  # the cycle label's and the seven float bands' widths
+        # made per writer, not at import: a run without --emit-agents builds no table
+        digits = "".join(f"{k:4d}" for k in range(10**4)).encode()  # zero-padded, then blanked
+        self.digits = [np.frombuffer(digits.replace(b" ", fill), "<u4") for fill in (b"0", b"\0")]
+        self.tl_codes = np.frombuffer("".join(tl.code for tl in TechLevel).encode(), np.uint8)
         self.handle.write(",".join(_AGENTS_HEADER) + "\r\n")
 
     def cycle(self, t: int, before, s: Landscape, record: CycleRecord) -> None:
         self.write_cycle(t, AgentCycle(*before, s.cal, s.profit, s.rl, s.econ, s.env))
 
     def write_cycle(self, t: int, cycle: AgentCycle) -> None:
-        """Bring the kept texts up to date, then format the rows a block of agents per `%`."""
-        self.prefix.update(cycle.alloc.T)
-        self.profit_rl.update((cycle.profit, cycle.rl))
-        prefix, profit_rl = self.prefix.text, self.profit_rl.text
-        row = f"{t}," + _AGENT_ROW
-        for lo in range(0, len(prefix), _AGENT_BLOCK):
-            at = slice(lo, lo + _AGENT_BLOCK)
-            self.handle.write(_format_block(row, self.cells, (
-                prefix[at], self.tl_codes[cycle.tl[at]], cycle.al[at], cycle.cal[at],
-                profit_rl[at], self.flag_codes[2 * cycle.econ[at] + cycle.env[at]])))
+        """Refill the bands whose bits changed, then write the rows a block of agents at a time."""
+        floats = (*cycle.alloc.T, cycle.al, cycle.cal, cycle.profit, cycle.rl)
+        label, widths = b"%d" % t, self.widths or [0] * 8
+        held = {}  # the bands made once a wider layout is due, kept until it is made
+        for j, x in enumerate(floats):
+            if not self.widths or not np.array_equal(self.bits[j], x.view(np.uint64)):
+                self.bits[j] = x.view(np.uint64)
+                band = _Band(x)
+                if held or len(label) > widths[0] or band.width > widths[j + 1]:
+                    held[j] = band
+                else:
+                    band.fill(self.m, self.float_spans[j], *self.digits)
+        if held or len(label) > widths[0]:  # bands only widen, each time laying the rows out anew
+            widths = self.widths = np.maximum(widths, [len(label), *(
+                held[j].width if j in held else 0 for j in range(7))]).tolist()
+            sizes = [widths[0], self.prefix.shape[1], *widths[1:4], 2, *widths[4:], 6]
+            ends = np.cumsum(sizes).tolist()
+            self.spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
+            self.float_spans = self.spans[2:5] + self.spans[6:10]
+            self.m = None  # the old matrix goes before the new one is made
+            self.m = np.empty((len(self.prefix), ends[-1]), np.uint8)
+            self.m[:, self.spans[1]] = self.prefix
+            self.m[:, self.spans[5]] = np.frombuffer(b",?", np.uint8)
+            self.m[:, self.spans[10]] = np.frombuffer(b",?,?\r\n", np.uint8)
+            for j, x in enumerate(floats):  # a band at a time, each dropped once written
+                (held.pop(j, None) or _Band(x)).fill(self.m, self.float_spans[j], *self.digits)
+        for i, byte in enumerate(label.rjust(widths[0], b"\0")):  # one strided copy a byte
+            self.m[:, i] = byte
+        self.m[:, self.spans[5].start + 1] = self.tl_codes.take(cycle.tl)
+        self.m[:, self.spans[10].start + 1] = 48 + cycle.econ  # "0" or "1"
+        self.m[:, self.spans[10].start + 3] = 48 + cycle.env
+        for lo in range(0, len(self.m), _AGENT_BLOCK):
+            self.handle.write(self.m[lo : lo + _AGENT_BLOCK].tobytes().translate(None, b"\0")
+                              .decode("ascii"))
 
     def end(self, result: RunResult) -> None:
         pass
@@ -206,7 +215,6 @@ def write_agents_csv(agent_rows: AgentRows, path: str) -> None:
         writer.begin(agent_rows.row, agent_rows.col, agent_rows.tenure)
         for t, cycle in enumerate(agent_rows.cycles):
             writer.write_cycle(t, cycle)
-
 
 def _summary_dict(result: RunResult) -> dict:
     def dist(values):
@@ -235,12 +243,8 @@ def _summary_dict(result: RunResult) -> dict:
         "per_agent_mean_rl": dist(result.mean_rl_per_agent),
         "econ_goal_agreement_pct": dist(result.econ_agreement_pct),
         "env_goal_agreement_pct": dist(result.env_agreement_pct),
-        "final_cover_pct": {
-            lu.code: final.cover_pct[lu] for lu in LandUse
-        },
-        "final_tl_counts": {
-            tl.code: final.tl_counts[tl] for tl in TechLevel
-        },
+        "final_cover_pct": {lu.code: final.cover_pct[lu] for lu in LandUse},
+        "final_tl_counts": {tl.code: final.tl_counts[tl] for tl in TechLevel},
     }
 
 
@@ -312,7 +316,7 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> str:
-    """`--out-dir` without trailing slashes; refused, before any run, unless it is a directory."""
+    """`--out-dir` without trailing slashes; refused first unless it is an existing directory."""
     if not os.path.isdir(args.out_dir):
         raise NotADirectoryError(f"--out-dir {args.out_dir!r} is not an existing directory")
     return args.out_dir.rstrip("/")
@@ -344,6 +348,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     simulated = read_series_csv(args.run_csv)
     observed = read_series_csv(args.observed_csv)
     series = [s.strip() for s in args.series.split(",") if s.strip()]
@@ -368,7 +373,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{name}: rmse={report.rmse:.6f} v={report.v:.6f} "
             f"pm={report.pm:.6f} iof={report.iof:.6f}"
         )
-    out = args.out_dir.rstrip("/")
     with open(f"{out}/fit.json", "w", encoding="utf-8") as handle:
         json.dump(reports, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -448,9 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="luccsim",
         description="Agent-based land-use change simulator",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario")

@@ -401,6 +401,26 @@ def test_out_dir_that_is_not_a_directory_is_refused_before_any_run(
     assert str(out) in captured.err
 
 
+@pytest.mark.parametrize("existing", ["nothing", "a file"])
+def test_validate_refuses_an_out_dir_that_is_not_a_directory_before_reading(
+        tmp_path, capsys, monkeypatch, existing):
+    import luccsim.cli as cli
+
+    series = tmp_path / "series.csv"
+    series.write_text("cover_s\n10\n20\n")
+    monkeypatch.setattr(cli, "read_series_csv", None)  # a read would raise TypeError
+    out = tmp_path / "out"
+    if existing == "a file":
+        out.write_text("")
+    code = main(["validate", str(series), str(series), "--series", "cover_s",
+                 "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("i/o error:")
+    assert str(out) in captured.err
+
+
 def test_read_series_csv_normalizes_aliases(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("Year,cover_maize,cover_soy,cover_ws\n1,2,3,4\n")
