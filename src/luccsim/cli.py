@@ -5,9 +5,9 @@ an optional per-agent trace (agents.csv), and a run summary (summary.json).
 `validate` scores a run's series against an observed series file.
 `sweep` executes a one-at-a-time sensitivity axis and writes sweep.csv.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 metric
-undefined. All numeric CSV output carries exactly six decimals so repeated
-runs are byte-comparable.
+Exit codes: 0 success, 2 configuration error (a run that needs more memory
+than is available included), 3 I/O error, 4 metric undefined. All numeric
+CSV output carries exactly six decimals so repeated runs are byte-comparable.
 """
 
 from __future__ import annotations
@@ -499,6 +499,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"configuration error: luccsim {args.command} needs more memory than is available",
+              file=sys.stderr)
         return 2
     except MetricUndefinedError as exc:
         print(f"metric undefined: {exc}", file=sys.stderr)

@@ -12,8 +12,9 @@ cross-agent reads:
 
 Each rule below is an array function that also accepts scalars: one call
 applies it to every agent, or to a single agent. `run_cycle` is their
-composition over the landscape's arrays, updating them in place; stage 4
-takes its best neighbors from the landscape's padded Moore table.
+composition over the landscape's arrays: stages 1-3 replace the outcome
+arrays, and stage 4 updates the others in place, taking its best neighbors
+from the landscape's padded Moore table.
 """
 
 from __future__ import annotations
@@ -217,20 +218,19 @@ def context_for(
 def run_cycle(
     landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0
 ) -> tuple[Landscape, CycleRecord]:
-    """Advance the landscape by one cycle, updating its arrays in place.
+    """Advance the landscape by one cycle.
 
-    Stages 1-3 overwrite the outcome arrays (profit, rl, cal, econ, env).
-    Returns the landscape and the record of outcomes realized within the
-    cycle, aggregated at the stage-3 barrier, before stage 4 adapts the
-    alloc, tl and al arrays.
+    Stages 1-3 bind new outcome arrays (profit, rl, cal, econ, env) to the
+    landscape, each dropping the last cycle's as it is made. Returns the
+    landscape and the record of outcomes aggregated at the stage-3 barrier,
+    before stage 4 adapts the alloc, tl and al arrays in place.
     """
     s = landscape
     tables = ctx.tables
-    profit = compute_profit(s.alloc, s.tl, s.tenant, ctx)
-    rl = compute_rl(s.alloc, s.tl, ctx)
-    cal = climate_adjusted_aspiration(s.al, ctx.wgc, tables)
-    econ, env = evaluate_goals(profit, cal, rl, ctx.et_pct)
-    s.profit[:], s.rl[:], s.cal[:], s.econ[:], s.env[:] = profit, rl, cal, econ, env
+    s.profit = profit = compute_profit(s.alloc, s.tl, s.tenant, ctx)
+    s.rl = compute_rl(s.alloc, s.tl, ctx)
+    s.cal = cal = climate_adjusted_aspiration(s.al, ctx.wgc, tables)
+    s.econ, s.env = evaluate_goals(profit, cal, s.rl, ctx.et_pct)
     record = aggregate(s, cycle_index, ctx.wgc)
 
     best, best_p = select_best_neighbor(profit, s.moore_table)
@@ -240,7 +240,8 @@ def run_cycle(
     bn_cal, bn_tl = cal.take(best, mode="clip"), s.tl.take(best, mode="clip")
     s.al[:] = update_aspiration(cal, profit, bn_cal, best_p, s.tl, bn_tl, tables)
     s.tl[:] = update_technology(profit, tables)
-    s.alloc[imitate] = s.alloc[best[imitate]]  # the models' pre-cycle allocations
+    imitators = np.flatnonzero(imitate)
+    s.alloc[imitators] = s.alloc.take(best.take(imitators), axis=0)  # models' pre-cycle rows
     return landscape, record
 
 
@@ -269,9 +270,9 @@ class RunObserver(Protocol):
     cycle: `before` is (alloc copy, tl as int8, al copy) as the cycle
     began, the landscape's outcome arrays hold the cycle's outcomes and
     its alloc, tl and al arrays are already adapted for the next cycle,
-    and `record` is the cycle's record. The arrays are the run's own and
-    change in the next cycle; keep copies. `end` comes once, with the
-    finished result.
+    and `record` is the cycle's record. The next cycle replaces the outcome
+    arrays and updates the others in place; keep copies. `end` comes once,
+    with the finished result.
     """
 
     def start(self, landscape: Landscape) -> None: ...

@@ -84,7 +84,8 @@ class Landscape:
     percentages, `tl` (tech level indices), `tenant` and `al` (aspiration),
     given to the constructor (each is copied and may be broadcast), and the
     latest cycle's `profit`, `rl`, `cal`, `econ` and `env`, which start at
-    zero/false. `cells` is a list of read-only live CellViews of the arrays.
+    zero/false and which each `run_cycle` replaces with new arrays. `cells`
+    is a list of read-only live CellViews of the arrays the landscape holds.
     """
 
     def __init__(self, rows: int, cols: int, *, alloc, tl, tenant, al):
@@ -153,8 +154,11 @@ def moore_table(rows: int, cols: int) -> np.ndarray:
             index[max(0, dr):rows - max(0, -dr), max(0, dc):cols - max(0, -dc)]
         )
     table = table.reshape(8, n)
-    order = np.argsort(table == n, axis=0, kind="stable")
-    return np.take_along_axis(table, order, axis=0)
+    # pads sit only in border columns (NW, SE or both): the rest are in order
+    border = np.flatnonzero((table[0] == n) | (table[7] == n))
+    edge = table[:, border]
+    table[:, border] = np.take_along_axis(edge, np.argsort(edge == n, axis=0, kind="stable"), 0)
+    return table
 
 
 def _largest_remainder_counts(shares: dict, members: list, total: int) -> dict:
@@ -176,27 +180,27 @@ def _balance_to_targets(
     One rescale biases the means again once rows are renormalized, so the
     rescale/renormalize pair is iterated to its fixed point (a Sinkhorn-style
     balancing). Rows keep their relative heterogeneity; zero targets zero
-    out the corresponding component. Returns the balanced rows, (n, 3).
+    out the corresponding component. `cols` is rescaled in place; returns
+    the balanced rows, (n, 3).
     """
     n = cols.shape[1]
     for _ in range(500):
-        means = [total / n for total in sequential_sum(cols.T)]
+        means = [sequential_sum(col) / n for col in cols]
         if all(abs(means[k] - target[k]) <= tol for k in range(3)):
             return np.ascontiguousarray(cols.T)
         scale = [
             (target[k] / means[k]) if target[k] > 0.0 and means[k] > 0.0 else 0.0
             for k in range(3)
         ]
-        scaled = cols * np.array(scale)[:, None]
-        total = scaled[0] + scaled[1] + scaled[2]
+        cols *= np.array(scale)[:, None]
+        total = cols[0] + cols[1] + cols[2]
         # a row with mass only in zeroed-out components (needs an exactly-zero
         # draw, so effectively unreachable) restarts at the target
         dead = total <= 0.0
-        if dead.any():
-            cols = np.where(dead, np.array(target)[:, None], scaled / np.where(dead, 1.0, total))
-        else:
-            cols = scaled / total
-    means = [total / n for total in sequential_sum(cols.T)]
+        total[dead] = 1.0
+        cols /= total
+        cols[:, dead] = np.array(target)[:, None]
+    means = [sequential_sum(col) / n for col in cols]
     worst = max(abs(means[k] - target[k]) for k in range(3))
     raise ConfigurationError(
         f"initial cover balancing did not converge (residual {worst:.3e})"
@@ -224,6 +228,7 @@ def initialize(
     rng.shuffle(order)
     tenant = np.ones(n, dtype=bool)
     tenant[order[:owner_count]] = False
+    del order  # whole-grid temporaries go once used: building the Landscape sets the peak
 
     tl_counts = _largest_remainder_counts(
         config.initial_tl_pct, list(TechLevel), n
@@ -231,19 +236,23 @@ def initialize(
     tl_pool = np.repeat(list(TechLevel), [tl_counts[tl] for tl in TechLevel]).tolist()
     rng.shuffle(tl_pool)
     tl = np.array(tl_pool, dtype=np.intp)
+    del tl_pool
 
     # symmetric simplex draws, one (u, v) pair per cell: the gaps of the
     # sorted pair, (lo, hi - lo, 1 - hi)
     u, v = rng.random_array(2 * n).reshape(n, 2).T
-    swap = u > v
-    lo, hi = np.where(swap, v, u), np.where(swap, u, v)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     draws = np.stack((lo, hi - lo, 1.0 - hi))
+    del u, v, lo, hi
     target = [config.initial_cover_pct[lu] / 100.0 for lu in LandUse]
+    alloc = _balance_to_targets(draws, target)
+    del draws
+    alloc *= 100.0
 
     return Landscape(
         rows=config.grid_rows,
         cols=config.grid_cols,
-        alloc=100.0 * _balance_to_targets(draws, target),
+        alloc=alloc,
         tl=tl,
         tenant=tenant,
         al=config.initial_al_factor * tables.wct_usd_per_ha[tl],

@@ -12,10 +12,13 @@ def sequential_sum(values):
 
     Built-in sum() of floats is compensated from Python 3.12 on and numpy's
     sum() is pairwise, so either can differ from a running sum in the last
-    bit. np.cumsum accumulates in order; a leading 0.0 row makes it exactly
-    the running sum from 0.0. Returns a float for a sequence of numbers and
-    a list of per-column floats for a sequence of rows.
+    bit. np.add.accumulate adds in order, from x0 rather than 0.0, into one
+    array the size of the input. The two running sums differ only while all
+    terms so far are -0.0, where the sum from x0 stays -0.0. A running sum
+    from 0.0 is never -0.0, so the final + 0.0 (which changes only -0.0)
+    makes them equal. Returns a float, or for rows a list of per-column floats.
     """
     arr = np.asarray(values, dtype=np.float64)
-    start = np.zeros((1,) + arr.shape[1:])
-    return np.cumsum(np.concatenate((start, arr)), axis=0)[-1].tolist()
+    if not len(arr):
+        return np.zeros(arr.shape[1:]).tolist()
+    return (np.add.accumulate(arr, axis=0)[-1] + 0.0).tolist()

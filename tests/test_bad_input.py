@@ -490,3 +490,43 @@ def test_settings_just_within_the_bound_give_finite_outputs(tmp_path, capsys, ta
 
 def _refuse(token):
     raise ValueError(f"non-finite JSON token {token}")
+
+
+def _never_run(*args, **kwargs):
+    raise AssertionError("a refused configuration reached the run")
+
+
+@pytest.mark.parametrize("rows, cols", [(50000, 50000), (1, 2**31), (46341, 46341)])
+def test_grid_beyond_the_int32_neighbor_table_is_rejected(tmp_path, capsys, monkeypatch, rows, cols):
+    """validate refuses the grid before anything per agent is allocated."""
+    config = replace(preset("longterm"), grid_rows=rows, grid_cols=cols)
+    with pytest.raises(ConfigurationError, match=f"grid {rows} x {cols} "):
+        config.validate()
+    monkeypatch.setattr("luccsim.cli.run_simulation", _never_run)
+    code, err, written = _run_config(
+        tmp_path, capsys, '{"preset": "longterm", "grid_rows": %d, "grid_cols": %d}' % (rows, cols))
+    assert code == 2
+    assert err.count("\n") == 1 and f"grid {rows} x {cols} " in err and "int32" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 2**31 - 1), (46340, 46341)])
+def test_grid_that_just_fits_the_int32_neighbor_table_validates(rows, cols):
+    replace(preset("longterm"), grid_rows=rows, grid_cols=cols).validate()  # validate only: never run
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("command, target", [
+    (["run"], "luccsim.cli.run_simulation"),
+    (["sweep", "--axis", "soy-price", "--values", "200"], "luccsim.cli.run_sweep"),
+])
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, target):
+    monkeypatch.setattr(target, _out_of_memory)
+    code = main([*command, "--preset", "longterm", "--cycles", "2", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: luccsim {command[0]} needs more memory than is available\n"
+    assert list(tmp_path.iterdir()) == []

@@ -1,10 +1,12 @@
 """run_cycle against the rule functions, applied to arrays and to single agents."""
 
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -196,3 +198,47 @@ def test_sequential_sum_is_the_running_sum_from_zero():
     assert sequential_sum(values) == running == 3.5  # fsum would give 4.5
     assert sequential_sum([[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]]) == [0.0, 6.0]
     assert sequential_sum([]) == 0.0
+
+
+def _running_sum(values):
+    s = 0.0
+    for x in values:
+        s += x
+    return s
+
+
+def _same_float(a, b):
+    """Equal bits, with any NaN equal to any NaN."""
+    return math.isnan(a) and math.isnan(b) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072009e-308, -2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.one_of(
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 12)), elements=_EDGE_FLOATS),
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)), elements=_EDGE_FLOATS),
+))
+def test_sequential_sum_has_the_bits_of_the_running_sum_from_zero(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sequential_sum(values)
+    if values.ndim == 1:
+        assert _same_float(total, _running_sum(values.tolist()))
+    else:
+        assert len(total) == 3
+        for got, column in zip(total, values.T.tolist()):
+            assert _same_float(got, _running_sum(column))
+
+
+def test_sequential_sum_of_negative_zeros_is_positive_zero():
+    assert _same_float(sequential_sum([-0.0, -0.0]), 0.0)
+    assert _same_float(sequential_sum([-0.0]), 0.0)
+    columns = sequential_sum([[-0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]])
+    assert [math.copysign(1.0, c) for c in columns] == [1.0, 1.0, 1.0]
+    assert columns == [0.0, 0.0, 0.0]
+    assert sequential_sum(np.zeros((0, 3))) == [0.0, 0.0, 0.0]
