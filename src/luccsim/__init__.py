@@ -11,6 +11,7 @@ sweep harness, all behind a deterministic seeded core and a CLI.
 from .climate import ClimateRegime, RegimeKind, load_wgc_sequence, wgc_for_cycle
 from .config import ScenarioConfig, parse_config, preset, resolve_tables, with_settings
 from .engine import (
+    CheckedRun,
     CycleContext,
     RunObserver,
     RunResult,
@@ -20,6 +21,7 @@ from .engine import (
     context_for,
     decide_land_use,
     evaluate_goals,
+    plan,
     run_cycle,
     run_simulation,
     select_best_neighbor,

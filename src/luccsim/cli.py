@@ -29,8 +29,7 @@ from . import __version__
 from .climate import REGIME_NAMES
 from .config import (PRESET_NAMES, ScenarioConfig, parse_config, preset, resolve_tables,
                      with_settings)
-from .engine import (AgentCycle, AgentRows, RunResult, check_scale, check_workers,
-                     run_simulation)
+from .engine import AgentCycle, AgentRows, RunResult, plan, run_simulation
 from .errors import ConfigurationError, MetricUndefinedError, read_text
 from .landscape import TENURES, CycleRecord, Landscape
 from .metrics import distribution_summary, fit_report
@@ -322,19 +321,22 @@ def _out_dir(args: argparse.Namespace) -> str:
     return args.out_dir.rstrip("/")
 
 
+def _check_workers(workers: int) -> None:
+    """Refuse a `--workers` width below 1; the flag has no other effect."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1 (got {workers})")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    config = _build_config(args)
-    config.validate()
-    tables = resolve_tables(config)
-    check_scale(config, tables)  # both before agents.csv is opened
-    check_workers(args.workers)
+    run = plan(_build_config(args))  # before agents.csv is opened
+    _check_workers(args.workers)
     observers = []
     with contextlib.ExitStack() as stack:
         if args.emit_agents:
             observers.append(AgentsCsv(stack.enter_context(
                 open(f"{out}/agents.csv", "w", newline="", encoding="utf-8"))))
-        result = run_simulation(config, tables, workers=args.workers, observers=observers)
+        result = run_simulation(run, observers=observers)
     write_cycles_csv(result.records, f"{out}/cycles.csv")
     print(f"wrote {out}/cycles.csv ({len(result.records)} cycles)")
     if args.emit_agents:
@@ -412,7 +414,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     axis = SweepAxis(
         parameter, values, allow_outside_range=args.allow_outside_range
     )
-    check_workers(args.workers)
+    _check_workers(args.workers)
     result = run_sweep(config, axis, tables)
     print(f"base climate: {config.climate.describe()}")
     write_sweep_csv(result, f"{out}/sweep.csv")

@@ -48,6 +48,8 @@ __all__ = [
     "decide_land_use",
     "context_for",
     "run_cycle",
+    "CheckedRun",
+    "plan",
     "run_simulation",
     "RunObserver",
     "RunResult",
@@ -84,7 +86,7 @@ class CycleContext:
 
         Combined mode prices the double crop's total yield at its single
         listed price; split mode prices user-supplied wheat and second-crop
-        soybean component yields separately.
+        soybean component yields separately. Read-only: runs may share a context.
         """
         w = self.wgc
         prices = np.array([self.prices[lu] for lu in LandUse])
@@ -95,7 +97,9 @@ class CycleContext:
                 + self.split_soy2_yield[tl, w] * prices[LandUse.SOYBEAN]
                 for tl in TechLevel
             ]
-        return income - self.tables.cost_usd_per_ha[:, :, w].T
+        margins = income - self.tables.cost_usd_per_ha[:, :, w].T
+        margins.setflags(write=False)
+        return margins
 
     @cached_property
     def renewabilities(self) -> np.ndarray:
@@ -201,7 +205,7 @@ def update_technology(p, tables: ParameterTables):
 def context_for(
     config: ScenarioConfig, tables: ParameterTables, wgc: Wgc
 ) -> CycleContext:
-    """Build one cycle's context from a scenario configuration."""
+    """Build one cycle's context from a validated scenario configuration."""
     return CycleContext(
         wgc=wgc,
         prices=config.prices,
@@ -347,13 +351,16 @@ class RunResult:
         return profit / len(records), rl / len(records)
 
 
-def check_workers(workers: int) -> None:
-    """Refuse a parallelism width below 1."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be at least 1 (got {workers})")
+@dataclass(frozen=True)
+class CheckedRun:
+    """A config checked by `plan`, its tables and its `CycleContext`s indexed by `Wgc`."""
+
+    config: ScenarioConfig
+    tables: ParameterTables
+    contexts: tuple[CycleContext, ...]
 
 
-def check_scale(config: ScenarioConfig, tables: ParameterTables) -> None:
+def check_scale(run: CheckedRun) -> None:
     """Refuse margins, rent or initial aspirations too large for a run's outputs.
 
     Each is refused when its magnitude is not finite or exceeds
@@ -363,6 +370,7 @@ def check_scale(config: ScenarioConfig, tables: ParameterTables) -> None:
     spread in summary.json) stays finite, and so do the sums over the
     agents or the cycles.
     """
+    config = run.config
     count = max(config.n_agents, config.cycles)
     limit = math.sqrt(sys.float_info.max / (16.0 * count))
 
@@ -378,45 +386,49 @@ def check_scale(config: ScenarioConfig, tables: ParameterTables) -> None:
                 f"+/-{limit:.3g}")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for wgc in Wgc:
-            check(context_for(config, tables, wgc).margins, lambda tl, lu: (
+        for ctx in run.contexts:
+            check(ctx.margins, lambda tl, lu: (
                 f"the margin of {LandUse(lu).code} at tech level {TechLevel(tl).code}, "
-                f"weather {wgc.code} (from the prices and the yield and cost tables)"))
+                f"weather {ctx.wgc.code} (from the prices and the yield and cost tables)"))
         check(config.rent_usd(), lambda: "the rent from " + (
             "rent_usd_per_ha" if config.rent_usd_per_ha is not None
             else "rent_soy_tons x the soybean price"))
-        check(config.initial_al_factor * tables.wct_usd_per_ha,
+        check(config.initial_al_factor * run.tables.wct_usd_per_ha,
               lambda tl: f"initial_al_factor x wct at tech level {TechLevel(tl).code}")
 
 
+def plan(config: ScenarioConfig, tables: Optional[ParameterTables] = None) -> CheckedRun:
+    """`config.validate()`, `resolve_tables(config)` unless `tables` is given, `check_scale`."""
+    config.validate()
+    if tables is None:
+        tables = resolve_tables(config)
+    run = CheckedRun(config, tables, tuple(context_for(config, tables, wgc) for wgc in Wgc))
+    check_scale(run)
+    return run
+
+
 def run_simulation(
-    config: ScenarioConfig,
+    run: CheckedRun | ScenarioConfig,
     tables: Optional[ParameterTables] = None,
     *,
-    workers: int = 1,
     observers: Iterable[RunObserver] = (),
     collect_agents: bool = False,
 ) -> RunResult:
     """Initialize from the seed and advance the configured number of cycles.
 
-    The seeded stream is consumed by initialization first and then, for the
-    random weather regime only, by one draw per cycle, so identical
-    configurations replay identically. `workers` must be at least 1; a run
-    is one array pass per cycle, so the width does not change a run. A
-    configuration whose margins, rent or initial aspirations are too large
-    for the run's sums raises ConfigurationError (see `check_scale`).
+    `run` is a `CheckedRun`, or a configuration that `plan(run, tables)`
+    checks first; `tables` is read only then. The seeded stream is consumed
+    by initialization first and then, for the random weather regime only,
+    by one draw per cycle, so identical configurations replay identically.
     Each of `observers` is told of the run as it goes (see `RunObserver`);
     the pre-cycle copies are made only when there is one.
     `collect_agents=True` adds an `AgentRows`, returned as
     `result.agent_rows`.
     """
-    config.validate()
-    check_workers(workers)
-    if tables is None:
-        tables = resolve_tables(config)
-    check_scale(config, tables)
+    run = run if isinstance(run, CheckedRun) else plan(run, tables)
+    config = run.config
     rng = SplitMix64(config.seed)
-    scape = initialize(config, tables, rng)
+    scape = initialize(config, run.tables, rng)
 
     observers = list(observers)
     agent_rows = AgentRows() if collect_agents else None
@@ -428,13 +440,8 @@ def run_simulation(
     records: list[CycleRecord] = []
     totals = np.zeros((4, scape.n_agents))  # per-agent sums of profit, rl, econ, env
 
-    # one context per weather condition, so each computes its margins once
-    contexts: dict[Wgc, CycleContext] = {}
     for t in range(config.cycles):
-        wgc = wgc_for_cycle(config.climate, t, rng)
-        if wgc not in contexts:
-            contexts[wgc] = context_for(config, tables, wgc)
-        ctx = contexts[wgc]
+        ctx = run.contexts[wgc_for_cycle(config.climate, t, rng)]
         if observers:
             before = (scape.alloc.copy(), scape.tl.astype(np.int8), scape.al.copy())
         _, record = run_cycle(scape, ctx, cycle_index=t)

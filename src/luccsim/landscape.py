@@ -218,9 +218,9 @@ def initialize(
     simplex; the draws are then rescaled per land use so the landscape mean
     matches the configured cover shares, and renormalized per agent to sum
     to 100. Initial aspiration is `initial_al_factor` times the
-    working-capital threshold of the agent's tech level.
+    working-capital threshold of the agent's tech level. `config` must
+    already be validated (see `plan`); it is not checked here.
     """
-    config.validate()
     n = config.n_agents
 
     owner_count = int(config.owner_share_pct * n / 100.0 + 0.5)

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .climate import ClimateRegime
 from .config import ScenarioConfig, resolve_tables
-from .engine import check_scale, run_simulation
+from .engine import CheckedRun, plan, run_simulation
 from .errors import ConfigurationError
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
@@ -176,14 +176,8 @@ def _reference_value(
     return setting if land_use is None else setting[land_use]
 
 
-def _row_from_run(
-    tables: Optional[ParameterTables],
-    label: str,
-    value,
-    is_reference: bool,
-    config: ScenarioConfig,
-) -> SweepRow:
-    result = run_simulation(config, tables)
+def _row_from_run(label: str, value, is_reference: bool, run: CheckedRun) -> SweepRow:
+    result = run_simulation(run)
     mean_profit, mean_rl = result.whole_run_means()
     final = result.records[-1]
     return SweepRow(label, value, is_reference, mean_profit, mean_rl,
@@ -201,8 +195,8 @@ def run_sweep(
     value's row inserted when not among the requested values. The
     weather-mix axis returns the unmixed base run first (the reference),
     then one row per mixed-in level in level order. Two values whose
-    six-decimal labels match, and a run that `validate` or `check_scale`
-    refuses, are refused before any run.
+    six-decimal labels match, and a run that `plan` refuses, are refused
+    before any run.
     """
     base.validate()
     parameter = axis.parameter
@@ -221,10 +215,8 @@ def run_sweep(
     _check_labels(runs)
     if tables is None:
         tables = resolve_tables(base)  # every run shares the base's table overrides
-    for *_, config in runs:
-        config.validate()
-        check_scale(config, tables)
-    return SweepResult(parameter, tuple(_row_from_run(tables, *run) for run in runs))
+    checked = [(*row, plan(config, tables)) for *row, config in runs]
+    return SweepResult(parameter, tuple(_row_from_run(*run) for run in checked))
 
 
 def _check_labels(runs: list) -> None:

@@ -329,7 +329,7 @@ def test_criterion_9_performance(tables):
         config = preset("longterm", seed=31)
         assert config.n_agents == 625 and config.cycles == 50
         start = time.perf_counter()
-        run_simulation(config, tables, workers=1)
+        run_simulation(config, tables)
         elapsed = time.perf_counter() - start
         print(f"\n625x50 run took {elapsed*1000:.0f} ms")
         assert elapsed < 1.0

@@ -84,11 +84,24 @@ def test_workers_below_one_is_rejected(tmp_path, capsys, command, width):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("width", [0, -3])
-def test_library_rejects_workers_below_one(tables, width):
-    config = replace(preset("longterm"), cycles=2)
-    with pytest.raises(ConfigurationError, match="workers"):
-        run_simulation(config, tables, workers=width)
+# Inputs with two faults: the first check in the command's order names its fault.
+@pytest.mark.parametrize("command, message", [
+    (["run", "--config", "{scenario}", "--workers", "0"], "margin of M"),
+    (["sweep", "--preset", "longterm", "--owner-share", "150", "--axis", "nope", "--values", "1"],
+     "owner_share_pct must be within [0, 100]"),
+    (["sweep", "--preset", "longterm", "--axis", "soy-price", "--allow-outside-range",
+      "--values", "200.0000001,200.0000002,1e308"], "both print as 200.000000"),
+])
+def test_the_first_of_two_faults_is_reported(tmp_path, capsys, command, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"preset": "longterm", "cycles": 2, "prices": {"M": 1e308, "S": 277, "WS": 153}}')
+    out = tmp_path / "out"
+    out.mkdir()
+    args = [arg.format(scenario=scenario) for arg in command]
+    assert main([*args, "--cycles", "2", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert list(out.iterdir()) == []
 
 
 def test_library_rejects_nan_setting(tables):

@@ -380,6 +380,47 @@ class TestSweepCommand:
         assert code == 2
 
 
+def _count_checks(monkeypatch):
+    """Count the calls of `validate`, `check_scale` and `resolve_tables`, wherever luccsim binds them."""
+    from luccsim import cli, config, engine, sweep
+
+    counts = dict.fromkeys(("validate", "check_scale", "resolve_tables"), 0)
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(config.ScenarioConfig, "validate",
+                        counting("validate", config.ScenarioConfig.validate))
+    for name in ("check_scale", "resolve_tables"):
+        original = getattr(engine, name)
+        for module in (config, engine, sweep, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    return counts
+
+
+@pytest.mark.parametrize("options", [[], ["--emit-agents", "--workers", "3"]])
+def test_run_checks_its_config_once(tmp_path, monkeypatch, options):
+    counts = _count_checks(monkeypatch)
+    assert main(["run", "--preset", "longterm", "--cycles", "3", *options,
+                 "--out-dir", str(tmp_path)]) == 0
+    assert counts == {"validate": 1, "check_scale": 1, "resolve_tables": 1}
+
+
+@pytest.mark.parametrize("axis, values", [("soy-price", "200,250,300"), ("wgc-mix", "VU,F")])
+def test_sweep_checks_each_run_once(tmp_path, monkeypatch, axis, values):
+    counts = _count_checks(monkeypatch)
+    assert main(["sweep", "--preset", "longterm", "--cycles", "3", "--axis", axis,
+                 "--values", values, "--out-dir", str(tmp_path)]) == 0
+    runs = len((tmp_path / "sweep.csv").read_text().splitlines()) - 1
+    assert runs == len(values.split(",")) + 1  # the reference row included
+    assert counts["validate"] <= runs + 2  # the base, in the CLI and in run_sweep, then each run
+    assert counts["check_scale"] == runs and counts["resolve_tables"] == 1
+
+
 @pytest.mark.parametrize("existing", ["nothing", "a file"])
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--axis", "soy-price", "--values", "200,250"]]

@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from luccsim import (
+    CheckedRun,
     ClimateRegime,
     CycleContext,
     LandUse,
@@ -20,6 +21,7 @@ from luccsim import (
     decide_land_use,
     evaluate_goals,
     initialize,
+    plan,
     preset,
     run_cycle,
     run_simulation,
@@ -27,6 +29,7 @@ from luccsim import (
     update_aspiration,
     update_technology,
 )
+from luccsim.cli import _summary_dict
 
 from conftest import uniform_config
 
@@ -261,13 +264,6 @@ class TestRunCycle:
         for cell in result.landscape.cells:
             assert sum(cell.allocation) == pytest.approx(100.0, abs=1e-9)
 
-    def test_worker_counts_are_bit_identical(self, tables):
-        config = replace(preset("longterm", seed=2), cycles=8)
-        base = run_simulation(config, tables)
-        for workers in (2, 5, 8):
-            other = run_simulation(config, tables, workers=workers)
-            assert _fingerprint(base) == _fingerprint(other)
-
     def test_record_reports_pre_adaptation_state(self, tables):
         # TL counts in the record must reflect the levels used during the
         # cycle, not the post-adaptation levels.
@@ -286,25 +282,23 @@ class TestRunCycle:
             assert 21.8 - 1e-9 <= record.mean_rl_pct <= 57.6 + 1e-9
 
 
-def _fingerprint(result):
-    cells = [
-        (c.allocation, c.tl, c.al_usd_per_ha, c.last_profit_usd_per_ha)
-        for c in result.landscape.cells
-    ]
-    records = [
-        (
-            r.cycle,
-            r.wgc,
-            tuple(r.cover_pct[lu] for lu in LandUse),
-            r.mean_profit_usd_per_ha,
-            r.mean_rl_pct,
-            r.pct_econ_ok,
-            r.pct_env_ok,
-            tuple(r.tl_counts[tl] for tl in TechLevel),
-        )
-        for r in result.records
-    ]
-    return cells, records
+class TestCheckedRun:
+    def test_margins_are_read_only(self, tables):
+        ctx = context_for(preset("longterm"), tables, Wgc.AVERAGE)
+        with pytest.raises(ValueError, match="read-only"):
+            ctx.margins[TechLevel.LOW, LandUse.MAIZE] = 0.0
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 7)])
+    def test_one_checked_run_replays_as_a_fresh_run(self, tables, rows, cols):
+        config = replace(preset("longterm", seed=4), grid_rows=rows, grid_cols=cols, cycles=12,
+                         climate=ClimateRegime.random_uniform(), owner_share_pct=50.0)
+        run = plan(config, tables)
+        assert isinstance(run, CheckedRun) and [ctx.wgc for ctx in run.contexts] == list(Wgc)
+        fresh = run_simulation(config)
+        for result in (run_simulation(run), run_simulation(run)):
+            assert result.records == fresh.records
+            assert _summary_dict(result) == _summary_dict(fresh)
+        assert all(not ctx.margins.flags.writeable for ctx in run.contexts)
 
 
 class TestSplitPricing:

@@ -25,6 +25,7 @@ def _library_use_blocks():
 def test_library_use_examples_run(capsys):
     blocks = _library_use_blocks()
     assert len(blocks) >= 2 and "run_simulation(config)" in blocks[0]
+    assert any("plan(" in block and "CheckedRun" in block for block in blocks)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     # the landscape example's comment states what it prints
