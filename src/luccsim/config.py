@@ -91,9 +91,9 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be finite (got {value!r})")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ConfigurationError("grid dimensions must be positive")
-        if self.n_agents > 2**31 - 1:  # the int32 Moore table holds indices 0..n, n the pad
+        if self.n_agents > 2**31 - 1:  # agent indices are np.intp, int32 on 32-bit builds
             raise ConfigurationError(f"grid {self.grid_rows} x {self.grid_cols} has more agents "
-                                     f"than the neighbor table's int32 indices allow ({2**31 - 1})")
+                                     f"than int32 agent indices allow ({2**31 - 1})")
         if self.cycles < 1:
             raise ConfigurationError("cycles must be at least 1")
         if not 0 <= self.seed < 2**64:

@@ -14,7 +14,7 @@ Each rule below is an array function that also accepts scalars: one call
 applies it to every agent, or to a single agent. `run_cycle` is their
 composition over the landscape's arrays: stages 1-3 replace the outcome
 arrays, and stage 4 updates the others in place, taking its best neighbors
-from the landscape's padded Moore table.
+from shifted views of the landscape's profits on a -inf border.
 """
 
 from __future__ import annotations
@@ -143,24 +143,28 @@ def evaluate_goals(
     return (p >= cal, rl >= et)
 
 
-def select_best_neighbor(profit, table):
-    """Each agent's most profitable neighbor, as (index, profit) arrays.
+# _LOWEST_SET_BIT[b] is the index of b's lowest set bit (0 for b = 0)
+_LOWEST_SET_BIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], np.uint8)
 
-    Column j of the (k, m) index `table` lists agent j's neighbors as
-    indices into `profit`, in scan order, padded with n = len(profit). Ties
-    go to the earliest scan position. An agent with no neighbor gets the pad
-    index n and -inf: the pad's -inf never wins a strict >, and a NaN profit
-    neither wins nor is beaten.
+
+def select_best_neighbor(neighbor_profits):
+    """Each agent's most profitable neighbor, as (position, profit) arrays.
+
+    `neighbor_profits` is a sequence of up to eight same-shaped arrays in
+    scan order: the k-th gives each agent's profit at neighbor position k,
+    or -inf where it has no neighbor there. Ties go to the earliest
+    position, a NaN never wins, and the profit is the best one's, with a
+    -0.0 returned as 0.0. An agent with no neighbor gets position 0 and -inf.
     """
-    padded = np.append(profit, -np.inf)
-    best = table[0]
-    best_p = padded.take(best)
-    for row in table[1:]:
-        p = padded.take(row)
-        better = p > best_p
-        best = np.where(better, row, best)
-        best_p = np.where(better, p, best_p)
-    return best, best_p
+    best = np.asarray(np.fmax(neighbor_profits[0], neighbor_profits[-1]))
+    for p in neighbor_profits[1:-1]:
+        np.fmax(best, p, out=best)
+    flags = np.zeros(best.shape, np.uint8)  # bit k: position k earns the best
+    for p in reversed(neighbor_profits):
+        flags <<= 1
+        flags |= p == best
+    best += 0.0  # fmax may return either zero for a tie of -0.0 and 0.0
+    return _LOWEST_SET_BIT.take(flags), best
 
 
 def decide_land_use(p, cal, bn_profit):
@@ -185,12 +189,17 @@ def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTab
     (1-w)*cal + w*p but cannot round past p. The direct form can overshoot
     by an ulp once the aspiration has converged onto the profit, flipping
     satisfied agents to unsatisfied and destabilizing an otherwise
-    quiescent landscape.
+    quiescent landscape. Array steps run in place, so that a cycle holds
+    fewer whole-grid temporaries at once.
     """
-    own_w = np.where(p >= cal, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
-    next_al = cal + own_w * (p - cal)
+    next_al = p - cal
+    next_al *= np.where(p >= cal, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
+    next_al += cal
     factor = 1.0 + tables.alpha_bn
-    copied = bn_cal * factor.take(factor.shape[1] * tl + bn_tl)  # factor[tl, bn_tl]
+    copied = tl * factor.shape[1]
+    copied += bn_tl
+    copied = factor.take(copied)  # factor[tl, bn_tl]
+    copied *= bn_cal
     next_al = np.where(decide_land_use(p, cal, bn_profit), copied, next_al)
     return np.where(next_al > 0.0, next_al, 0.0)
 
@@ -237,10 +246,12 @@ def run_cycle(
     s.econ, s.env = evaluate_goals(profit, cal, s.rl, ctx.et_pct)
     record = aggregate(s, cycle_index, ctx.wgc)
 
-    best, best_p = select_best_neighbor(profit, s.moore_table)
+    s.profit_grid[...] = profit.reshape(s.rows, s.cols)
+    position, best_p = (a.reshape(-1) for a in select_best_neighbor(s.neighbor_profits))
+    best = np.arange(s.n_agents)
+    best += s.neighbor_steps.take(position)  # each agent's best neighbor, as an index
     imitate = decide_land_use(profit, cal, best_p)
-    # "clip" reads agent n-1 at the pad index n; that value is never used,
-    # as the pad's -inf profit never out-earns a CAL
+    # "clip": a lone agent (1x1) reads itself, unused as its -inf never out-earns a CAL
     bn_cal, bn_tl = cal.take(best, mode="clip"), s.tl.take(best, mode="clip")
     s.al[:] = update_aspiration(cal, profit, bn_cal, best_p, s.tl, bn_tl, tables)
     s.tl[:] = update_technology(profit, tables)

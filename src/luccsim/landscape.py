@@ -29,7 +29,6 @@ __all__ = [
     "Landscape",
     "CycleRecord",
     "moore_neighbors",
-    "moore_table",
     "initialize",
     "aggregate",
 ]
@@ -86,9 +85,23 @@ class Landscape:
     latest cycle's `profit`, `rl`, `cal`, `econ` and `env`, which start at
     zero/false and which each `run_cycle` replaces with new arrays. `cells`
     is a list of read-only live CellViews of the arrays the landscape holds.
+
+    `profit_grid` is the (rows, cols) interior of a grid of profits with a
+    -inf border, which `run_cycle` fills from `profit`. `neighbor_profits`
+    holds its eight shifted (rows, cols) views in `MOORE_OFFSETS` order:
+    view k gives each agent's profit at offset k, -inf where that is off
+    the grid. `neighbor_steps[k]` is offset k as a step in cell order.
     """
 
     def __init__(self, rows: int, cols: int, *, alloc, tl, tenant, al):
+        # made first, below the agents' arrays in the heap: made last, at 250x250
+        # it let malloc hand a cycle's freed arrays back and fault them in again
+        padded = np.full((rows + 2, cols + 2), -np.inf)
+        self.profit_grid = padded[1:-1, 1:-1]
+        self.profit_grid[...] = 0.0
+        self.neighbor_profits = tuple(
+            padded[1 + dr:rows + 1 + dr, 1 + dc:cols + 1 + dc] for dr, dc in MOORE_OFFSETS)
+        self.neighbor_steps = np.array([dr * cols + dc for dr, dc in MOORE_OFFSETS])
         self.n_agents = n = rows * cols
         self.rows, self.cols = rows, cols
         self.alloc = np.array(np.broadcast_to(alloc, (n, 3)), np.float64)
@@ -97,7 +110,6 @@ class Landscape:
         self.al = np.array(np.broadcast_to(al, n), np.float64)
         self.profit, self.rl, self.cal = np.zeros(n), np.zeros(n), np.zeros(n)
         self.econ, self.env = np.zeros(n, bool), np.zeros(n, bool)
-        self.moore_table = moore_table(rows, cols)
         self._cells: Optional[list[CellView]] = None
 
     @property
@@ -136,29 +148,6 @@ def moore_neighbors(
         if 0 <= r < rows and 0 <= c < cols:
             out.append((r, c))
     return out
-
-
-def moore_table(rows: int, cols: int) -> np.ndarray:
-    """Padded (8, n) int32 table of every cell's Moore neighbors.
-
-    Column i lists the row-major indices of cell i's existing neighbors in
-    scan order, the same as `moore_neighbors`, followed by the pad index n
-    in the rows left over, so row 0 is always the first existing neighbor.
-    """
-    n = rows * cols
-    index = np.arange(n, dtype=np.int32).reshape(rows, cols)
-    table = np.full((8, rows, cols), n, dtype=np.int32)
-    for k, (dr, dc) in enumerate(MOORE_OFFSETS):
-        # cell (r, c) sees (r + dr, c + dc) wherever that is on the grid
-        table[k, max(0, -dr):rows - max(0, dr), max(0, -dc):cols - max(0, dc)] = (
-            index[max(0, dr):rows - max(0, -dr), max(0, dc):cols - max(0, -dc)]
-        )
-    table = table.reshape(8, n)
-    # pads sit only in border columns (NW, SE or both): the rest are in order
-    border = np.flatnonzero((table[0] == n) | (table[7] == n))
-    edge = table[:, border]
-    table[:, border] = np.take_along_axis(edge, np.argsort(edge == n, axis=0, kind="stable"), 0)
-    return table
 
 
 def _largest_remainder_counts(shares: dict, members: list, total: int) -> dict:

@@ -125,12 +125,20 @@ class TestEvaluateGoals:
         assert evaluate_goals(-10.0, 0.0, 60.0, 50.0) == (False, True)
 
 
+def _scan(profits):
+    """The first strictly greatest of `profits`, scanned in order: (position, profit)."""
+    best = 0
+    for k, p in enumerate(profits):
+        if p > profits[best]:
+            best = k
+    return best, profits[best]
+
+
 class TestSelectBestNeighbor:
     def _best(self, profits):
         """The best of one agent whose neighbors, in scan order, earn `profits`."""
-        table = np.arange(max(len(profits), 1)).reshape(-1, 1)  # [[0]] pads when empty
-        (best,), (best_p,) = select_best_neighbor(np.array(profits, dtype=float), table)
-        return best, best_p
+        best, best_p = select_best_neighbor([np.array([p], dtype=float) for p in profits])
+        return best.item(), best_p.item()
 
     def test_tie_breaks_to_earliest(self):
         assert self._best([5.0, 9.0, 9.0, 2.0]) == (1, 9.0)
@@ -142,7 +150,28 @@ class TestSelectBestNeighbor:
         assert self._best([-3.0, -1.0]) == (1, -1.0)
 
     def test_empty_gives_the_pad_index(self):
-        assert self._best([]) == (0, -np.inf)
+        # no neighbor: a -inf pad at every position, and the first is chosen
+        assert self._best([-np.inf] * 8) == (0, -np.inf)
+        assert self._best([-np.inf]) == (0, -np.inf)
+
+    def test_nan_never_wins(self):
+        assert self._best([np.nan, 3.0, np.nan]) == (1, 3.0)
+
+    # any agents' neighbors, in scan order: finite profits, -inf pads, zeros of
+    # either sign, repeated values for ties, and agents with no neighbor at all
+    @given(st.integers(min_value=1, max_value=8).flatmap(lambda k: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-np.inf, 0.0, -0.0, 1.5, -1.5]), min_size=k, max_size=k)
+        | st.just([-np.inf] * k),
+        min_size=1, max_size=80)))
+    def test_agrees_with_a_strict_scan(self, columns):
+        views = [np.array(row) for row in zip(*columns)]
+        best, best_p = select_best_neighbor(views)
+        assert best.dtype == np.uint8
+        for j, column in enumerate(columns):
+            position, profit = _scan(column)
+            assert best[j] == position
+            assert best_p[j].tobytes() == np.float64(profit + 0.0).tobytes()  # -0.0 as 0.0
 
     # power-of-two factors scale exactly, so no two distinct profits can
     # collapse into a tie and perturb the argmax; a factor below 1 is exact
@@ -415,9 +444,7 @@ def test_run_cycle_is_the_composition_of_the_public_ops(tables):
         assert (cell.econ_ok, cell.env_ok) == (econ, env)
 
         neighbors = [r * 4 + c for r, c in moore_neighbors((i // 4, i % 4), (4, 4))]
-        (k,), (bn_profit,) = select_best_neighbor(
-            np.array([profits[j] for j in neighbors]), np.arange(len(neighbors))[:, None]
-        )
+        k, bn_profit = select_best_neighbor([profits[j] for j in neighbors])
         bn = neighbors[k]
         imitate = decide_land_use(profits[i], cals[i], bn_profit)
         expected_alloc = allocs[bn] if imitate else allocs[i]

@@ -1,5 +1,6 @@
 """run_cycle against the rule functions, applied to arrays and to single agents."""
 
+import itertools
 import math
 import struct
 from dataclasses import replace
@@ -29,20 +30,23 @@ from luccsim import (
     update_aspiration,
     update_technology,
 )
-from luccsim.landscape import moore_table
 from luccsim.numeric import sequential_sum
 
 from conftest import uniform_config
 
 
-@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9))
-def test_moore_table_lists_neighbors_in_scan_order_then_pads(rows, cols):
-    n = rows * cols
-    table = moore_table(rows, cols)
-    assert table.shape == (8, n) and table.dtype == np.int32
-    for i in range(n):
-        expected = [r * cols + c for r, c in moore_neighbors((i // cols, i % cols), (rows, cols))]
-        assert table[:, i].tolist() == expected + [n] * (8 - len(expected))
+def test_neighbor_views_match_moore_neighbors_with_minus_inf_pads():
+    for rows, cols in itertools.product(range(1, 10), repeat=2):
+        scape = Landscape(rows, cols, alloc=(0.0, 100.0, 0.0), tl=0, tenant=False, al=0.0)
+        scape.profit_grid[...] = np.arange(rows * cols).reshape(rows, cols)  # earns its index
+        views = scape.neighbor_profits
+        assert len(views) == 8 and all(v.shape == (rows, cols) for v in views)
+        for i in range(rows * cols):
+            column = np.array([v[divmod(i, cols)] for v in views])
+            pads = column == -np.inf
+            expected = [r * cols + c for r, c in moore_neighbors(divmod(i, cols), (rows, cols))]
+            assert column[~pads].tolist() == expected
+            assert (i + scape.neighbor_steps[~pads]).tolist() == expected
 
 
 def _same_bits(whole, parts):
@@ -65,20 +69,21 @@ def test_each_rule_gives_the_same_bits_on_arrays_and_on_scalars(tables, data, wg
     al = draw(np.float64, st.floats(min_value=0.0, max_value=1e4))
     p, rl, bn_cal = draw(np.float64, money), draw(np.float64, money), draw(np.float64, money)
     bn_p = draw(np.float64, money | st.just(-np.inf))  # -inf: no neighbor
-    table = draw(np.int32, st.integers(0, n), (3, n))  # n is the pad index
+    neighbor_ps = [draw(np.float64, money | st.sampled_from([-np.inf, 0.0, -0.0]))
+                   for _ in range(data.draw(st.integers(min_value=1, max_value=8)))]
     ctx = context_for(replace(preset("longterm"), rent_usd_per_ha=443.2), tables, wgc)
     cal = climate_adjusted_aspiration(al, wgc, tables)
     whole = (
         compute_profit(alloc, tl, tenant, ctx), compute_rl(alloc, tl, ctx), cal,
-        *evaluate_goals(p, cal, rl, ctx.et_pct), *select_best_neighbor(p, table),
+        *evaluate_goals(p, cal, rl, ctx.et_pct), *select_best_neighbor(neighbor_ps),
         decide_land_use(p, cal, bn_p), update_aspiration(cal, p, bn_cal, bn_p, tl, bn_tl, tables),
         update_technology(p, tables),
     )
-    parts = []
+    parts, neighbor_lists = [], [v.tolist() for v in neighbor_ps]
     for j, (a, t, tn, al_j, p_j, rl_j, cal_j, bn_cal_j, bn_p_j, bn_tl_j) in enumerate(zip(
         *(x.tolist() for x in (alloc, tl, tenant, al, p, rl, cal, bn_cal, bn_p, bn_tl))
     )):
-        (best_j,), (best_p_j,) = select_best_neighbor(p.tolist(), table[:, [j]])
+        best_j, best_p_j = select_best_neighbor([v[j] for v in neighbor_lists])
         parts.append((
             compute_profit(a, t, tn, ctx), compute_rl(a, t, ctx),
             climate_adjusted_aspiration(al_j, wgc, tables),
@@ -91,10 +96,25 @@ def test_each_rule_gives_the_same_bits_on_arrays_and_on_scalars(tables, data, wg
         _same_bits(got, expected)
 
 
+def test_a_tie_of_zeros_gives_the_same_bits_on_arrays_of_any_length_and_on_scalars():
+    # np.fmax(-0.0, 0.0) is 0.0 on numpy's vector loop but -0.0 on one element
+    for n in (1, 7, 64, 100):
+        for first, second in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            best, best_p = select_best_neighbor([np.full(n, first), np.full(n, second)])
+            parts = [select_best_neighbor([first, second])] * n
+            _same_bits(best, [b for b, _ in parts])
+            _same_bits(best_p, [p for _, p in parts])
+            assert best.tolist() == [0] * n
+
+
 def test_an_agent_with_no_neighbor_gets_the_pad_index_and_never_imitates(tables):
-    best, best_p = select_best_neighbor(np.array([5.0]), moore_table(1, 1))
-    assert best.tolist() == [1] and best_p.tolist() == [-np.inf]
-    assert not decide_land_use(5.0, 1e9, best_p[0])
+    scape = Landscape(1, 1, alloc=(0.0, 100.0, 0.0), tl=0, tenant=False, al=0.0)
+    scape.profit_grid[...] = 5.0
+    best, best_p = select_best_neighbor(scape.neighbor_profits)
+    # position 0 is the NW pad of the -inf border
+    assert best.tolist() == [[0]] and best_p.tolist() == [[-np.inf]]
+    assert scape.neighbor_profits[0].tolist() == [[-np.inf]]
+    assert not decide_land_use(5.0, 1e9, best_p[0, 0])
 
     scape = initialize(uniform_config(), tables, SplitMix64(0))
     cell = scape.cells[0]
@@ -149,9 +169,11 @@ def test_profit_tie_goes_to_first_neighbor_in_scan_order(tables, rows, cols, tar
     assert agent.allocation == pre[first]
 
 
-@pytest.mark.parametrize("wgc", list(Wgc))
-def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc):
-    rows, cols = 5, 7
+def _cycles_compose(tables, rows, cols, wgc):
+    """Check six cycles on a rows x cols grid against the rules, agent by agent.
+
+    Returns the number of imitations seen.
+    """
     config = replace(
         preset("longterm", seed=23), grid_rows=rows, grid_cols=cols,
         owner_share_pct=40.0, initial_al_factor=1.1,
@@ -176,10 +198,9 @@ def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc)
             econ, env = evaluate_goals(profits[i], cals[i], rls[i], ctx.et_pct)
             assert (cell.econ_ok, cell.env_ok) == (econ, env)
             neighbors = [r * cols + c for r, c in moore_neighbors(divmod(i, cols), (rows, cols))]
-            (k,), (bn_profit,) = select_best_neighbor(
-                np.array([profits[j] for j in neighbors]), np.arange(len(neighbors))[:, None]
-            )
-            bn = neighbors[k]
+            # no neighbor: one -inf, whose CAL and tech level are never read
+            k, bn_profit = select_best_neighbor([profits[j] for j in neighbors] or [-np.inf])
+            bn = neighbors[k] if neighbors else i
             imitate = decide_land_use(profits[i], cals[i], bn_profit)
             assert cell.allocation == tuple(alloc[bn if imitate else i])
             imitations += bool(imitate)
@@ -187,7 +208,21 @@ def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc)
                 cals[i], profits[i], cals[bn], bn_profit, tl[i], tl[bn], tables
             )
             assert cell.tl is TechLevel(update_technology(profits[i], tables))
-    assert imitations > 0
+    return imitations
+
+
+@pytest.mark.parametrize("wgc", list(Wgc))
+def test_cycles_on_a_5x7_grid_are_the_composition_of_the_public_ops(tables, wgc):
+    assert _cycles_compose(tables, 5, 7, wgc) > 0
+
+
+# every agent of these grids is on the border, where pads and clipped gathers act
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (6, 1), (2, 2)])
+@pytest.mark.parametrize("wgc", list(Wgc))
+def test_cycles_on_border_only_grids_are_the_composition_of_the_public_ops(
+    tables, wgc, rows, cols
+):
+    assert (_cycles_compose(tables, rows, cols, wgc) > 0) == (rows * cols > 1)
 
 
 def test_sequential_sum_is_the_running_sum_from_zero():

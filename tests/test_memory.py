@@ -11,7 +11,6 @@ import pytest
 
 from luccsim import SplitMix64, initialize, preset, run_simulation
 from luccsim.config import with_settings
-from luccsim.landscape import moore_table
 from luccsim.numeric import sequential_sum
 
 ROWS, COLS = 160, 150  # non-square, so a rows/cols mix-up shows
@@ -33,12 +32,6 @@ def _config(rows, cols):
         "owner_share_pct": 50.0})
 
 
-def test_moore_table_peaks_near_its_result():
-    moore_table(3, 2)
-    table, peak = _peak(lambda: moore_table(ROWS, COLS))
-    assert peak <= 1.5 * table.nbytes
-
-
 def test_initialize_peaks_within_two_and_a_half_landscapes(tables):
     initialize(_config(2, 3), tables, SplitMix64(1))
     scape, peak = _peak(lambda: initialize(_config(ROWS, COLS), tables, SplitMix64(1)))
@@ -54,7 +47,7 @@ def test_sequential_sum_peaks_near_its_input(shape):
     assert peak <= 1.25 * values.nbytes
 
 
-def test_run_peaks_within_220_bytes_per_agent(tables):
+def test_run_peaks_within_180_bytes_per_agent(tables):
     run_simulation(_config(2, 3), tables)
     _, peak = _peak(lambda: run_simulation(_config(ROWS, COLS), tables))
-    assert peak <= 220 * ROWS * COLS
+    assert peak <= 180 * ROWS * COLS
