@@ -27,8 +27,7 @@ import numpy as np
 
 from . import __version__
 from .climate import REGIME_NAMES
-from .config import (PRESET_NAMES, ScenarioConfig, parse_config, preset, resolve_tables,
-                     with_settings)
+from .config import PRESET_NAMES, ScenarioConfig, parse_config, preset, with_settings
 from .engine import AgentCycle, AgentRows, RunResult, plan, run_simulation
 from .errors import ConfigurationError, MetricUndefinedError, read_text
 from .landscape import TENURES, CycleRecord, Landscape
@@ -392,8 +391,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # No historical series available: fall back for the sweep base.
         config = with_settings(config, {"climate": "constant-average"})
         print("note: no weather sequence given; sweep base uses constant-average")
-    config.validate()
-    tables = resolve_tables(config)
     if args.axis not in _AXES:
         raise ConfigurationError(
             f"unknown axis {args.axis!r} (expected one of {', '.join(_AXES)})"
@@ -415,7 +412,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         parameter, values, allow_outside_range=args.allow_outside_range
     )
     _check_workers(args.workers)
-    result = run_sweep(config, axis, tables)
+    result = run_sweep(config, axis)
     print(f"base climate: {config.climate.describe()}")
     write_sweep_csv(result, f"{out}/sweep.csv")
     print(f"wrote {out}/sweep.csv ({len(result.rows)} rows)")

@@ -112,11 +112,6 @@ class ClimateRegime:
                 f"but the scenario runs {cycles} cycles"
             )
 
-    def levels(self, cycles: int, seed: int) -> tuple[Wgc, ...]:
-        """The levels of cycles 0 .. cycles-1, random ones drawn from a fresh `SplitMix64(seed)`."""
-        rng = SplitMix64(seed)
-        return tuple(wgc_for_cycle(self, t, rng) for t in range(cycles))
-
 
 def wgc_for_cycle(
     regime: ClimateRegime, cycle_index: int, rng: Optional[SplitMix64] = None

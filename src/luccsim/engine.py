@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol
+from typing import Iterable, Iterator, NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -63,48 +62,19 @@ _DETRIMENTAL_OWN = 0.55  # weight on CAL when it was missed
 
 @dataclass(frozen=True)
 class CycleContext:
-    """Everything exogenous to the agents within one cycle.
+    """Everything exogenous to the agents within one cycle, made by `context_for`.
 
-    `prices` is the output price per land use, indexed by LandUse (an
-    array or a mapping). The split-mode component yields are indexed
-    [TechLevel, Wgc]: a (3, 5) array or a mapping keyed (tl, wgc).
+    `margins` (per-hectare gross income minus cost) and `renewabilities`
+    (in percent) are read-only arrays indexed [tech level, land use] at
+    weather `wgc`, so runs may share a context.
     """
 
     wgc: Wgc
-    prices: Mapping[LandUse, float]
     tables: ParameterTables
+    margins: np.ndarray
+    renewabilities: np.ndarray
     rent_usd_per_ha: float
     et_pct: float
-    pricing_mode: str = "combined"
-    wheat_price_usd_per_t: float = 153.0
-    split_wheat_yield: Optional[np.ndarray] = None
-    split_soy2_yield: Optional[np.ndarray] = None
-
-    @cached_property
-    def margins(self) -> np.ndarray:
-        """Per-hectare margin (gross income minus cost), [tech level, land use].
-
-        Combined mode prices the double crop's total yield at its single
-        listed price; split mode prices user-supplied wheat and second-crop
-        soybean component yields separately. Read-only: runs may share a context.
-        """
-        w = self.wgc
-        prices = np.array([self.prices[lu] for lu in LandUse])
-        income = self.tables.yield_t_per_ha[:, :, w].T * prices
-        if self.pricing_mode == "split":
-            income[:, LandUse.WHEAT_SOY] = [
-                self.split_wheat_yield[tl, w] * self.wheat_price_usd_per_t
-                + self.split_soy2_yield[tl, w] * prices[LandUse.SOYBEAN]
-                for tl in TechLevel
-            ]
-        margins = income - self.tables.cost_usd_per_ha[:, :, w].T
-        margins.setflags(write=False)
-        return margins
-
-    @cached_property
-    def renewabilities(self) -> np.ndarray:
-        """Renewability share by [tech level, land use] at this cycle's weather."""
-        return self.tables.renewability_pct[:, :, self.wgc].T
 
 
 def _weighted(alloc, tl, by_level):
@@ -214,18 +184,24 @@ def update_technology(p, tables: ParameterTables):
 def context_for(
     config: ScenarioConfig, tables: ParameterTables, wgc: Wgc
 ) -> CycleContext:
-    """Build one cycle's context from a validated scenario configuration."""
-    return CycleContext(
-        wgc=wgc,
-        prices=config.prices,
-        tables=tables,
-        rent_usd_per_ha=config.rent_usd(),
-        et_pct=config.et_pct,
-        pricing_mode=config.pricing_mode,
-        wheat_price_usd_per_t=config.wheat_price_usd_per_t,
-        split_wheat_yield=config.split_wheat_yield,
-        split_soy2_yield=config.split_soy2_yield,
-    )
+    """Build one cycle's context from a validated scenario configuration.
+
+    Combined pricing prices the double crop's total yield at its single
+    listed price; split pricing prices the configured wheat and
+    second-crop soybean component yields separately. A margin may
+    overflow here; `check_scale` refuses it.
+    """
+    prices = np.array([config.prices[lu] for lu in LandUse])
+    with np.errstate(over="ignore", invalid="ignore"):
+        income = tables.yield_t_per_ha[:, :, wgc].T * prices
+        if config.pricing_mode == "split":
+            income[:, LandUse.WHEAT_SOY] = (
+                config.split_wheat_yield[:, wgc] * config.wheat_price_usd_per_t
+                + config.split_soy2_yield[:, wgc] * prices[LandUse.SOYBEAN])
+        margins = income - tables.cost_usd_per_ha[:, :, wgc].T
+    margins.setflags(write=False)
+    renewabilities = tables.renewability_pct[:, :, wgc].T  # a view of a read-only table
+    return CycleContext(wgc, tables, margins, renewabilities, config.rent_usd(), config.et_pct)
 
 
 def run_cycle(

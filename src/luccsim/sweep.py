@@ -19,10 +19,12 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
-from .climate import ClimateRegime
+from .climate import ClimateRegime, wgc_for_cycle
 from .config import ScenarioConfig, resolve_tables
 from .engine import CheckedRun, plan, run_simulation
 from .errors import ConfigurationError
+from .landscape import initialize
+from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
 __all__ = [
@@ -61,8 +63,9 @@ class SweepAxis:
 
     Values are floats for the numeric axes and Wgc levels for the
     weather-mix axis. Values outside the default range are rejected unless
-    `allow_outside_range` is set; physically impossible values (negative
-    prices or rent, shares outside [0, 100]) are always rejected.
+    `allow_outside_range` is set; `run_sweep` refuses a value that gives a
+    run `plan` refuses (a non-positive price, a share outside [0, 100], a
+    negative rent).
     """
 
     parameter: SweepParameter
@@ -82,24 +85,6 @@ class SweepAxis:
         lo, hi = _DEFAULT_RANGES[self.parameter]
         for v in self.values:
             value = float(v)
-            if self.parameter in (
-                SweepParameter.SOYBEAN_PRICE,
-                SweepParameter.MAIZE_PRICE,
-                SweepParameter.WHEAT_PRICE,
-            ) and value <= 0:
-                raise ConfigurationError(
-                    f"{self.parameter.value} must be positive, got {value}"
-                )
-            if self.parameter is SweepParameter.OWNER_SHARE and not (
-                0.0 <= value <= 100.0
-            ):
-                raise ConfigurationError(
-                    f"owner-share must be within [0, 100], got {value}"
-                )
-            if self.parameter is SweepParameter.RENT_USD and value < 0:
-                raise ConfigurationError(
-                    f"rent must be non-negative, got {value}"
-                )
             if not self.allow_outside_range and not lo <= value <= hi:
                 raise ConfigurationError(
                     f"{self.parameter.value} value {value} outside the default "
@@ -150,14 +135,8 @@ def _rent_resolved(base: ScenarioConfig) -> ScenarioConfig:
 
 
 def _config_for_value(
-    base: ScenarioConfig, parameter: SweepParameter, value
+    base: ScenarioConfig, parameter: SweepParameter, value: float
 ) -> ScenarioConfig:
-    if parameter is SweepParameter.WGC_MIX_LEVEL:
-        # a random base regime gives a deterministic history: a fresh stream of the base seed
-        history = base.climate.levels(base.cycles, base.seed)
-        return replace(
-            base, climate=ClimateRegime.alternating_mix(history, value)
-        )
     name, land_use = _setting(base, parameter)
     start = _rent_resolved(base)
     setting = float(value)
@@ -166,14 +145,39 @@ def _config_for_value(
     return replace(start, **{name: setting})
 
 
-def _reference_value(
-    base: ScenarioConfig, parameter: SweepParameter
-) -> Optional[float]:
-    if parameter is SweepParameter.WGC_MIX_LEVEL:
-        return None  # the unmixed base run is the reference
+def _reference_value(base: ScenarioConfig, parameter: SweepParameter) -> float:
     name, land_use = _setting(base, parameter)
     setting = getattr(_rent_resolved(base), name)
     return setting if land_use is None else setting[land_use]
+
+
+def _numeric_runs(base: ScenarioConfig, axis: SweepAxis, tables: ParameterTables) -> list:
+    """(label, value, is_reference, run) per value, the reference value's included."""
+    reference = _reference_value(base, axis.parameter)
+    runs = [
+        (f"{value:.6f}", value, value == reference,
+         _config_for_value(base, axis.parameter, value))
+        for value in sorted({float(v) for v in axis.values} | {reference})
+    ]
+    _check_labels(runs)
+    return [(*row, plan(config, tables)) for *row, config in runs]
+
+
+def _mix_runs(base: ScenarioConfig, axis: SweepAxis, tables: ParameterTables) -> list:
+    """The unmixed base run, then one run per level that plays it on the odd cycles.
+
+    The even cycles play the base run's own weather, which a random regime
+    draws from the run's stream after `initialize`.
+    """
+    reference = plan(base, tables)
+    rng = SplitMix64(base.seed)
+    initialize(base, tables, rng)
+    history = [wgc_for_cycle(base.climate, t, rng) for t in range(base.cycles)]
+    return [("reference", None, True, reference)] + [
+        (level.code, level, False,
+         plan(replace(base, climate=ClimateRegime.alternating_mix(history, level)), tables))
+        for level in sorted(set(axis.values))
+    ]
 
 
 def _row_from_run(label: str, value, is_reference: bool, run: CheckedRun) -> SweepRow:
@@ -199,24 +203,11 @@ def run_sweep(
     before any run.
     """
     base.validate()
-    parameter = axis.parameter
-    if parameter is SweepParameter.WGC_MIX_LEVEL:
-        runs = [("reference", None, True, base)] + [
-            (level.code, level, False, _config_for_value(base, parameter, level))
-            for level in sorted(set(axis.values))
-        ]
-    else:
-        reference = _reference_value(base, parameter)
-        runs = [
-            (f"{value:.6f}", value, value == reference,
-             _config_for_value(base, parameter, value))
-            for value in sorted({float(v) for v in axis.values} | {reference})
-        ]
-    _check_labels(runs)
     if tables is None:
         tables = resolve_tables(base)  # every run shares the base's table overrides
-    checked = [(*row, plan(config, tables)) for *row, config in runs]
-    return SweepResult(parameter, tuple(_row_from_run(*run) for run in checked))
+    make_runs = _mix_runs if axis.parameter is SweepParameter.WGC_MIX_LEVEL else _numeric_runs
+    runs = make_runs(base, axis, tables)
+    return SweepResult(axis.parameter, tuple(_row_from_run(*run) for run in runs))
 
 
 def _check_labels(runs: list) -> None:

@@ -87,20 +87,13 @@ def test_criterion_1_table_fidelity(tables):
 def test_criterion_2_equation_oracles(tables):
     with criterion(2, "equations reproduce worked examples and the brute-force reference"):
         start = time.perf_counter()
-        from luccsim import CycleContext
-
-        ctx = CycleContext(
-            wgc=Wgc.AVERAGE,
-            prices=tables.price_usd_per_t,
-            tables=tables,
-            rent_usd_per_ha=443.2,
-            et_pct=50.0,
-        )
+        config = replace(preset("longterm"), rent_soy_tons=None, rent_usd_per_ha=443.2)
+        ctx = context_for(config, tables, Wgc.AVERAGE)
         assert compute_profit((0.0, 100.0, 0.0), TechLevel.HIGH, False, ctx) == pytest.approx(609.84, abs=1e-9)
         assert compute_profit(
             (0.0, 100.0, 0.0), TechLevel.HIGH, True, ctx
         ) == pytest.approx(166.64, abs=1e-9)
-        ctx_vu = replace(ctx, wgc=Wgc.VERY_UNFAVORABLE)
+        ctx_vu = context_for(config, tables, Wgc.VERY_UNFAVORABLE)
         assert compute_profit((0.0, 0.0, 100.0), TechLevel.LOW, False, ctx_vu) == pytest.approx(-8.82, abs=1e-9)
         assert compute_rl((50.0, 50.0, 0.0), TechLevel.LOW, ctx) == pytest.approx(46.05, abs=1e-9)
         assert climate_adjusted_aspiration(100.0, Wgc.VERY_FAVORABLE, tables) == pytest.approx(145.0, abs=1e-9)

@@ -9,6 +9,9 @@ import pytest
 from luccsim import ConfigurationError, LandUse, TechLevel, Wgc, preset, run_simulation
 from luccsim.cli import main
 
+# A refusal writes one stderr line, so a numpy warning on the way to it is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _run_config(tmp_path, capsys, text, *options):
     config = tmp_path / "scenario.json"
@@ -87,10 +90,13 @@ def test_workers_below_one_is_rejected(tmp_path, capsys, command, width):
 # Inputs with two faults: the first check in the command's order names its fault.
 @pytest.mark.parametrize("command, message", [
     (["run", "--config", "{scenario}", "--workers", "0"], "margin of M"),
-    (["sweep", "--preset", "longterm", "--owner-share", "150", "--axis", "nope", "--values", "1"],
-     "owner_share_pct must be within [0, 100]"),
+    (["sweep", "--preset", "longterm", "--owner-share", "150", "--axis", "soy-price",
+      "--values", "200.0000001,200.0000002"], "owner_share_pct must be within [0, 100]"),
     (["sweep", "--preset", "longterm", "--axis", "soy-price", "--allow-outside-range",
       "--values", "200.0000001,200.0000002,1e308"], "both print as 200.000000"),
+    # the axis is built before run_sweep checks the base
+    (["sweep", "--preset", "longterm", "--owner-share", "150", "--axis", "nope", "--values", "1"],
+     "unknown axis 'nope'"),
 ])
 def test_the_first_of_two_faults_is_reported(tmp_path, capsys, command, message):
     scenario = tmp_path / "scenario.json"

@@ -417,7 +417,7 @@ def test_sweep_checks_each_run_once(tmp_path, monkeypatch, axis, values):
                  "--values", values, "--out-dir", str(tmp_path)]) == 0
     runs = len((tmp_path / "sweep.csv").read_text().splitlines()) - 1
     assert runs == len(values.split(",")) + 1  # the reference row included
-    assert counts["validate"] <= runs + 2  # the base, in the CLI and in run_sweep, then each run
+    assert counts["validate"] == runs + 1  # the base in run_sweep, then each run
     assert counts["check_scale"] == runs and counts["resolve_tables"] == 1
 
 

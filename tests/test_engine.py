@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from luccsim import (
     CheckedRun,
     ClimateRegime,
-    CycleContext,
     LandUse,
     SplitMix64,
     TechLevel,
@@ -37,14 +36,11 @@ M, S, WS = LandUse.MAIZE, LandUse.SOYBEAN, LandUse.WHEAT_SOY
 L, A, H = TechLevel.LOW, TechLevel.AVERAGE, TechLevel.HIGH
 
 
-def _ctx(tables, wgc=Wgc.AVERAGE, rent=443.2, et=50.0):
-    return CycleContext(
-        wgc=wgc,
-        prices=tables.price_usd_per_t,
-        tables=tables,
-        rent_usd_per_ha=rent,
-        et_pct=et,
-    )
+def _ctx(tables, wgc=Wgc.AVERAGE, rent=443.2, et=50.0, **settings):
+    """The longterm preset's context at the default prices, with a US$/ha rent."""
+    config = replace(preset("longterm"), rent_soy_tons=None, rent_usd_per_ha=rent, et_pct=et,
+                     **settings)
+    return context_for(config, tables, wgc)
 
 
 class TestComputeProfit:
@@ -331,38 +327,19 @@ class TestCheckedRun:
 
 
 class TestSplitPricing:
-    def test_split_mode_prices_components(self, tables):
+    @staticmethod
+    def _split_ctx(tables):
         # Component tables where wheat + second soy reproduce a chosen total.
-        wheat = {(tl, wgc): 2.0 for tl in TechLevel for wgc in Wgc}
-        soy2 = {(tl, wgc): 1.5 for tl in TechLevel for wgc in Wgc}
-        ctx = CycleContext(
-            wgc=Wgc.AVERAGE,
-            prices=tables.price_usd_per_t,
-            tables=tables,
-            rent_usd_per_ha=0.0,
-            et_pct=50.0,
-            pricing_mode="split",
-            wheat_price_usd_per_t=153.0,
-            split_wheat_yield=wheat,
-            split_soy2_yield=soy2,
-        )
+        return _ctx(tables, rent=0.0, pricing_mode="split", wheat_price_usd_per_t=153.0,
+                    split_wheat_yield=np.full((3, 5), 2.0), split_soy2_yield=np.full((3, 5), 1.5))
+
+    def test_split_mode_prices_components(self, tables):
+        ctx = self._split_ctx(tables)
         expected = 2.0 * 153.0 + 1.5 * 277.0 - 822.0
         assert compute_profit((0.0, 0.0, 100.0), H, False, ctx) == pytest.approx(expected, abs=1e-9)
 
     def test_split_mode_leaves_other_land_uses_alone(self, tables):
-        wheat = {(tl, wgc): 2.0 for tl in TechLevel for wgc in Wgc}
-        soy2 = {(tl, wgc): 1.5 for tl in TechLevel for wgc in Wgc}
-        ctx = CycleContext(
-            wgc=Wgc.AVERAGE,
-            prices=tables.price_usd_per_t,
-            tables=tables,
-            rent_usd_per_ha=0.0,
-            et_pct=50.0,
-            pricing_mode="split",
-            wheat_price_usd_per_t=153.0,
-            split_wheat_yield=wheat,
-            split_soy2_yield=soy2,
-        )
+        ctx = self._split_ctx(tables)
         assert compute_profit((0.0, 100.0, 0.0), H, False, ctx) == pytest.approx(609.84, abs=1e-9)
 
 

@@ -1,8 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luccsim import (
+    ClimateRegime,
     ConfigurationError,
     LandUse,
     TechLevel,
@@ -71,6 +75,39 @@ def test_wgc_mix_axis_reference_first_then_levels(tables):
     assert result.rows[0].mean_profit == mean_profit
 
 
+@pytest.mark.parametrize("climate", [ClimateRegime.random_uniform(), ClimateRegime.seesaw()])
+@pytest.mark.parametrize("parameter, values", [
+    (SweepParameter.SOYBEAN_PRICE, (141.0, 346.4)),
+    (SweepParameter.MAIZE_PRICE, (100.0,)),
+    (SweepParameter.WHEAT_PRICE, (120.0,)),
+    (SweepParameter.OWNER_SHARE, (10.0, 90.0)),
+    (SweepParameter.RENT_USD, (250.0,)),
+    (SweepParameter.WGC_MIX_LEVEL, tuple(Wgc)),
+])
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**64 - 1), rows=st.integers(1, 4), cols=st.integers(1, 4))
+def test_each_row_plays_the_reference_weather_on_every_cycle_the_axis_does_not_move(
+        tables, climate, parameter, values, seed, rows, cols):
+    import luccsim.sweep as sweep
+
+    played = []  # each run's weather, in run order
+
+    def recording(run):
+        result = run_simulation(run)
+        played.append([record.wgc for record in result.records])
+        return result
+
+    base = replace(_base(seed=seed, cycles=9), grid_rows=rows, grid_cols=cols, climate=climate)
+    with mock.patch.object(sweep, "run_simulation", recording):
+        result = run_sweep(base, SweepAxis(parameter, values), tables)
+    reference = played[[row.is_reference for row in result.rows].index(True)]
+    mixed = parameter is SweepParameter.WGC_MIX_LEVEL
+    for row, weather in zip(result.rows, played):
+        for t, level in enumerate(weather):
+            moved = mixed and not row.is_reference and t % 2 == 1
+            assert level is (row.value if moved else reference[t])
+
+
 def test_rent_axis_is_exactly_linear_on_uniform_tenant_fixture(tables):
     # Tenant-only, single land use and tech level: imitation swaps identical
     # vectors and profits stay below every upgrade threshold, so mean profit
@@ -111,15 +148,7 @@ def test_axis_range_override(tables):
     assert axis.values == (500.0,)
 
 
-def test_axis_rejects_physically_impossible_values():
-    with pytest.raises(ConfigurationError, match="positive"):
-        SweepAxis(
-            SweepParameter.MAIZE_PRICE, (-5.0,), allow_outside_range=True
-        )
-    with pytest.raises(ConfigurationError, match=r"\[0, 100\]"):
-        SweepAxis(
-            SweepParameter.OWNER_SHARE, (120.0,), allow_outside_range=True
-        )
+def test_axis_needs_a_value():
     with pytest.raises(ConfigurationError, match="at least one value"):
         SweepAxis(SweepParameter.RENT_USD, ())
 
@@ -190,6 +219,10 @@ def test_values_printing_alike_are_rejected_before_any_run(tables, monkeypatch):
     (SweepParameter.SOYBEAN_PRICE, (141.0, 200.0, 1e200), "the margin of S at tech level L"),
     (SweepParameter.SOYBEAN_PRICE, (141.0, float("inf")), r"^prices must be finite \(got inf\)$"),
     (SweepParameter.RENT_USD, (300.0, 1e308), "^the rent from rent_usd_per_ha is 1e"),
+    (SweepParameter.MAIZE_PRICE, (-5.0,), "^price for M must be positive$"),
+    (SweepParameter.SOYBEAN_PRICE, (0.0, 200.0), "^price for S must be positive$"),
+    (SweepParameter.OWNER_SHARE, (50.0, 120.0), r"^owner_share_pct must be within \[0, 100\]$"),
+    (SweepParameter.RENT_USD, (-1.0,), "^rent must be non-negative$"),
 ])
 def test_a_run_that_would_be_refused_is_refused_before_any_run(
         tables, monkeypatch, given_tables, parameter, values, message):

@@ -73,8 +73,8 @@ GOLDEN = {
         "sweep.csv": "698e4c328df53f9d6fb6afec7895329dbb795b0e9936ba4ebf8330d20bfaae46"
     },
     "wgc-mix-random": {
-        "means": "53a8ae11aa54bbef6671e8630b16b25bc6ed737cf43d7e9542deb025463ef8c5",
-        "sweep.csv": "0b0a1f8473b33bd61818ed897412e4796991f44d316c818244617671a8a4a38c"
+        "means": "679ea652227a24e4bd39384670f3d1fc5289baa29fd49efd161d6fab659f50ec",
+        "sweep.csv": "40d789499e0619650f91e76a9cfa31748a4500b049275a88a96ce9fed248f046"
     },
     "wheat-price-combined": {
         "means": "aa97eb400c0c46a3076dc58f7a7f4f193ebf30678073905f0a19e5434cc20206",
