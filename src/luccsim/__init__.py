@@ -8,8 +8,8 @@ for observed-versus-simulated series and a one-at-a-time sensitivity
 sweep harness, all behind a deterministic seeded core and a CLI.
 """
 
-from .climate import ClimateRegime, RegimeKind, load_wgc_sequence, wgc_for_cycle
-from .config import ScenarioConfig, parse_config, preset, resolve_tables, with_settings
+from .climate import ClimateRegime
+from .config import ScenarioConfig, parse_config, preset, resolve_tables
 from .engine import (
     CheckedRun,
     CycleContext,
@@ -29,32 +29,23 @@ from .engine import (
     update_technology,
 )
 from .errors import ConfigurationError, LuccsimError, MetricUndefinedError
-from .landscape import (
-    CycleRecord,
-    Landscape,
-    Tenure,
-    aggregate,
-    initialize,
-    moore_neighbors,
-)
-from .metrics import (
-    DistributionSummary,
-    FitReport,
-    distribution_summary,
-    fit_report,
-    ordinal_fit,
-    rmse_and_v,
-)
+from .landscape import CycleRecord, Landscape, Tenure, initialize
+from .metrics import DistributionSummary, FitReport, distribution_summary, fit_report
 from .rng import SplitMix64
 from .sweep import SweepAxis, SweepParameter, SweepResult, run_sweep
-from .tables import (
-    LandUse,
-    ParameterTables,
-    TechLevel,
-    Wgc,
-    default_tables,
-    lookup,
-    validate_tables,
-)
+from .tables import LandUse, ParameterTables, TechLevel, Wgc, default_tables, validate_tables
+
+# The names README's "Library use" documents, and no others.
+__all__ = [
+    "CheckedRun", "ClimateRegime", "ConfigurationError", "CycleContext", "CycleRecord",
+    "DistributionSummary", "FitReport", "LandUse", "Landscape", "LuccsimError",
+    "MetricUndefinedError", "ParameterTables", "RunObserver", "RunResult", "ScenarioConfig",
+    "SplitMix64", "SweepAxis", "SweepParameter", "SweepResult", "TechLevel", "Tenure", "Wgc",
+    "climate_adjusted_aspiration", "compute_profit", "compute_rl", "context_for",
+    "decide_land_use", "default_tables", "distribution_summary", "evaluate_goals",
+    "fit_report", "initialize", "parse_config", "plan", "preset", "resolve_tables",
+    "run_cycle", "run_simulation", "run_sweep", "select_best_neighbor", "update_aspiration",
+    "update_technology", "validate_tables",
+]
 
 __version__ = "0.1.0"

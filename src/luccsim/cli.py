@@ -32,7 +32,6 @@ from .engine import AgentCycle, AgentRows, RunResult, plan, run_simulation
 from .errors import ConfigurationError, MetricUndefinedError, read_text
 from .landscape import TENURES, CycleRecord, Landscape
 from .metrics import distribution_summary, fit_report
-from .numeric import sequential_sum
 from .sweep import SweepAxis, SweepParameter, run_sweep, write_sweep_csv
 from .tables import LandUse, TechLevel, Wgc
 
@@ -216,16 +215,7 @@ def write_agents_csv(agent_rows: AgentRows, path: str) -> None:
 
 def _summary_dict(result: RunResult) -> dict:
     def dist(values):
-        try:
-            return asdict(distribution_summary(values))
-        except MetricUndefinedError:
-            # cv is undefined at zero mean; quartiles are shift-equivariant,
-            # so recover them from a shifted copy and null out cv.
-            shift = 1.0 - sequential_sum(values) / len(values)
-            shifted = asdict(distribution_summary(values + shift))
-            return {
-                k: (None if k == "cv" else v - shift) for k, v in shifted.items()
-            }
+        return asdict(distribution_summary(values))
 
     records = result.records
     final = records[-1]

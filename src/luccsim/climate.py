@@ -59,18 +59,6 @@ class ClimateRegime:
         return ClimateRegime(RegimeKind.CONSTANT, level=level)
 
     @staticmethod
-    def constant_unfavorable() -> "ClimateRegime":
-        return ClimateRegime.constant(Wgc.UNFAVORABLE)
-
-    @staticmethod
-    def constant_average() -> "ClimateRegime":
-        return ClimateRegime.constant(Wgc.AVERAGE)
-
-    @staticmethod
-    def constant_favorable() -> "ClimateRegime":
-        return ClimateRegime.constant(Wgc.FAVORABLE)
-
-    @staticmethod
     def seesaw() -> "ClimateRegime":
         return ClimateRegime(RegimeKind.SEESAW)
 
@@ -156,11 +144,11 @@ def load_wgc_sequence(path: str) -> tuple[Wgc, ...]:
 
 
 _NAMED_REGIMES = {
-    "constant-unfavorable": ClimateRegime.constant_unfavorable,
-    "constant-average": ClimateRegime.constant_average,
-    "constant-favorable": ClimateRegime.constant_favorable,
-    "seesaw": ClimateRegime.seesaw,
-    "random": ClimateRegime.random_uniform,
+    "constant-unfavorable": ClimateRegime.constant(Wgc.UNFAVORABLE),
+    "constant-average": ClimateRegime.constant(Wgc.AVERAGE),
+    "constant-favorable": ClimateRegime.constant(Wgc.FAVORABLE),
+    "seesaw": ClimateRegime.seesaw(),
+    "random": ClimateRegime.random_uniform(),
 }
 
 REGIME_NAMES = tuple(_NAMED_REGIMES)
@@ -173,7 +161,7 @@ def parse_climate_spec(spec) -> ClimateRegime:
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name in _NAMED_REGIMES:
-            return _NAMED_REGIMES[name]()
+            return _NAMED_REGIMES[name]
         raise ConfigurationError(
             f"unknown climate regime {spec!r} (expected one of "
             f"{', '.join(sorted(_NAMED_REGIMES))}, or an object)"

@@ -206,13 +206,13 @@ def context_for(
 
 def run_cycle(
     landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0
-) -> tuple[Landscape, CycleRecord]:
+) -> CycleRecord:
     """Advance the landscape by one cycle.
 
     Stages 1-3 bind new outcome arrays (profit, rl, cal, econ, env) to the
     landscape, each dropping the last cycle's as it is made. Returns the
-    landscape and the record of outcomes aggregated at the stage-3 barrier,
-    before stage 4 adapts the alloc, tl and al arrays in place.
+    record of outcomes aggregated at the stage-3 barrier, before stage 4
+    adapts the alloc, tl and al arrays in place.
     """
     s = landscape
     tables = ctx.tables
@@ -233,7 +233,7 @@ def run_cycle(
     s.tl[:] = update_technology(profit, tables)
     imitators = np.flatnonzero(imitate)
     s.alloc[imitators] = s.alloc.take(best.take(imitators), axis=0)  # models' pre-cycle rows
-    return landscape, record
+    return record
 
 
 class AgentCycle(NamedTuple):
@@ -431,7 +431,7 @@ def run_simulation(
         ctx = run.contexts[wgc_for_cycle(config.climate, t, rng)]
         if observers:
             before = (scape.alloc.copy(), scape.tl.astype(np.int8), scape.al.copy())
-        _, record = run_cycle(scape, ctx, cycle_index=t)
+        record = run_cycle(scape, ctx, cycle_index=t)
         records.append(record)
         for total, outcome in zip(totals, (scape.profit, scape.rl, scape.econ, scape.env)):
             total += outcome

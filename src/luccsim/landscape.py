@@ -12,7 +12,6 @@ determines the starting landscape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Optional
 
 import numpy as np
@@ -21,14 +20,13 @@ from .config import ScenarioConfig
 from .errors import ConfigurationError
 from .numeric import sequential_sum
 from .rng import SplitMix64
-from .tables import LandUse, ParameterTables, TechLevel, Wgc
+from .tables import CodedEnum, LandUse, ParameterTables, TechLevel, Wgc
 
 __all__ = [
     "Tenure",
     "CellView",
     "Landscape",
     "CycleRecord",
-    "moore_neighbors",
     "initialize",
     "aggregate",
 ]
@@ -38,13 +36,9 @@ __all__ = [
 MOORE_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-class Tenure(IntEnum):
-    OWNER = 0
-    TENANT = 1
-
-    @property
-    def code(self) -> str:
-        return "O" if self is Tenure.OWNER else "T"
+class Tenure(CodedEnum):
+    OWNER = 0, "O"
+    TENANT = 1, "T"
 
 
 TENURES, TECH_LEVELS = tuple(Tenure), tuple(TechLevel)  # index -> member
@@ -132,22 +126,6 @@ class CycleRecord:
     pct_econ_ok: float
     pct_env_ok: float
     tl_counts: dict[TechLevel, int]
-
-
-def moore_neighbors(
-    pos: tuple[int, int], dims: tuple[int, int]
-) -> list[tuple[int, int]]:
-    """Existing Moore neighbors of `pos`, in the fixed scan order."""
-    row, col = pos
-    rows, cols = dims
-    if not (0 <= row < rows and 0 <= col < cols):
-        raise ValueError(f"position {pos} outside grid {dims}")
-    out = []
-    for dr, dc in MOORE_OFFSETS:
-        r, c = row + dr, col + dc
-        if 0 <= r < rows and 0 <= c < cols:
-            out.append((r, c))
-    return out
 
 
 def _largest_remainder_counts(shares: dict, members: list, total: int) -> dict:

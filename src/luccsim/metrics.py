@@ -12,7 +12,7 @@ pair counts as a mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class DistributionSummary:
     q75: float
     max: float
     mean: float
-    cv: float  # percent; population standard deviation over |mean|
+    cv: Optional[float]  # percent; population standard deviation over |mean|, None at mean 0
 
 
 def _check_pair(observed: Sequence[float], simulated: Sequence[float]) -> None:
@@ -108,13 +108,11 @@ def fit_report(
 
 
 def distribution_summary(values: Sequence[float]) -> DistributionSummary:
-    """Quartiles (inclusive linear interpolation), mean, and percent CV."""
+    """Quartiles (inclusive linear interpolation), mean, and percent CV (None at a zero mean)."""
     if not len(values):
         raise MetricUndefinedError("distribution summary needs values")
     arr = np.asarray(values, dtype=float)
     mean = float(np.mean(arr))
-    if mean == 0.0:
-        raise MetricUndefinedError("cv is undefined: mean is zero")
     q25, median, q75 = (
         float(np.percentile(arr, q, method="linear")) for q in (25, 50, 75)
     )
@@ -125,5 +123,5 @@ def distribution_summary(values: Sequence[float]) -> DistributionSummary:
         q75=q75,
         max=float(np.max(arr)),
         mean=mean,
-        cv=100.0 * float(np.std(arr)) / abs(mean),
+        cv=100.0 * float(np.std(arr)) / abs(mean) if mean != 0.0 else None,
     )

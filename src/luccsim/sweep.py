@@ -19,12 +19,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
-from .climate import ClimateRegime, wgc_for_cycle
+from .climate import ClimateRegime
 from .config import ScenarioConfig, resolve_tables
-from .engine import CheckedRun, plan, run_simulation
+from .engine import RunResult, plan, run_simulation
 from .errors import ConfigurationError
-from .landscape import initialize
-from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
 __all__ = [
@@ -151,8 +149,8 @@ def _reference_value(base: ScenarioConfig, parameter: SweepParameter) -> float:
     return setting if land_use is None else setting[land_use]
 
 
-def _numeric_runs(base: ScenarioConfig, axis: SweepAxis, tables: ParameterTables) -> list:
-    """(label, value, is_reference, run) per value, the reference value's included."""
+def _numeric_rows(base: ScenarioConfig, axis: SweepAxis, tables: ParameterTables) -> list:
+    """One row per value, the reference value's included, every run planned before the first."""
     reference = _reference_value(base, axis.parameter)
     runs = [
         (f"{value:.6f}", value, value == reference,
@@ -160,28 +158,29 @@ def _numeric_runs(base: ScenarioConfig, axis: SweepAxis, tables: ParameterTables
         for value in sorted({float(v) for v in axis.values} | {reference})
     ]
     _check_labels(runs)
-    return [(*row, plan(config, tables)) for *row, config in runs]
+    runs = [(*row, plan(config, tables)) for *row, config in runs]
+    return [_row(*row, run_simulation(run)) for *row, run in runs]
 
 
-def _mix_runs(base: ScenarioConfig, axis: SweepAxis, tables: ParameterTables) -> list:
+def _mix_rows(base: ScenarioConfig, axis: SweepAxis, tables: ParameterTables) -> list:
     """The unmixed base run, then one run per level that plays it on the odd cycles.
 
-    The even cycles play the base run's own weather, which a random regime
-    draws from the run's stream after `initialize`.
+    The even cycles play the weather the base run played, random weather
+    included. Once `plan` accepts the base it accepts every mix row: a
+    row differs from the base only in a climate of exactly `cycles`
+    levels, and no `CycleContext` depends on the climate.
     """
-    reference = plan(base, tables)
-    rng = SplitMix64(base.seed)
-    initialize(base, tables, rng)
-    history = [wgc_for_cycle(base.climate, t, rng) for t in range(base.cycles)]
-    return [("reference", None, True, reference)] + [
-        (level.code, level, False,
-         plan(replace(base, climate=ClimateRegime.alternating_mix(history, level)), tables))
-        for level in sorted(set(axis.values))
-    ]
+    reference = run_simulation(plan(base, tables))
+    history = [record.wgc for record in reference.records]
+    rows = [_row("reference", None, True, reference)]
+    del reference  # a sweep holds one run's landscape at a time
+    for level in sorted(set(axis.values)):
+        mixed = replace(base, climate=ClimateRegime.alternating_mix(history, level))
+        rows.append(_row(level.code, level, False, run_simulation(plan(mixed, tables))))
+    return rows
 
 
-def _row_from_run(label: str, value, is_reference: bool, run: CheckedRun) -> SweepRow:
-    result = run_simulation(run)
+def _row(label: str, value, is_reference: bool, result: RunResult) -> SweepRow:
     mean_profit, mean_rl = result.whole_run_means()
     final = result.records[-1]
     return SweepRow(label, value, is_reference, mean_profit, mean_rl,
@@ -205,9 +204,8 @@ def run_sweep(
     base.validate()
     if tables is None:
         tables = resolve_tables(base)  # every run shares the base's table overrides
-    make_runs = _mix_runs if axis.parameter is SweepParameter.WGC_MIX_LEVEL else _numeric_runs
-    runs = make_runs(base, axis, tables)
-    return SweepResult(axis.parameter, tuple(_row_from_run(*run) for run in runs))
+    make_rows = _mix_rows if axis.parameter is SweepParameter.WGC_MIX_LEVEL else _numeric_rows
+    return SweepResult(axis.parameter, tuple(make_rows(base, axis, tables)))
 
 
 def _check_labels(runs: list) -> None:

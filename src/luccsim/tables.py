@@ -1,4 +1,4 @@
-"""Core enumerations, the embedded parameter dataset, and validated lookups.
+"""Core enumerations, the embedded parameter dataset, and its validation.
 
 All per-cycle economics and energy accounting are table-driven: crop yield,
 production cost, and energy-renewability share are looked up by the
@@ -24,88 +24,63 @@ import numpy as np
 from .errors import ConfigurationError, read_text
 
 __all__ = [
+    "CodedEnum",
     "LandUse",
     "TechLevel",
     "Wgc",
     "ParameterTables",
     "default_tables",
-    "lookup",
     "validate_tables",
     "load_table_overrides",
     "load_tl_wgc_table_csv",
 ]
 
 
-class LandUse(IntEnum):
+class CodedEnum(IntEnum):
+    """An IntEnum whose members carry a short code: declared `NAME = value, "code"`."""
+
+    def __new__(cls, value: int, code: str):
+        member = int.__new__(cls, value)
+        member._value_, member.code = value, code
+        return member
+
+    @classmethod
+    def from_code(cls, code: str):
+        """The member whose code is `code`, ignoring case and surrounding blanks."""
+        wanted = code.strip().upper()
+        for member in cls:
+            if member.code == wanted:
+                return member
+        raise ConfigurationError(
+            f"unknown {cls.__name__} code {code!r} (expected one of "
+            f"{', '.join(member.code for member in cls)})"
+        )
+
+
+class LandUse(CodedEnum):
     """The three cropping systems competing for farm area."""
 
-    MAIZE = 0
-    SOYBEAN = 1
-    WHEAT_SOY = 2  # wheat/soybean double cropping
-
-    @property
-    def code(self) -> str:
-        return _LU_CODES[self]
-
-    @classmethod
-    def from_code(cls, code: str) -> "LandUse":
-        return _parse_code(cls, _LU_CODES, code)
+    MAIZE = 0, "M"
+    SOYBEAN = 1, "S"
+    WHEAT_SOY = 2, "WS"  # wheat/soybean double cropping
 
 
-class TechLevel(IntEnum):
+class TechLevel(CodedEnum):
     """Input-intensity management package, ordered low to high."""
 
-    LOW = 0
-    AVERAGE = 1
-    HIGH = 2
-
-    @property
-    def code(self) -> str:
-        return _TL_CODES[self]
-
-    @classmethod
-    def from_code(cls, code: str) -> "TechLevel":
-        return _parse_code(cls, _TL_CODES, code)
+    LOW = 0, "L"
+    AVERAGE = 1, "A"
+    HIGH = 2, "H"
 
 
-class Wgc(IntEnum):
+class Wgc(CodedEnum):
     """Weather growing condition of a cropping cycle, worst to best."""
 
-    VERY_UNFAVORABLE = 0
-    UNFAVORABLE = 1
-    AVERAGE = 2
-    FAVORABLE = 3
-    VERY_FAVORABLE = 4
-
-    @property
-    def code(self) -> str:
-        return _WGC_CODES[self]
-
-    @classmethod
-    def from_code(cls, code: str) -> "Wgc":
-        return _parse_code(cls, _WGC_CODES, code)
-
-
-_LU_CODES = {LandUse.MAIZE: "M", LandUse.SOYBEAN: "S", LandUse.WHEAT_SOY: "WS"}
-_TL_CODES = {TechLevel.LOW: "L", TechLevel.AVERAGE: "A", TechLevel.HIGH: "H"}
-_WGC_CODES = {
-    Wgc.VERY_UNFAVORABLE: "VU",
-    Wgc.UNFAVORABLE: "U",
-    Wgc.AVERAGE: "A",
-    Wgc.FAVORABLE: "F",
-    Wgc.VERY_FAVORABLE: "VF",
-}
-
-
-def _parse_code(cls, codes, code: str):
-    wanted = code.strip().upper()
-    for member, c in codes.items():
-        if c == wanted:
-            return member
-    raise ConfigurationError(
-        f"unknown {cls.__name__} code {code!r} (expected one of "
-        f"{', '.join(codes.values())})"
-    )
+    VERY_UNFAVORABLE = 0, "VU"
+    UNFAVORABLE = 1, "U"
+    AVERAGE = 2, "A"
+    FAVORABLE = 3, "F"
+    VERY_FAVORABLE = 4, "VF"
 
 
 # Each table's axes, named by the CSV key column that indexes them.
@@ -217,33 +192,16 @@ def default_tables() -> ParameterTables:
     return _DEFAULT
 
 
-# Table names of lookup kinds and of CSV overrides -> ParameterTables field.
-# Output prices come from the scenario's `prices`, so they are not a table
-# override.
-_KIND_FIELDS = {
+# Table names of CSV overrides -> ParameterTables field. Output prices come
+# from the scenario's `prices`, so they are not a table override.
+_OVERRIDES = {
     "yield": "yield_t_per_ha",
     "cost": "cost_usd_per_ha",
     "renewability": "renewability_pct",
-}
-_OVERRIDES = {
-    **_KIND_FIELDS,
     "alpha_wgc": "alpha_wgc",
     "alpha_bn": "alpha_bn",
     "wct": "wct_usd_per_ha",
 }
-
-
-def lookup(
-    tables: ParameterTables, kind: str, lu: LandUse, tl: TechLevel, wgc: Wgc
-) -> float:
-    """Fetch one cell of the yield, cost, or renewability table."""
-    try:
-        field = _KIND_FIELDS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown table kind {kind!r} (expected yield, cost, or renewability)"
-        ) from None
-    return float(getattr(tables, field)[lu, tl, wgc])
 
 
 _SIGN_RULES = {

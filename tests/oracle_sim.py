@@ -56,6 +56,23 @@ ALPHA_BN = [
 ]
 WCT = [252.0, 333.0, 413.0]
 
+# Moore scan order: NW, N, NE, W, E, SW, S, SE.
+MOORE_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def moore_neighbors(pos, dims):
+    """Existing Moore neighbors of `pos` on a `dims` grid, in the scan order."""
+    row, col = pos
+    rows, cols = dims
+    if not (0 <= row < rows and 0 <= col < cols):
+        raise ValueError(f"position {pos} outside grid {dims}")
+    out = []
+    for dr, dc in MOORE_OFFSETS:
+        r, c = row + dr, col + dc
+        if 0 <= r < rows and 0 <= c < cols:
+            out.append((r, c))
+    return out
+
 
 def advance_cycle(agents, rows, cols, wgc, rent, et):
     """One cycle over a list of agent dicts; returns per-agent outcomes.
@@ -91,17 +108,9 @@ def advance_cycle(agents, rows, cols, wgc, rent, et):
 
     updates = []
     for idx, agent in enumerate(agents):
-        # Best neighbor: highest profit over the Moore scan order
-        # (NW, N, NE, W, E, SW, S, SE); first maximum wins.
+        # Best neighbor: highest profit over the Moore scan order; first maximum wins.
         best = None
-        for dr, dc in (
-            (-1, -1), (-1, 0), (-1, 1),
-            (0, -1), (0, 1),
-            (1, -1), (1, 0), (1, 1),
-        ):
-            r, c = agent["row"] + dr, agent["col"] + dc
-            if not (0 <= r < rows and 0 <= c < cols):
-                continue
+        for r, c in moore_neighbors((agent["row"], agent["col"]), (rows, cols)):
             j = r * cols + c
             if best is None or outcomes[j]["profit"] > outcomes[best]["profit"]:
                 best = j

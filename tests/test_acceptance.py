@@ -23,18 +23,16 @@ from luccsim import (
     compute_rl,
     context_for,
     initialize,
-    lookup,
-    ordinal_fit,
     preset,
-    rmse_and_v,
     run_cycle,
     run_simulation,
     run_sweep,
     update_aspiration,
     update_technology,
-    wgc_for_cycle,
 )
 from luccsim.cli import main as cli_main
+from luccsim.climate import wgc_for_cycle
+from luccsim.metrics import ordinal_fit, rmse_and_v
 from luccsim.numeric import sequential_sum
 from luccsim.sweep import SweepAxis, SweepParameter
 
@@ -76,9 +74,9 @@ def test_criterion_1_table_fidelity(tables):
             assert tables.wct_usd_per_ha[tl] == oracle_sim.WCT[int(tl)]
 
         # named spot checks
-        assert lookup(tables, "yield", LandUse.SOYBEAN, TechLevel.HIGH, Wgc.VERY_FAVORABLE) == 5.19
-        assert lookup(tables, "cost", LandUse.MAIZE, TechLevel.HIGH, Wgc.VERY_UNFAVORABLE) == 717
-        assert lookup(tables, "renewability", LandUse.WHEAT_SOY, TechLevel.LOW, Wgc.AVERAGE) == 29.9
+        assert tables.yield_t_per_ha[LandUse.SOYBEAN, TechLevel.HIGH, Wgc.VERY_FAVORABLE] == 5.19
+        assert tables.cost_usd_per_ha[LandUse.MAIZE, TechLevel.HIGH, Wgc.VERY_UNFAVORABLE] == 717
+        assert tables.renewability_pct[LandUse.WHEAT_SOY, TechLevel.LOW, Wgc.AVERAGE] == 29.9
         assert [tables.wct_usd_per_ha[t] for t in TechLevel] == [252, 333, 413]
         assert [tables.alpha_wgc[w] for w in Wgc] == [-0.55, -0.28, 0.00, 0.22, 0.45]
         assert time.perf_counter() - start < 1.0
@@ -182,9 +180,9 @@ def test_criterion_4_emergent_convergence(tables):
         "(combined pricing; variable-climate double-crop dominance excluded)",
     ):
         regimes = (
-            ClimateRegime.constant_unfavorable(),
-            ClimateRegime.constant_average(),
-            ClimateRegime.constant_favorable(),
+            ClimateRegime.constant(Wgc.UNFAVORABLE),
+            ClimateRegime.constant(Wgc.AVERAGE),
+            ClimateRegime.constant(Wgc.FAVORABLE),
         )
         for regime in regimes:
             for owner_share in (10.0, 90.0):
@@ -235,7 +233,7 @@ def test_criterion_6_quiescence(tables):
     with criterion(6, "an economically satisfied landscape keeps its cover exactly"):
         config = replace(
             preset("longterm", seed=6),
-            climate=ClimateRegime.constant_favorable(),
+            climate=ClimateRegime.constant(Wgc.FAVORABLE),
             owner_share_pct=100.0,
             initial_al_factor=0.0,
             cycles=2,

@@ -16,8 +16,8 @@ from luccsim import (
     preset,
     run_cycle,
     run_simulation,
-    wgc_for_cycle,
 )
+from luccsim.climate import wgc_for_cycle
 
 STATE = ("alloc", "tl", "tenant", "al", "profit", "rl", "cal", "econ", "env")
 # CellView attribute -> the array it reads, for the float and bool fields

@@ -501,6 +501,7 @@ class TestSummaryJson:
         assert summary["per_agent_mean_profit"]["cv"] == pytest.approx(0.0)
         assert summary["econ_goal_agreement_pct"]["mean"] == 100.0
         assert summary["env_goal_agreement_pct"]["mean"] == 0.0  # rl 47.3 < 50
+        assert summary["env_goal_agreement_pct"]["cv"] is None  # undefined at a zero mean
 
     def test_agents_csv_roundtrip_at_emitted_precision(self, tmp_path):
         code = _run(

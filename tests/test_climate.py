@@ -1,22 +1,16 @@
 import pytest
 
-from luccsim import (
-    ClimateRegime,
-    ConfigurationError,
-    SplitMix64,
-    Wgc,
-    load_wgc_sequence,
-    wgc_for_cycle,
-)
+from luccsim import ClimateRegime, ConfigurationError, SplitMix64, Wgc
+from luccsim.climate import load_wgc_sequence, wgc_for_cycle
 
 VU, U, A, F, VF = Wgc
 
 
 def test_constant_regimes_ignore_cycle_index():
     for regime, level in (
-        (ClimateRegime.constant_unfavorable(), U),
-        (ClimateRegime.constant_average(), A),
-        (ClimateRegime.constant_favorable(), F),
+        (ClimateRegime.constant(U), U),
+        (ClimateRegime.constant(A), A),
+        (ClimateRegime.constant(F), F),
     ):
         assert {wgc_for_cycle(regime, t) for t in (0, 1, 17, 999)} == {level}
 
@@ -80,7 +74,7 @@ def test_random_regime_requires_stream():
 
 def test_negative_cycle_rejected():
     with pytest.raises(ValueError):
-        wgc_for_cycle(ClimateRegime.constant_average(), -1)
+        wgc_for_cycle(ClimateRegime.constant(A), -1)
 
 
 def test_sequence_file_roundtrip(tmp_path):

@@ -6,14 +6,13 @@ import pytest
 from luccsim import (
     ConfigurationError,
     LandUse,
-    RegimeKind,
     TechLevel,
     Wgc,
     parse_config,
     preset,
-    with_settings,
 )
-from luccsim.config import _PRESETS, PRESET_NAMES
+from luccsim.climate import RegimeKind
+from luccsim.config import _PRESETS, PRESET_NAMES, with_settings
 
 
 def test_pergamino_preset_matches_initialization_conditions():

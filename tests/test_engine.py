@@ -31,6 +31,7 @@ from luccsim import (
 from luccsim.cli import _summary_dict
 
 from conftest import uniform_config
+from oracle_sim import moore_neighbors
 
 M, S, WS = LandUse.MAIZE, LandUse.SOYBEAN, LandUse.WHEAT_SOY
 L, A, H = TechLevel.LOW, TechLevel.AVERAGE, TechLevel.HIGH
@@ -262,7 +263,7 @@ class TestRunCycle:
         cell = scape.cells[0]
         scape.al[0] = 151.2
         ctx = context_for(config, tables, Wgc.AVERAGE)
-        _, record = run_cycle(scape, ctx)
+        record = run_cycle(scape, ctx)
         assert record.mean_profit_usd_per_ha == pytest.approx(609.84, abs=1e-9)
         assert cell.last_cal_usd_per_ha == pytest.approx(151.2, abs=1e-9)
         assert cell.econ_ok
@@ -275,7 +276,7 @@ class TestRunCycle:
             preset("longterm", seed=4),
             initial_al_factor=0.0,
             owner_share_pct=100.0,
-            climate=ClimateRegime.constant_favorable(),
+            climate=ClimateRegime.constant(Wgc.FAVORABLE),
             cycles=2,
         )
         result = run_simulation(config, tables)
@@ -295,7 +296,7 @@ class TestRunCycle:
         config = uniform_config(tl=TechLevel.LOW)
         scape = initialize(config, tables, SplitMix64(0))
         ctx = context_for(config, tables, Wgc.AVERAGE)
-        _, record = run_cycle(scape, ctx)
+        record = run_cycle(scape, ctx)
         assert record.tl_counts[TechLevel.LOW] == 1
         # full-soybean low-tech margin at average weather upgrades the agent
         assert scape.cells[0].tl is TechLevel.HIGH
@@ -365,7 +366,7 @@ def test_two_agent_imitation_hand_computed(tables):
         tenant=False, al=[100.0, 400.0],
     )
     ctx = _ctx(tables, wgc=Wgc.AVERAGE, rent=0.0)
-    _, record = run_cycle(scape, ctx)
+    record = run_cycle(scape, ctx)
     a, b = scape.cells
 
     # A: full soybean at high tech, 3.92*277 - 476 = 609.84, satisfied
@@ -410,8 +411,6 @@ def test_run_cycle_is_the_composition_of_the_public_ops(tables):
                for alloc, tl, tenure in zip(allocs, tls, tenures)]
     rls = [compute_rl(alloc, tl, ctx) for alloc, tl in zip(allocs, tls)]
     cals = [climate_adjusted_aspiration(al, ctx.wgc, tables) for al in als]
-
-    from luccsim import moore_neighbors
 
     for i, cell in enumerate(scape.cells):
         assert cell.last_profit_usd_per_ha == profits[i]

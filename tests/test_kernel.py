@@ -23,7 +23,6 @@ from luccsim import (
     decide_land_use,
     evaluate_goals,
     initialize,
-    moore_neighbors,
     preset,
     run_cycle,
     select_best_neighbor,
@@ -33,6 +32,7 @@ from luccsim import (
 from luccsim.numeric import sequential_sum
 
 from conftest import uniform_config
+from oracle_sim import moore_neighbors
 
 
 def test_neighbor_views_match_moore_neighbors_with_minus_inf_pads():
@@ -185,7 +185,7 @@ def _cycles_compose(tables, rows, cols, wgc):
         alloc, tl, tenant, al = (
             a.tolist() for a in (scape.alloc, scape.tl, scape.tenant, scape.al)
         )
-        _, record = run_cycle(scape, ctx, cycle_index=cycle)
+        record = run_cycle(scape, ctx, cycle_index=cycle)
         profits = [compute_profit(*agent, ctx) for agent in zip(alloc, tl, tenant)]
         rls = [compute_rl(a, t, ctx) for a, t in zip(alloc, tl)]
         cals = [climate_adjusted_aspiration(a, wgc, tables) for a in al]

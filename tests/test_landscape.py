@@ -12,15 +12,15 @@ from luccsim import (
     TechLevel,
     Tenure,
     Wgc,
-    aggregate,
     initialize,
-    moore_neighbors,
     preset,
 )
 from luccsim import landscape
+from luccsim.landscape import aggregate
 from luccsim.numeric import sequential_sum
 
 from conftest import scalar_shuffle, uniform_config
+from oracle_sim import moore_neighbors
 
 
 def test_interior_cell_has_eight_neighbors_in_scan_order():

@@ -9,9 +9,8 @@ from luccsim import (
     SplitMix64,
     distribution_summary,
     fit_report,
-    ordinal_fit,
-    rmse_and_v,
 )
+from luccsim.metrics import ordinal_fit, rmse_and_v
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -138,9 +137,10 @@ class TestDistributionSummary:
     def test_population_cv(self):
         assert distribution_summary([0, 10]).cv == pytest.approx(100.0, abs=1e-12)
 
-    def test_zero_mean_rejected(self):
-        with pytest.raises(MetricUndefinedError, match="cv"):
-            distribution_summary([-1.0, 1.0])
+    def test_zero_mean_has_no_cv(self):
+        s = distribution_summary([-0.1, 0.1, -0.3, 0.3])
+        assert s.cv is None and s.mean == 0.0
+        assert (s.min, s.q25, s.median, s.q75, s.max) == (-0.3, -0.15, 0.0, 0.15, 0.3)
 
     def test_interpolated_quartiles(self):
         s = distribution_summary([1, 2, 3, 4])

@@ -18,8 +18,8 @@ from luccsim import (
     initialize,
     preset,
     run_cycle,
-    wgc_for_cycle,
 )
+from luccsim.climate import wgc_for_cycle
 
 import oracle_sim
 

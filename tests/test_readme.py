@@ -1,11 +1,15 @@
 """The README's library examples run against the current API, and its scenario reference matches the code."""
 
+import importlib
 import json
+import pkgutil
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import luccsim
 from luccsim.cli import main
 from luccsim.climate import REGIME_NAMES
 from luccsim.config import _PRESETS, _SETTINGS
@@ -30,6 +34,30 @@ def test_library_use_examples_run(capsys):
         exec(compile(block, str(README), "exec"), {})
     # the landscape example's comment states what it prints
     assert "False (0.0, 100.0, 0.0)\n" in capsys.readouterr().out
+
+
+def _defined_names():
+    """The public names that luccsim's modules define (not those they import from elsewhere)."""
+    names = set()
+    for info in pkgutil.iter_modules(luccsim.__path__):
+        module = importlib.import_module(f"luccsim.{info.name}")
+        names |= {name for name, obj in vars(module).items() if not name.startswith("_")
+                  and getattr(obj, "__module__", "").startswith("luccsim")}
+    return names
+
+
+def test_the_package_exports_exactly_the_names_library_use_documents():
+    # a documented name is one that luccsim defines, written in code or between
+    # backticks, and not after a dot: `luccsim.engine.AgentRows` is reached
+    # through its module
+    blocks = _library_use_blocks()
+    prose = re.sub(r"^```python\n.*?^```", "", _section("## Library use"), flags=re.DOTALL | re.MULTILINE)
+    code = " ".join(blocks + re.findall(r"`([^`\n]+)`", prose))
+    documented = set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", code)) & _defined_names()
+    assert documented == set(luccsim.__all__)
+    exported = {name for name, obj in vars(luccsim).items()
+                if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert exported == set(luccsim.__all__)
 
 
 def test_key_reference_lists_exactly_the_keys_a_scenario_file_takes():

@@ -108,6 +108,26 @@ def test_each_row_plays_the_reference_weather_on_every_cycle_the_axis_does_not_m
             assert level is (row.value if moved else reference[t])
 
 
+def test_a_wgc_mix_sweep_initializes_each_run_once(tables, monkeypatch):
+    import luccsim.engine as engine
+    import luccsim.sweep as sweep
+
+    calls = []
+    original = engine.initialize
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (engine, sweep):  # wherever luccsim binds it
+        if getattr(module, "initialize", None) is original:
+            monkeypatch.setattr(module, "initialize", counting)
+    levels = (Wgc.UNFAVORABLE, Wgc.FAVORABLE, Wgc.VERY_FAVORABLE)
+    base = replace(_base(cycles=4), climate=ClimateRegime.random_uniform())
+    result = run_sweep(base, SweepAxis(SweepParameter.WGC_MIX_LEVEL, levels), tables)
+    assert len(result.rows) == len(calls) == len(levels) + 1
+
+
 def test_rent_axis_is_exactly_linear_on_uniform_tenant_fixture(tables):
     # Tenant-only, single land use and tech level: imitation swaps identical
     # vectors and profits stay below every upgrade threshold, so mean profit

@@ -8,9 +8,9 @@ from luccsim import (
     ConfigurationError,
     LandUse,
     ParameterTables,
+    Tenure,
     TechLevel,
     Wgc,
-    lookup,
     validate_tables,
 )
 from luccsim.tables import load_table_overrides
@@ -21,12 +21,12 @@ VU, U, AV, F, VF = Wgc
 
 
 def test_spot_values(tables):
-    assert lookup(tables, "yield", M, L, VU) == 4.05
-    assert lookup(tables, "cost", WS, H, VF) == 892
-    assert lookup(tables, "renewability", S, L, VF) == 57.6
-    assert lookup(tables, "yield", S, H, VF) == 5.19
-    assert lookup(tables, "cost", M, H, VU) == 717
-    assert lookup(tables, "renewability", WS, L, AV) == 29.9
+    assert tables.yield_t_per_ha[M, L, VU] == 4.05
+    assert tables.cost_usd_per_ha[WS, H, VF] == 892
+    assert tables.renewability_pct[S, L, VF] == 57.6
+    assert tables.yield_t_per_ha[S, H, VF] == 5.19
+    assert tables.cost_usd_per_ha[M, H, VU] == 717
+    assert tables.renewability_pct[WS, L, AV] == 29.9
 
 
 def test_scalar_tables(tables):
@@ -38,16 +38,12 @@ def test_scalar_tables(tables):
     assert tables.alpha_bn[(A, A)] == 0.0
 
 
-def test_lookup_is_pure(tables):
-    first = lookup(tables, "yield", WS, A, F)
-    assert all(
-        lookup(tables, "yield", WS, A, F) == first for _ in range(5)
-    )
-
-
-def test_lookup_rejects_unknown_kind(tables):
-    with pytest.raises(ConfigurationError):
-        lookup(tables, "prices", M, L, VU)
+@pytest.mark.parametrize("enum", [LandUse, TechLevel, Wgc, Tenure])
+def test_each_member_is_found_by_its_code(enum):
+    for member in enum:
+        assert enum.from_code(f" {member.code.lower()} ") is member
+    with pytest.raises(ConfigurationError, match=rf"^unknown {enum.__name__} code 'X' \(expected one of "):
+        enum.from_code("X")
 
 
 def test_wrong_shaped_table_is_rejected(tables):
