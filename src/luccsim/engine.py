@@ -11,10 +11,11 @@ cross-agent reads:
    frozen snapshot of stage 1-3 results.
 
 Each rule below is an array function that also accepts scalars: one call
-applies it to every agent, or to a single agent. `run_cycle` is their
-composition over the landscape's arrays: stages 1-3 replace the outcome
-arrays, and stage 4 updates the others in place, taking its best neighbors
-from shifted views of the landscape's profits on a -inf border.
+applies it to every agent, or to a single agent, and `out=` names the
+array to write into. `run_cycle` is their composition over the landscape's
+arrays, all written in place: stages 1-3 overwrite the outcome arrays, and
+stage 4 adapts the others, taking its best neighbors from shifted views of
+the landscape's profits on a -inf border.
 """
 
 from __future__ import annotations
@@ -77,40 +78,42 @@ class CycleContext:
     et_pct: float
 
 
-def _weighted(alloc, tl, by_level):
-    """(a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2, with vk = by_level[tl, k].
+def _weighted(alloc, tl, by_level, out=None):
+    """(a0/100)*v0 + (a1/100)*v1 + (a2/100)*v2, with vk = by_level[tl, k], into `out`.
 
-    Each of the three terms reads a column of `alloc` and gathers a column
-    of `by_level` by tech level, so no (n, 3) temporary is built.
+    Each term reads a column of `alloc` and gathers a column of `by_level`
+    by tech level, so no (n, 3) temporary is built.
     """
-    a0, a1, a2 = np.asarray(alloc, dtype=np.float64).T
-    v0, v1, v2 = (values.take(tl) for values in by_level.T)
-    return a0 / 100.0 * v0 + a1 / 100.0 * v1 + a2 / 100.0 * v2
+    a = np.asarray(alloc, dtype=np.float64)
+    out = np.divide(a[..., 0], 100.0, out=out)
+    out *= by_level[:, 0].take(tl)
+    for k in (1, 2):
+        term = a[..., k] / 100.0
+        term *= by_level[:, k].take(tl)
+        out += term
+    return out
 
 
-def compute_profit(alloc, tl, tenant, ctx: CycleContext):
+def compute_profit(alloc, tl, tenant, ctx: CycleContext, *, out=None):
     """Allocation-weighted per-hectare margin, minus rent for tenants."""
-    p = _weighted(alloc, tl, ctx.margins)
-    return np.where(tenant, p - ctx.rent_usd_per_ha, p)
+    p = np.asarray(_weighted(alloc, tl, ctx.margins, out))
+    return np.subtract(p, ctx.rent_usd_per_ha, out=p, where=tenant)
 
 
-def compute_rl(alloc, tl, ctx: CycleContext):
+def compute_rl(alloc, tl, ctx: CycleContext, *, out=None):
     """Allocation-weighted renewability share, in percent."""
-    return _weighted(alloc, tl, ctx.renewabilities)
+    return _weighted(alloc, tl, ctx.renewabilities, out)
 
 
-def climate_adjusted_aspiration(
-    al: float, wgc: Wgc, tables: ParameterTables
-) -> float:
+def climate_adjusted_aspiration(al, wgc: Wgc, tables: ParameterTables, *, out=None):
     """Aspiration scaled by the weather adjustment factor (the CAL)."""
-    return al * (1.0 + tables.alpha_wgc[wgc])
+    return np.multiply(al, 1.0 + tables.alpha_wgc[wgc], out=out)
 
 
-def evaluate_goals(
-    p: float, cal: float, rl: float, et: float
-) -> tuple[bool, bool]:
+def evaluate_goals(p, cal, rl, et, *, out=(None, None)):
     """Economic and environmental goal flags; equality counts as fulfilled."""
-    return (p >= cal, rl >= et)
+    econ, env = out
+    return np.greater_equal(p, cal, out=econ), np.greater_equal(rl, et, out=env)
 
 
 # _LOWEST_SET_BIT[b] is the index of b's lowest set bit (0 for b = 0)
@@ -145,7 +148,7 @@ def decide_land_use(p, cal, bn_profit):
     return (p < cal) & (bn_profit > cal)
 
 
-def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTables):
+def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTables, *, out=None):
     """Next-cycle aspiration level.
 
     Met aspirations move toward the realized profit quickly (55% weight on
@@ -153,32 +156,46 @@ def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTab
     tech-level adjustment factor, when that neighbor out-earned the agent's
     own CAL, or decay slowly toward the realized profit (45% weight).
     `bn_cal`, `bn_profit` and `bn_tl` are the best neighbor's CAL, profit
-    and tech level; with no neighbor, pass a -inf profit.
+    and tech level; with no neighbor, pass a -inf profit. `bn_cal` and
+    `bn_tl` are read only for the agents that imitate (`decide_land_use`),
+    so each may be given per agent or, as `run_cycle` gives them, for just
+    those agents in order. Returns an array, written into `out` if given.
 
     The weighted averages are evaluated as cal + w*(p - cal), which equals
     (1-w)*cal + w*p but cannot round past p. The direct form can overshoot
     by an ulp once the aspiration has converged onto the profit, flipping
     satisfied agents to unsatisfied and destabilizing an otherwise
-    quiescent landscape. Array steps run in place, so that a cycle holds
-    fewer whole-grid temporaries at once.
+    quiescent landscape.
     """
-    next_al = p - cal
-    next_al *= np.where(p >= cal, 1.0 - _INCREMENTAL_OWN, 1.0 - _DETRIMENTAL_OWN)
-    next_al += cal
-    factor = 1.0 + tables.alpha_bn
-    copied = tl * factor.shape[1]
-    copied += bn_tl
-    copied = factor.take(copied)  # factor[tl, bn_tl]
+    imitate = decide_land_use(p, cal, bn_profit)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(imitate), np.shape(tl)))
+    imitate = np.broadcast_to(imitate, out.shape)
+    met = np.greater_equal(p, cal)
+    np.subtract(p, cal, out=out)
+    np.multiply(out, 1.0 - _INCREMENTAL_OWN, out=out, where=met)
+    np.multiply(out, 1.0 - _DETRIMENTAL_OWN, out=out, where=~met)
+    out += cal
+    if np.shape(bn_cal) == out.shape:
+        bn_cal = np.asarray(bn_cal)[imitate]
+    if np.shape(bn_tl) == out.shape:
+        bn_tl = np.asarray(bn_tl)[imitate]
+    copied = (1.0 + tables.alpha_bn)[np.broadcast_to(tl, out.shape)[imitate], bn_tl]
     copied *= bn_cal
-    next_al = np.where(decide_land_use(p, cal, bn_profit), copied, next_al)
-    return np.where(next_al > 0.0, next_al, 0.0)
+    out[imitate] = copied
+    out[~(out > 0.0)] = 0.0  # a NaN too
+    return out
 
 
-def update_technology(p, tables: ParameterTables):
+def update_technology(p, tables: ParameterTables, *, out=None):
     """Tech level index affordable from this cycle's profit; never forces an exit."""
     wct = tables.wct_usd_per_ha
-    return np.where(p >= wct[TechLevel.HIGH], TechLevel.HIGH, np.where(
-        p >= wct[TechLevel.AVERAGE], TechLevel.AVERAGE, TechLevel.LOW))
+    if out is None:
+        out = np.empty(np.shape(p), np.intp)
+    out[...] = TechLevel.LOW
+    np.copyto(out, TechLevel.AVERAGE, where=np.greater_equal(p, wct[TechLevel.AVERAGE]))
+    np.copyto(out, TechLevel.HIGH, where=np.greater_equal(p, wct[TechLevel.HIGH]))
+    return out
 
 
 def context_for(
@@ -209,30 +226,32 @@ def run_cycle(
 ) -> CycleRecord:
     """Advance the landscape by one cycle.
 
-    Stages 1-3 bind new outcome arrays (profit, rl, cal, econ, env) to the
-    landscape, each dropping the last cycle's as it is made. Returns the
-    record of outcomes aggregated at the stage-3 barrier, before stage 4
-    adapts the alloc, tl and al arrays in place.
+    Stages 1-3 overwrite the landscape's outcome arrays (profit, rl, cal,
+    econ, env) in place with this cycle's outcomes. Returns the record of
+    outcomes aggregated at the stage-3 barrier, before stage 4 adapts the
+    alloc, tl and al arrays in place.
     """
     s = landscape
     tables = ctx.tables
-    s.profit = profit = compute_profit(s.alloc, s.tl, s.tenant, ctx)
-    s.rl = compute_rl(s.alloc, s.tl, ctx)
-    s.cal = cal = climate_adjusted_aspiration(s.al, ctx.wgc, tables)
-    s.econ, s.env = evaluate_goals(profit, cal, s.rl, ctx.et_pct)
+    profit = compute_profit(s.alloc, s.tl, s.tenant, ctx, out=s.profit)
+    compute_rl(s.alloc, s.tl, ctx, out=s.rl)
+    cal = climate_adjusted_aspiration(s.al, ctx.wgc, tables, out=s.cal)
+    evaluate_goals(profit, cal, s.rl, ctx.et_pct, out=(s.econ, s.env))
     record = aggregate(s, cycle_index, ctx.wgc)
 
     s.profit_grid[...] = profit.reshape(s.rows, s.cols)
     position, best_p = (a.reshape(-1) for a in select_best_neighbor(s.neighbor_profits))
-    best = np.arange(s.n_agents)
-    best += s.neighbor_steps.take(position)  # each agent's best neighbor, as an index
-    imitate = decide_land_use(profit, cal, best_p)
-    # "clip": a lone agent (1x1) reads itself, unused as its -inf never out-earns a CAL
-    bn_cal, bn_tl = cal.take(best, mode="clip"), s.tl.take(best, mode="clip")
-    s.al[:] = update_aspiration(cal, profit, bn_cal, best_p, s.tl, bn_tl, tables)
-    s.tl[:] = update_technology(profit, tables)
-    imitators = np.flatnonzero(imitate)
-    s.alloc[imitators] = s.alloc.take(best.take(imitators), axis=0)  # models' pre-cycle rows
+    imitators = np.flatnonzero(decide_land_use(profit, cal, best_p))
+    # each imitator's best neighbor, as an index: an imitator's is on the grid
+    models = s.neighbor_steps.take(position.take(imitators))
+    models += imitators
+    del position
+    for column in s.alloc.T:  # models' pre-cycle rows, a column at a time
+        column[imitators] = column.take(models)
+    bn_cal, bn_tl = cal.take(models), s.tl.take(models)
+    del imitators, models  # update_aspiration sets the cycle's peak: hold only what it reads
+    update_aspiration(cal, profit, bn_cal, best_p, s.tl, bn_tl, tables, out=s.al)
+    update_technology(profit, tables, out=s.tl)
     return record
 
 
@@ -261,9 +280,9 @@ class RunObserver(Protocol):
     cycle: `before` is (alloc copy, tl as int8, al copy) as the cycle
     began, the landscape's outcome arrays hold the cycle's outcomes and
     its alloc, tl and al arrays are already adapted for the next cycle,
-    and `record` is the cycle's record. The next cycle replaces the outcome
-    arrays and updates the others in place; keep copies. `end` comes once,
-    with the finished result.
+    and `record` is the cycle's record. The next cycle overwrites all of
+    these arrays in place; keep copies. `end` comes once, with the finished
+    result.
     """
 
     def start(self, landscape: Landscape) -> None: ...
@@ -425,7 +444,10 @@ def run_simulation(
         observer.start(scape)
 
     records: list[CycleRecord] = []
-    totals = np.zeros((4, scape.n_agents))  # per-agent sums of profit, rl, econ, env
+    n = scape.n_agents
+    # per-agent sums of profit and rl, and counts of met goals
+    profit, rl = np.zeros(n), np.zeros(n)
+    econ, env = np.zeros((2, n), np.min_scalar_type(config.cycles))
 
     for t in range(config.cycles):
         ctx = run.contexts[wgc_for_cycle(config.climate, t, rng)]
@@ -433,21 +455,31 @@ def run_simulation(
             before = (scape.alloc.copy(), scape.tl.astype(np.int8), scape.al.copy())
         record = run_cycle(scape, ctx, cycle_index=t)
         records.append(record)
-        for total, outcome in zip(totals, (scape.profit, scape.rl, scape.econ, scape.env)):
-            total += outcome
+        profit += scape.profit
+        rl += scape.rl
+        econ += scape.econ
+        env += scape.env
         for observer in observers:
             observer.cycle(t, before, scape, record)
 
     cycles = float(config.cycles)
-    profit, rl, econ, env = totals
+    profit /= cycles
+    rl /= cycles
+
+    def agreement_pct(count):
+        pct = count.astype(np.float64)  # a small count times a float is float16 on numpy 1.x
+        pct *= 100.0
+        pct /= cycles
+        return pct
+
     result = RunResult(
         config=config,
         records=records,
         landscape=scape,
-        mean_profit_per_agent=profit / cycles,
-        mean_rl_per_agent=rl / cycles,
-        econ_agreement_pct=100.0 * econ / cycles,
-        env_agreement_pct=100.0 * env / cycles,
+        mean_profit_per_agent=profit,
+        mean_rl_per_agent=rl,
+        econ_agreement_pct=agreement_pct(econ),
+        env_agreement_pct=agreement_pct(env),
         agent_rows=agent_rows,
     )
     for observer in observers:

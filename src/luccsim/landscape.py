@@ -11,6 +11,7 @@ determines the starting landscape.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,8 +78,8 @@ class Landscape:
     percentages, `tl` (tech level indices), `tenant` and `al` (aspiration),
     given to the constructor (each is copied and may be broadcast), and the
     latest cycle's `profit`, `rl`, `cal`, `econ` and `env`, which start at
-    zero/false and which each `run_cycle` replaces with new arrays. `cells`
-    is a list of read-only live CellViews of the arrays the landscape holds.
+    zero/false and which each `run_cycle` overwrites in place. `cells` is a
+    list of read-only live CellViews of the arrays the landscape holds.
 
     `profit_grid` is the (rows, cols) interior of a grid of profits with a
     -inf border, which `run_cycle` fills from `profit`. `neighbor_profits`
@@ -191,7 +192,7 @@ def initialize(
     n = config.n_agents
 
     owner_count = int(config.owner_share_pct * n / 100.0 + 0.5)
-    order = list(range(n))
+    order = array("q", range(n))  # machine ints, not n int objects (see SplitMix64.shuffle)
     rng.shuffle(order)
     tenant = np.ones(n, dtype=bool)
     tenant[order[:owner_count]] = False

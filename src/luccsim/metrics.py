@@ -11,6 +11,7 @@ pair counts as a mismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -107,20 +108,42 @@ def fit_report(
     return FitReport(rmse=rmse, v=v, pm=pm, iof=iof)
 
 
+def _quartile(arr: np.ndarray, q: float) -> float:
+    """np.percentile(arr, 100 * q, method="linear"), by the same float operations.
+
+    Each call partitions its own copy at numpy's kth set, as each
+    np.percentile call does: where equal values (such as -0.0 and 0.0) land
+    depends on the partition, so sharing one would change the sign of a zero.
+    np.percentile finds that set with np.unique, which imports numpy.ma.
+    """
+    n = len(arr)
+    virtual = (n - 1) * q
+    lo = hi = -1  # beyond the last index, numpy takes the last value
+    if virtual < n - 1:
+        lo = math.floor(virtual)
+        hi = lo + 1
+    part = arr.copy()
+    part.partition(sorted({0, -1, lo, hi}))
+    if math.isnan(part[-1]):
+        return math.nan
+    below, above, gamma = part[lo].item(), part[hi].item(), virtual - lo
+    diff = above - below
+    if gamma >= 0.5:  # numpy's two-branch lerp
+        return above - diff * (1 - gamma)
+    return below + diff * gamma
+
+
 def distribution_summary(values: Sequence[float]) -> DistributionSummary:
     """Quartiles (inclusive linear interpolation), mean, and percent CV (None at a zero mean)."""
     if not len(values):
         raise MetricUndefinedError("distribution summary needs values")
     arr = np.asarray(values, dtype=float)
     mean = float(np.mean(arr))
-    q25, median, q75 = (
-        float(np.percentile(arr, q, method="linear")) for q in (25, 50, 75)
-    )
     return DistributionSummary(
         min=float(np.min(arr)),
-        q25=q25,
-        median=median,
-        q75=q75,
+        q25=_quartile(arr, 0.25),
+        median=_quartile(arr, 0.5),
+        q75=_quartile(arr, 0.75),
         max=float(np.max(arr)),
         mean=mean,
         cv=100.0 * float(np.std(arr)) / abs(mean) if mean != 0.0 else None,

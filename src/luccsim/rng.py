@@ -89,7 +89,9 @@ class SplitMix64:
         k, saved = max(len(seq) - 1, 0), self._state
         u, m = self.next_u64_array(k), np.arange(k + 1, 1, -1, dtype=np.uint64)
         if np.all(u <= ~((np.uint64(0) - m) % m)):  # randrange(m) accepts u < 2^64 - 2^64 % m
-            js = (u % m).tolist()
+            # read as the loop goes: a list of k Python ints fills pymalloc
+            # arenas that objects made meanwhile pin for the rest of the run
+            js = memoryview(u % m)
         else:
             self._state = saved
             js = [self.randrange(i + 1) for i in range(k, 0, -1)]

@@ -187,6 +187,14 @@ def test_every_scenario_has_a_digest():
     assert sorted(GOLDEN) == sorted(SCENARIOS)
 
 
+def test_a_distribution_mean_in_the_summary_is_numpys_pairwise_mean(tmp_path):
+    # README's Determinism section: the distribution summaries' mean and cv are
+    # np.mean and np.std, not left-to-right sums (which give ...364 here)
+    assert main(["run", "--preset", "longterm", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["per_agent_mean_profit"]["mean"] == 232.6186286424363
+
+
 if __name__ == "__main__":
     table = {}
     for scenario in sorted(SCENARIOS):

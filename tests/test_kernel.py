@@ -94,6 +94,9 @@ def test_each_rule_gives_the_same_bits_on_arrays_and_on_scalars(tables, data, wg
         ))
     for got, expected in zip(whole, zip(*parts), strict=True):
         _same_bits(got, expected)
+    imitate = decide_land_use(p, cal, bn_p)  # bn_cal and bn_tl given for just these agents
+    _same_bits(update_aspiration(cal, p, bn_cal[imitate], bn_p, tl, bn_tl[imitate], tables),
+               whole[-2])
 
 
 def test_a_tie_of_zeros_gives_the_same_bits_on_arrays_of_any_length_and_on_scalars():

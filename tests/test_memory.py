@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from luccsim import SplitMix64, initialize, preset, run_simulation
+from luccsim.cli import _summary_dict
 from luccsim.config import with_settings
 from luccsim.numeric import sequential_sum
 
@@ -39,15 +40,34 @@ def test_initialize_peaks_within_two_and_a_half_landscapes(tables):
     assert peak <= 2.5 * held
 
 
-@pytest.mark.parametrize("shape", [(ROWS * COLS, 3), (ROWS * COLS,)])
-def test_sequential_sum_peaks_near_its_input(shape):
+# rows are summed a column at a time, so their peak is one column's running sum
+@pytest.mark.parametrize("shape, bound", [((ROWS * COLS, 3), 0.5), ((ROWS * COLS,), 1.25)])
+def test_sequential_sum_peaks_near_its_input(shape, bound):
     values = SplitMix64(2).random_array(int(np.prod(shape))).reshape(shape)
     sequential_sum(values[:2])
     _, peak = _peak(lambda: sequential_sum(values))
-    assert peak <= 1.25 * values.nbytes
+    assert peak <= bound * values.nbytes
 
 
-def test_run_peaks_within_180_bytes_per_agent(tables):
+def test_run_peaks_within_130_bytes_per_agent(tables):
     run_simulation(_config(2, 3), tables)
     _, peak = _peak(lambda: run_simulation(_config(ROWS, COLS), tables))
-    assert peak <= 180 * ROWS * COLS
+    assert peak <= 130 * ROWS * COLS
+
+
+def test_summary_peaks_within_130_bytes_per_agent_with_the_result_held(tables):
+    # the result holds the landscape and four per-agent float arrays; the
+    # summary adds one array's copy at a time
+    _summary_dict(run_simulation(_config(2, 3), tables))
+    n = ROWS * COLS
+    tracemalloc.start()
+    try:
+        result = run_simulation(_config(ROWS, COLS), tables)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _summary_dict(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 1.25 * 8 * n
+    assert peak <= 130 * n

@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luccsim import (
@@ -147,3 +150,29 @@ class TestDistributionSummary:
         assert s.q25 == pytest.approx(1.75)
         assert s.median == pytest.approx(2.5)
         assert s.q75 == pytest.approx(3.25)
+
+    def test_imports_no_module(self):
+        # np.percentile imports numpy.ma on its first call (through np.unique)
+        code = (
+            "import sys\n"
+            "from luccsim.metrics import distribution_summary\n"
+            "before = set(sys.modules)\n"
+            "distribution_summary([3.0, -1.0, 2.5, 0.0, 7.25])\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.strip() == "[]"
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -7.125]) | st.floats(
+            min_value=-1e6, max_value=1e6, allow_nan=False),
+        min_size=1, max_size=200))
+    def test_quartiles_min_and_max_have_numpys_bits(self, values):
+        arr = np.array(values)
+        s = distribution_summary(values)
+        got = [s.min, s.q25, s.median, s.q75, s.max]
+        expected = [np.min(arr), *(np.percentile(arr, q, method="linear") for q in (25, 50, 75)),
+                    np.max(arr)]
+        assert np.array(got).tobytes() == np.array(expected, dtype=np.float64).tobytes()
