@@ -45,7 +45,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-SERIES_NAMES = ("cover_m", "cover_s", "cover_ws", "mean_p", "mean_rl")
+# The cycles.csv columns `validate` compares with observed series.
+SERIES_NAMES = (*(f"cover_{lu.code.lower()}" for lu in LandUse), "mean_p", "mean_rl")
 
 # Accepted spellings for observed-series columns.
 _COLUMN_ALIASES = {
@@ -56,8 +57,8 @@ _COLUMN_ALIASES = {
 }
 
 
-_CYCLES_HEADER = ("cycle", "wgc", "cover_m", "cover_s", "cover_ws", "mean_p", "mean_rl",
-                  "pct_econ_ok", "pct_env_ok", "tl_l", "tl_a", "tl_h")
+_CYCLES_HEADER = ("cycle", "wgc", *SERIES_NAMES, "pct_econ_ok", "pct_env_ok",
+                  *(f"tl_{tl.code.lower()}" for tl in TechLevel))
 
 
 def write_cycles_csv(records: Sequence[CycleRecord], path: str) -> None:

@@ -1,11 +1,12 @@
 """Per-cycle weather growing condition (WGC) sequences.
 
-A regime maps a cycle index to one of the five WGC levels. Constant,
-see-saw, and explicit-sequence regimes are deterministic; the random
-regime draws iid uniform levels from the run's seeded stream. A mix
-regime alternates a historical sequence (even cycle indices) with one
-fixed level (odd indices), which is how weather sensitivity scenarios
-are built.
+A regime is the WGC levels it plays. Constant and see-saw regimes repeat
+their levels for as long as a run lasts; the random regime has no levels
+and draws iid uniform ones from the run's seeded stream. Explicit-sequence
+and mix regimes play their levels once, so those levels must cover the
+run. A mix regime plays a historical sequence with one fixed level put on
+its odd cycle indices, which is how weather sensitivity scenarios are
+built.
 
 The regime's names and parser (`parse_climate_spec`) live here too.
 """
@@ -13,90 +14,72 @@ The regime's names and parser (`parse_climate_spec`) live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, read_text
 from .rng import SplitMix64
 from .tables import Wgc
 
-__all__ = ["RegimeKind", "ClimateRegime", "wgc_for_cycle", "load_wgc_sequence",
+__all__ = ["ClimateRegime", "wgc_for_cycle", "load_wgc_sequence",
            "parse_climate_spec", "REGIME_NAMES"]
-
-
-class RegimeKind(Enum):
-    CONSTANT = "constant"
-    SEESAW = "seesaw"
-    RANDOM_UNIFORM = "random"
-    SEQUENCE = "sequence"
-    MIX = "mix"
-
-
-_SEESAW_PATTERN = (Wgc.VERY_UNFAVORABLE, Wgc.AVERAGE, Wgc.VERY_FAVORABLE)
-
-# What messages call the series of each regime that plays a weather series.
-_SERIES_NAMES = {
-    RegimeKind.SEQUENCE: "weather sequence",
-    RegimeKind.MIX: "mix regime's historical sequence",
-}
 
 
 @dataclass(frozen=True)
 class ClimateRegime:
-    """Tagged union over the supported weather regimes.
+    """The weather levels a run plays, one per cycle.
 
-    `level` holds the constant level (CONSTANT) or the fixed mixed-in level
-    (MIX). `sequence` holds the explicit series (SEQUENCE) or the historical
-    series occupying even cycle indices (MIX).
+    Empty `levels` means each cycle's level is drawn from the run's stream.
+    `series` names the levels in messages; it is set only on a regime that
+    plays its levels once, and a regime without it repeats them.
     """
 
-    kind: RegimeKind
-    level: Optional[Wgc] = None
-    sequence: tuple[Wgc, ...] = ()
+    name: str
+    levels: tuple[Wgc, ...]
+    series: Optional[str] = None
 
     @staticmethod
     def constant(level: Wgc) -> "ClimateRegime":
-        return ClimateRegime(RegimeKind.CONSTANT, level=level)
+        return ClimateRegime(f"constant-{level.code}", (level,))
 
     @staticmethod
     def seesaw() -> "ClimateRegime":
-        return ClimateRegime(RegimeKind.SEESAW)
+        return ClimateRegime(
+            "seesaw", (Wgc.VERY_UNFAVORABLE, Wgc.AVERAGE, Wgc.VERY_FAVORABLE)
+        )
 
     @staticmethod
     def random_uniform() -> "ClimateRegime":
-        return ClimateRegime(RegimeKind.RANDOM_UNIFORM)
+        return ClimateRegime("random", ())
 
     @staticmethod
     def explicit(sequence: Sequence[Wgc]) -> "ClimateRegime":
         if not sequence:
             raise ConfigurationError("explicit weather sequence is empty")
-        return ClimateRegime(RegimeKind.SEQUENCE, sequence=tuple(sequence))
+        return ClimateRegime(
+            f"sequence[{len(sequence)}]", tuple(sequence), "weather sequence"
+        )
 
     @staticmethod
     def alternating_mix(
         historical: Sequence[Wgc], fixed: Wgc
     ) -> "ClimateRegime":
+        """`historical` on the even cycle indices, `fixed` on the odd ones."""
         if not historical:
             raise ConfigurationError("mix regime needs a historical sequence")
         return ClimateRegime(
-            RegimeKind.MIX, level=fixed, sequence=tuple(historical)
+            f"mix[{len(historical)} historical / {fixed.code}]",
+            tuple(fixed if t % 2 else level for t, level in enumerate(historical)),
+            "mix regime's historical sequence",
         )
 
     def describe(self) -> str:
-        if self.kind is RegimeKind.CONSTANT:
-            return f"constant-{self.level.code}"
-        if self.kind is RegimeKind.SEQUENCE:
-            return f"sequence[{len(self.sequence)}]"
-        if self.kind is RegimeKind.MIX:
-            return f"mix[{len(self.sequence)} historical / {self.level.code}]"
-        return self.kind.value
+        return self.name
 
     def check_cycles(self, cycles: int) -> None:
         """Refuse a weather series shorter than a run of `cycles` cycles."""
-        series = _SERIES_NAMES.get(self.kind)
-        if series and len(self.sequence) < cycles:
+        if self.series and len(self.levels) < cycles:
             raise ConfigurationError(
-                f"{series} has {len(self.sequence)} entries "
+                f"{self.series} has {len(self.levels)} entries "
                 f"but the scenario runs {cycles} cycles"
             )
 
@@ -107,24 +90,19 @@ def wgc_for_cycle(
     """Weather level for one cycle; consumes `rng` only for the random regime."""
     if cycle_index < 0:
         raise ValueError("cycle_index must be non-negative")
-    if regime.kind is RegimeKind.CONSTANT:
-        return regime.level
-    if regime.kind is RegimeKind.SEESAW:
-        return _SEESAW_PATTERN[cycle_index % 3]
-    if regime.kind is RegimeKind.RANDOM_UNIFORM:
+    levels = regime.levels
+    if not levels:
         if rng is None:
             raise ValueError("random regime needs a seeded stream")
         return Wgc(rng.randrange(len(Wgc)))
-    if regime.kind is RegimeKind.MIX and cycle_index % 2 == 1:
-        return regime.level
-    if regime.kind in _SERIES_NAMES:
-        if cycle_index >= len(regime.sequence):
-            raise ConfigurationError(
-                f"{_SERIES_NAMES[regime.kind]} has {len(regime.sequence)} entries but "
-                f"cycle {cycle_index} was requested"
-            )
-        return regime.sequence[cycle_index]
-    raise ValueError(f"unhandled regime kind {regime.kind}")
+    if regime.series is None:
+        return levels[cycle_index % len(levels)]
+    if cycle_index >= len(levels):
+        raise ConfigurationError(
+            f"{regime.series} has {len(levels)} entries but "
+            f"cycle {cycle_index} was requested"
+        )
+    return levels[cycle_index]
 
 
 def load_wgc_sequence(path: str) -> tuple[Wgc, ...]:

@@ -272,11 +272,19 @@ def parse_config(path: str) -> ScenarioConfig:
 
 
 def _line_of_key(text: str, key: str) -> int:
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return 1
+    """The line on which the top-level object of the JSON `text` names `key`.
+
+    Values are skipped whole, so a nested key or a string value that reads
+    like `key` is never taken for it.
+    """
+    decoder, skip_blanks = json.JSONDecoder(), json.decoder.WHITESPACE.match
+    at = text.index("{") + 1
+    while True:
+        at = text.index('"', at)
+        name, end = json.decoder.scanstring(text, at + 1)
+        if name == key:
+            return text.count("\n", 0, at) + 1
+        _, at = decoder.raw_decode(text, skip_blanks(text, text.index(":", end) + 1).end())
 
 
 _REQUIRED_KEYS = ("grid_rows", "grid_cols", "cycles", "seed", "owner_share_pct",

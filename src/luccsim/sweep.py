@@ -224,32 +224,11 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
     """Write one row per axis value; floats carry six decimals."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "parameter",
-                "value",
-                "mean_profit",
-                "mean_rl",
-                "final_cover_m",
-                "final_cover_s",
-                "final_cover_ws",
-                "final_tl_l",
-                "final_tl_a",
-                "final_tl_h",
-            ]
-        )
+        writer.writerow(["parameter", "value", "mean_profit", "mean_rl",
+                         *(f"final_cover_{lu.code.lower()}" for lu in LandUse),
+                         *(f"final_tl_{tl.code.lower()}" for tl in TechLevel)])
         for row in result.rows:
-            writer.writerow(
-                [
-                    result.parameter.value,
-                    row.value_label,
-                    f"{row.mean_profit:.6f}",
-                    f"{row.mean_rl:.6f}",
-                    f"{row.final_cover_pct[LandUse.MAIZE]:.6f}",
-                    f"{row.final_cover_pct[LandUse.SOYBEAN]:.6f}",
-                    f"{row.final_cover_pct[LandUse.WHEAT_SOY]:.6f}",
-                    row.final_tl_counts[TechLevel.LOW],
-                    row.final_tl_counts[TechLevel.AVERAGE],
-                    row.final_tl_counts[TechLevel.HIGH],
-                ]
-            )
+            writer.writerow([result.parameter.value, row.value_label,
+                             f"{row.mean_profit:.6f}", f"{row.mean_rl:.6f}",
+                             *(f"{row.final_cover_pct[lu]:.6f}" for lu in LandUse),
+                             *(row.final_tl_counts[tl] for tl in TechLevel)])

@@ -6,6 +6,21 @@ from luccsim.climate import load_wgc_sequence, wgc_for_cycle
 VU, U, A, F, VF = Wgc
 
 
+@pytest.mark.parametrize("regime, name, played", [
+    (ClimateRegime.constant(F), "constant-F", [F, F, F, F, F, F]),
+    (ClimateRegime.seesaw(), "seesaw", [VU, A, VF, VU, A, VF]),
+    (ClimateRegime.random_uniform(), "random", [A, VF, U, F, VF, VU]),  # seed 7
+    (ClimateRegime.explicit([F, VU, A, A, U, VF]), "sequence[6]", [F, VU, A, A, U, VF]),
+    (ClimateRegime.alternating_mix([VU, U, A, F, U, U], VF), "mix[6 historical / VF]",
+     [VU, VF, A, VF, U, VF]),
+    (ClimateRegime.alternating_mix([U], VF), "mix[1 historical / VF]", [U]),
+])
+def test_each_regime_describes_itself_and_plays_its_levels(regime, name, played):
+    assert regime.describe() == name
+    rng = SplitMix64(7)
+    assert [wgc_for_cycle(regime, t, rng) for t in range(len(played))] == played
+
+
 def test_constant_regimes_ignore_cycle_index():
     for regime, level in (
         (ClimateRegime.constant(U), U),
@@ -41,9 +56,13 @@ def test_mix_alternates_history_and_fixed_level():
 
 def test_mix_exhaustion():
     regime = ClimateRegime.alternating_mix([VU, U], A)
-    assert wgc_for_cycle(regime, 1) is A  # odd index never touches history
+    assert wgc_for_cycle(regime, 1) is A  # the fixed level sits on the odd indices
     with pytest.raises(ConfigurationError):
         wgc_for_cycle(regime, 2)
+    with pytest.raises(ConfigurationError, match="2 entries but cycle 3 was requested"):
+        wgc_for_cycle(regime, 3)  # an odd index past the history is refused too
+    with pytest.raises(ConfigurationError, match="1 entries but cycle 1 was requested"):
+        wgc_for_cycle(ClimateRegime.alternating_mix([U], VF), 1)
 
 
 def test_random_regime_is_seed_deterministic():

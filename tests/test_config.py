@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from luccsim import (
+    ClimateRegime,
     ConfigurationError,
     LandUse,
     TechLevel,
@@ -11,7 +12,6 @@ from luccsim import (
     parse_config,
     preset,
 )
-from luccsim.climate import RegimeKind
 from luccsim.config import _PRESETS, PRESET_NAMES, with_settings
 
 
@@ -78,8 +78,6 @@ def test_rent_must_be_exclusive():
 
 
 def test_sequence_shorter_than_horizon_rejected():
-    from luccsim import ClimateRegime
-
     config = replace(
         preset("longterm"),
         climate=ClimateRegime.explicit([Wgc.AVERAGE] * 10),
@@ -118,7 +116,7 @@ def test_parse_config_from_preset_with_overrides(tmp_path):
     assert config.seed == 9
     assert config.cycles == 12
     assert config.owner_share_pct == 10.0
-    assert config.climate.kind is RegimeKind.SEESAW
+    assert config.climate == ClimateRegime.seesaw()
     assert config.rent_usd() == 500.0
     assert config.prices[LandUse.SOYBEAN] == 300.0
 
@@ -141,13 +139,9 @@ def test_parse_config_full_file(tmp_path):
     config = parse_config(path)
     config.validate()
     assert config.n_agents == 12
-    assert config.climate.sequence == (
-        Wgc.VERY_UNFAVORABLE,
-        Wgc.UNFAVORABLE,
-        Wgc.AVERAGE,
-        Wgc.FAVORABLE,
-        Wgc.VERY_FAVORABLE,
-    )
+    assert config.climate == ClimateRegime.explicit([
+        Wgc.VERY_UNFAVORABLE, Wgc.UNFAVORABLE, Wgc.AVERAGE, Wgc.FAVORABLE, Wgc.VERY_FAVORABLE,
+    ])
     assert config.et_pct == 45.0
 
 
@@ -169,6 +163,19 @@ def test_parse_config_unknown_key_reports_line(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ('{\n  "preset": "longterm",\n  "prices": {"M": 141, "S": 300, "WS": 160},\n'
+     '  "cycles": 5,\n  "M": 5\n}\n', "M", 5),
+    ('{\n  "preset": "longterm",\n  "climate": "random",\n  "cycles": 5,\n'
+     '  "random": 1\n}\n', "random", 5),
+])
+def test_parse_config_unknown_key_reports_the_top_level_keys_line(tmp_path, text, key, line):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=rf"scenario\.json:{line}: unknown key '{key}'$"):
+        parse_config(str(path))
+
+
 def test_parse_config_bad_json_reports_line(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text('{\n  "preset": "longterm",\n}\n')
@@ -187,8 +194,9 @@ def test_parse_config_mix_climate(tmp_path):
     )
     config = parse_config(path)
     config.validate()
-    assert config.climate.kind is RegimeKind.MIX
-    assert config.climate.level is Wgc.VERY_FAVORABLE
+    assert config.climate == ClimateRegime.alternating_mix(
+        [Wgc.AVERAGE, Wgc.AVERAGE, Wgc.UNFAVORABLE, Wgc.UNFAVORABLE], Wgc.VERY_FAVORABLE
+    )
 
 
 def test_parse_config_sequence_file(tmp_path):
@@ -204,7 +212,9 @@ def test_parse_config_sequence_file(tmp_path):
     )
     config = parse_config(path)
     config.validate()
-    assert config.climate.sequence == (Wgc.AVERAGE, Wgc.FAVORABLE, Wgc.VERY_FAVORABLE)
+    assert config.climate == ClimateRegime.explicit(
+        [Wgc.AVERAGE, Wgc.FAVORABLE, Wgc.VERY_FAVORABLE]
+    )
 
 
 def test_parse_config_with_table_overrides_end_to_end(tmp_path, capsys):
