@@ -435,6 +435,19 @@ def test_split_pricing_setting_under_combined_pricing_is_rejected(tmp_path, caps
     assert written == []
 
 
+@pytest.mark.parametrize("body, message", [
+    ('"pricing_mode": "bogus"', "pricing_mode must be 'combined' or 'split', got 'bogus'"),
+    ('"pricing_mode": "split"', "component"),
+    ('"rent": {"soy_tons": 1, "usd_per_ha": 2}', 'rent must be {"soy_tons": x} or {"usd_per_ha": x}'),
+    ('"rent": {}', 'rent must be {"soy_tons": x} or {"usd_per_ha": x}'),
+])
+def test_pricing_or_rent_setting_of_the_wrong_form_is_rejected(tmp_path, capsys, body, message):
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and "scenario.json" in err and message in err
+    assert written == []
+
+
 # Finite settings whose margins, rent or initial aspirations are too large
 # for a run's sums: before the check, each wrote inf or NaN with exit 0.
 _HUGE_SETTINGS = [
