@@ -41,12 +41,21 @@ from .tables import (
     load_tl_wgc_table_csv,
 )
 
-__all__ = ["ScenarioConfig", "preset", "parse_config", "with_settings", "resolve_tables",
-           "PRESET_NAMES"]
+__all__ = ["ScenarioConfig", "SplitPricing", "preset", "parse_config", "with_settings",
+           "resolve_tables", "PRESET_NAMES"]
 
 _SHARE_TOLERANCE = 1e-6
 
-_DEFAULT_WHEAT_PRICE = 153.0
+_RENT_UNITS = ("soy_tons", "usd_per_ha")
+
+
+@dataclass(frozen=True)
+class SplitPricing:
+    """Split pricing of the double crop: its component yields [TechLevel, Wgc] and wheat price."""
+
+    wheat_yield: np.ndarray
+    soy2_yield: np.ndarray
+    wheat_price_usd_per_t: float = 153.0
 
 
 @dataclass(frozen=True)
@@ -63,15 +72,11 @@ class ScenarioConfig:
     initial_tl_pct: Mapping[TechLevel, float]
     initial_al_factor: float = 0.6
     et_pct: float = 50.0
-    rent_soy_tons: Optional[float] = 1.6
-    rent_usd_per_ha: Optional[float] = None
+    rent: tuple[str, float] = ("soy_tons", 1.6)  # (unit, amount), unit one of _RENT_UNITS
     prices: Mapping[LandUse, float] = field(
         default_factory=lambda: dict(zip(LandUse, default_tables().price_usd_per_t.tolist()))
     )
-    pricing_mode: str = "combined"
-    wheat_price_usd_per_t: float = _DEFAULT_WHEAT_PRICE
-    split_wheat_yield: Optional[np.ndarray] = None  # [TechLevel, Wgc]
-    split_soy2_yield: Optional[np.ndarray] = None
+    split: Optional[SplitPricing] = None  # None prices the double crop combined
     table_overrides: Mapping[str, str] = field(default_factory=dict)
 
     @property
@@ -80,12 +85,14 @@ class ScenarioConfig:
 
     def rent_usd(self) -> float:
         """Tenant rent in US$/ha; soybean-equivalent rent uses the current price."""
-        if self.rent_usd_per_ha is not None:
-            return self.rent_usd_per_ha
-        return self.rent_soy_tons * self.prices[LandUse.SOYBEAN]
+        unit, amount = self.rent
+        return amount if unit == "usd_per_ha" else amount * self.prices[LandUse.SOYBEAN]
 
     def validate(self) -> None:
         """Raise ConfigurationError on the first inconsistency found."""
+        if self.rent[0] not in _RENT_UNITS:
+            raise ConfigurationError(
+                f"rent unit must be soy_tons or usd_per_ha (got {self.rent[0]!r})")
         for name, value in self._float_fields():
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite (got {value!r})")
@@ -106,36 +113,15 @@ class ScenarioConfig:
             raise ConfigurationError("initial_al_factor must be non-negative")
         if not 0.0 <= self.et_pct <= 100.0:
             raise ConfigurationError("et_pct must be within [0, 100]")
-        if (self.rent_soy_tons is None) == (self.rent_usd_per_ha is None):
-            raise ConfigurationError(
-                "rent must set exactly one of soy_tons or usd_per_ha"
-            )
-        rent = self.rent_soy_tons if self.rent_usd_per_ha is None else self.rent_usd_per_ha
-        if rent < 0:
+        if self.rent[1] < 0:
             raise ConfigurationError("rent must be non-negative")
         for lu in LandUse:
             if lu not in self.prices:
                 raise ConfigurationError(f"prices missing land use {lu.code}")
             if not self.prices[lu] > 0:
                 raise ConfigurationError(f"price for {lu.code} must be positive")
-        if self.pricing_mode not in ("combined", "split"):
-            raise ConfigurationError(
-                f"pricing_mode must be 'combined' or 'split', got {self.pricing_mode!r}"
-            )
-        if self.pricing_mode == "combined" and (
-            self.split_wheat_yield is not None or self.split_soy2_yield is not None
-        ):
-            raise ConfigurationError(
-                'split yield tables (split_yield_files) need "pricing_mode": "split"'
-            )
-        if self.pricing_mode == "split":
-            if self.split_wheat_yield is None or self.split_soy2_yield is None:
-                raise ConfigurationError(
-                    "split pricing needs wheat and second-soybean component "
-                    "yield tables (split_yield_files)"
-                )
-            if not self.wheat_price_usd_per_t > 0:
-                raise ConfigurationError("wheat price must be positive")
+        if self.split is not None and not self.split.wheat_price_usd_per_t > 0:
+            raise ConfigurationError("wheat price must be positive")
         if self.climate is None:
             raise ConfigurationError(
                 "a climate regime is required (the pergamino-1988 preset needs "
@@ -148,16 +134,15 @@ class ScenarioConfig:
         yield "owner_share_pct", self.owner_share_pct
         yield "initial_al_factor", self.initial_al_factor
         yield "et_pct", self.et_pct
-        yield "wheat_price_usd_per_t", self.wheat_price_usd_per_t
-        for name in ("rent_soy_tons", "rent_usd_per_ha"):
-            if getattr(self, name) is not None:
-                yield name, getattr(self, name)
+        yield f"rent_{self.rent[0]}", self.rent[1]
         for name in ("initial_cover_pct", "initial_tl_pct", "prices"):
             for value in getattr(self, name).values():
                 yield name, value
-        for name in ("split_wheat_yield", "split_soy2_yield"):
-            if getattr(self, name) is not None:
-                for value in np.ravel(getattr(self, name)).tolist():
+        if self.split is not None:
+            yield "wheat_price_usd_per_t", self.split.wheat_price_usd_per_t
+            for name, table in (("split_wheat_yield", self.split.wheat_yield),
+                                ("split_soy2_yield", self.split.soy2_yield)):
+                for value in np.ravel(table).tolist():
                     yield name, value
 
 
@@ -264,8 +249,6 @@ def parse_config(path: str) -> ScenarioConfig:
     try:
         config = with_settings(_start(data), settings)
         config.validate()
-        if "wheat_price_usd_per_t" in data and config.pricing_mode != "split":
-            raise ConfigurationError('wheat_price_usd_per_t needs "pricing_mode": "split"')
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     return config
@@ -312,8 +295,10 @@ def _real(value, key: str) -> dict:
     return {key: _number(value, float, key)}
 
 
-def _text(value, key: str) -> dict:
-    return {key: str(value)}
+def _pricing_mode(value, key: str) -> dict:
+    if value not in ("combined", "split"):
+        raise ConfigurationError(f"pricing_mode must be 'combined' or 'split', got {str(value)!r}")
+    return {key: value}
 
 
 def _land_use_values(value, key: str) -> dict:
@@ -325,15 +310,10 @@ def _tech_level_values(value, key: str) -> dict:
 
 
 def _rent(value, key: str) -> dict:
-    if not isinstance(value, dict) or len(value) != 1 or not (
-        "soy_tons" in value or "usd_per_ha" in value
-    ):
+    if not isinstance(value, dict) or len(value) != 1 or not set(value) <= set(_RENT_UNITS):
         raise ConfigurationError('rent must be {"soy_tons": x} or {"usd_per_ha": x}')
-    if "soy_tons" in value:
-        return {"rent_soy_tons": _number(value["soy_tons"], float, "rent.soy_tons"),
-                "rent_usd_per_ha": None}
-    return {"rent_soy_tons": None,
-            "rent_usd_per_ha": _number(value["usd_per_ha"], float, "rent.usd_per_ha")}
+    [(unit, amount)] = value.items()
+    return {key: (unit, _number(amount, float, f"rent.{unit}"))}
 
 
 def _climate(value, key: str) -> dict:
@@ -343,8 +323,8 @@ def _climate(value, key: str) -> dict:
 def _split_yields(value, key: str) -> dict:
     if not isinstance(value, dict) or set(value) != {"wheat", "soy2"}:
         raise ConfigurationError('split_yield_files must be {"wheat": path, "soy2": path}')
-    return {"split_wheat_yield": load_tl_wgc_table_csv(str(value["wheat"])),
-            "split_soy2_yield": load_tl_wgc_table_csv(str(value["soy2"]))}
+    return {key: (load_tl_wgc_table_csv(str(value["wheat"])),
+                  load_tl_wgc_table_csv(str(value["soy2"])))}
 
 
 def _table_files(value, key: str) -> dict:
@@ -354,8 +334,9 @@ def _table_files(value, key: str) -> dict:
 
 
 # Each scenario-file key and the parser that turns its JSON value into the
-# ScenarioConfig fields the key sets. Settings are parsed in this order, so
-# of two bad settings the one listed first is reported.
+# ScenarioConfig field the key sets; `_split` turns the values of the
+# _PRICING_KEYS into the `split` field. Settings are parsed in this order,
+# so of two bad settings the one listed first is reported.
 _SETTINGS = {
     "grid_rows": _integer,
     "grid_cols": _integer,
@@ -365,7 +346,7 @@ _SETTINGS = {
     "initial_al_factor": _real,
     "et_pct": _real,
     "wheat_price_usd_per_t": _real,
-    "pricing_mode": _text,
+    "pricing_mode": _pricing_mode,
     "initial_cover_pct": _land_use_values,
     "initial_tl_pct": _tech_level_values,
     "prices": _land_use_values,
@@ -375,12 +356,16 @@ _SETTINGS = {
     "table_overrides": _table_files,
 }
 
+_PRICING_KEYS = ("pricing_mode", "wheat_price_usd_per_t", "split_yield_files")
+
 
 def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> ScenarioConfig:
     """`config` with scenario-file settings applied, in one `replace`.
 
     `settings` maps scenario-file keys (every key but "preset") to values as
-    JSON gives them. An unknown key is an error; the result is not validated.
+    JSON gives them. The pricing keys set `split` together: given any of
+    them, the others take their defaults. An unknown key is an error; the
+    result is not validated.
     """
     for key in settings:
         if key not in _SETTINGS:
@@ -389,7 +374,32 @@ def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> Scenar
     for key, parse in _SETTINGS.items():
         if key in settings:
             fields.update(parse(settings[key], key))
+    pricing = {key: fields.pop(key) for key in _PRICING_KEYS if key in fields}
+    if pricing:
+        fields["split"] = _split(pricing)
     return replace(config, **fields)
+
+
+def _split(pricing: dict) -> Optional[SplitPricing]:
+    """The `split` field that the parsed values of the pricing keys give.
+
+    A wheat price or component yield tables under combined pricing would
+    go unread, so they are refused.
+    """
+    price, yields = pricing.get("wheat_price_usd_per_t"), pricing.get("split_yield_files")
+    if price is not None and not math.isfinite(price):
+        raise ConfigurationError(f"wheat_price_usd_per_t must be finite (got {price!r})")
+    if pricing.get("pricing_mode", "combined") == "combined":
+        if yields is not None:
+            raise ConfigurationError(
+                'split yield tables (split_yield_files) need "pricing_mode": "split"')
+        if price is not None:
+            raise ConfigurationError('wheat_price_usd_per_t needs "pricing_mode": "split"')
+        return None
+    if yields is None:
+        raise ConfigurationError("split pricing needs wheat and second-soybean component "
+                                 "yield tables (split_yield_files)")
+    return SplitPricing(*yields) if price is None else SplitPricing(*yields, price)
 
 
 def _parse_keyed(raw, enum_cls, name: str) -> dict:

@@ -211,10 +211,10 @@ def context_for(
     prices = np.array([config.prices[lu] for lu in LandUse])
     with np.errstate(over="ignore", invalid="ignore"):
         income = tables.yield_t_per_ha[:, :, wgc].T * prices
-        if config.pricing_mode == "split":
-            income[:, LandUse.WHEAT_SOY] = (
-                config.split_wheat_yield[:, wgc] * config.wheat_price_usd_per_t
-                + config.split_soy2_yield[:, wgc] * prices[LandUse.SOYBEAN])
+        if config.split is not None:
+            split = config.split
+            income[:, LandUse.WHEAT_SOY] = (split.wheat_yield[:, wgc] * split.wheat_price_usd_per_t
+                                            + split.soy2_yield[:, wgc] * prices[LandUse.SOYBEAN])
         margins = income - tables.cost_usd_per_ha[:, :, wgc].T
     margins.setflags(write=False)
     renewabilities = tables.renewability_pct[:, :, wgc].T  # a view of a read-only table
@@ -397,7 +397,7 @@ def check_scale(run: CheckedRun) -> None:
                 f"the margin of {LandUse(lu).code} at tech level {TechLevel(tl).code}, "
                 f"weather {ctx.wgc.code} (from the prices and the yield and cost tables)"))
         check(config.rent_usd(), lambda: "the rent from " + (
-            "rent_usd_per_ha" if config.rent_usd_per_ha is not None
+            "rent_usd_per_ha" if config.rent[0] == "usd_per_ha"
             else "rent_soy_tons x the soybean price"))
         check(config.initial_al_factor * run.tables.wct_usd_per_ha,
               lambda tl: f"initial_al_factor x wct at tech level {TechLevel(tl).code}")

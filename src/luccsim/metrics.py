@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MetricUndefinedError
+from .numeric import sequential_sum
 
 __all__ = [
     "FitReport",
@@ -60,12 +61,12 @@ def _check_pair(observed: Sequence[float], simulated: Sequence[float]) -> None:
 def rmse_and_v(
     observed: Sequence[float], simulated: Sequence[float]
 ) -> tuple[float, float]:
-    """Root-mean-square error and its ratio to the observed mean."""
+    """Root-mean-square error and its ratio to the observed mean, both sums left to right."""
     _check_pair(observed, simulated)
     obs = np.asarray(observed, dtype=float)
     sim = np.asarray(simulated, dtype=float)
-    rmse = float(np.sqrt(np.mean((obs - sim) ** 2)))
-    mean_obs = float(np.mean(obs))
+    rmse = math.sqrt(sequential_sum((obs - sim) ** 2) / len(obs))
+    mean_obs = sequential_sum(obs) / len(obs)
     if mean_obs == 0.0:
         raise MetricUndefinedError("v is undefined: observed mean is zero")
     return rmse, rmse / mean_obs

@@ -109,54 +109,46 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-# The setting each numeric axis moves: a config field and, for a price, its
-# land use. Under split pricing the wheat-price axis moves
-# `wheat_price_usd_per_t` instead (see `_setting`).
-_SETTINGS = {
-    SweepParameter.SOYBEAN_PRICE: ("prices", LandUse.SOYBEAN),
-    SweepParameter.MAIZE_PRICE: ("prices", LandUse.MAIZE),
-    SweepParameter.WHEAT_PRICE: ("prices", LandUse.WHEAT_SOY),
-    SweepParameter.OWNER_SHARE: ("owner_share_pct", None),
-    SweepParameter.RENT_USD: ("rent_usd_per_ha", None),
+def _price(land_use: LandUse) -> tuple:
+    """The getter and setter of one land use's price."""
+    return (lambda config: config.prices[land_use],
+            lambda config, value: replace(config, prices={**config.prices, land_use: value}))
+
+
+def _wheat_price(config: ScenarioConfig) -> float:
+    split = config.split
+    return config.prices[LandUse.WHEAT_SOY] if split is None else split.wheat_price_usd_per_t
+
+
+def _with_wheat_price(config: ScenarioConfig, value: float) -> ScenarioConfig:
+    if config.split is None:
+        return replace(config, prices={**config.prices, LandUse.WHEAT_SOY: value})
+    return replace(config, split=replace(config.split, wheat_price_usd_per_t=value))
+
+
+# The getter and the setter of the setting each numeric axis moves. Under
+# split pricing the wheat-price axis moves the split's wheat price.
+_AXES = {
+    SweepParameter.SOYBEAN_PRICE: _price(LandUse.SOYBEAN),
+    SweepParameter.MAIZE_PRICE: _price(LandUse.MAIZE),
+    SweepParameter.WHEAT_PRICE: (_wheat_price, _with_wheat_price),
+    SweepParameter.OWNER_SHARE: (lambda config: config.owner_share_pct,
+                                 lambda config, value: replace(config, owner_share_pct=value)),
+    SweepParameter.RENT_USD: (ScenarioConfig.rent_usd,
+                              lambda config, value: replace(config, rent=("usd_per_ha", value))),
 }
 
 
-def _setting(base: ScenarioConfig, parameter: SweepParameter):
-    if parameter is SweepParameter.WHEAT_PRICE and base.pricing_mode == "split":
-        return "wheat_price_usd_per_t", None
-    return _SETTINGS[parameter]
-
-
-def _rent_resolved(base: ScenarioConfig) -> ScenarioConfig:
-    """The base config with its rent in US$/ha, where every numeric axis starts."""
-    return replace(base, rent_usd_per_ha=base.rent_usd(), rent_soy_tons=None)
-
-
-def _config_for_value(
-    base: ScenarioConfig, parameter: SweepParameter, value: float
-) -> ScenarioConfig:
-    name, land_use = _setting(base, parameter)
-    start = _rent_resolved(base)
-    setting = float(value)
-    if land_use is not None:
-        setting = {**start.prices, land_use: setting}
-    return replace(start, **{name: setting})
-
-
 def _reference_value(base: ScenarioConfig, parameter: SweepParameter) -> float:
-    name, land_use = _setting(base, parameter)
-    setting = getattr(_rent_resolved(base), name)
-    return setting if land_use is None else setting[land_use]
+    return _AXES[parameter][0](base)
 
 
 def _numeric_rows(base: ScenarioConfig, axis: SweepAxis, tables: ParameterTables) -> list:
     """One row per value, the reference value's included, every run planned before the first."""
     reference = _reference_value(base, axis.parameter)
-    runs = [
-        (f"{value:.6f}", value, value == reference,
-         _config_for_value(base, axis.parameter, value))
-        for value in sorted({float(v) for v in axis.values} | {reference})
-    ]
+    start = replace(base, rent=("usd_per_ha", base.rent_usd()))  # see the module docstring
+    runs = [(f"{value:.6f}", value, value == reference, _AXES[axis.parameter][1](start, value))
+            for value in sorted({float(v) for v in axis.values} | {reference})]
     _check_labels(runs)
     runs = [(*row, plan(config, tables)) for *row, config in runs]
     return [_row(*row, run_simulation(run)) for *row, run in runs]

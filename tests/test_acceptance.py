@@ -85,7 +85,7 @@ def test_criterion_1_table_fidelity(tables):
 def test_criterion_2_equation_oracles(tables):
     with criterion(2, "equations reproduce worked examples and the brute-force reference"):
         start = time.perf_counter()
-        config = replace(preset("longterm"), rent_soy_tons=None, rent_usd_per_ha=443.2)
+        config = replace(preset("longterm"), rent=("usd_per_ha", 443.2))
         ctx = context_for(config, tables, Wgc.AVERAGE)
         assert compute_profit((0.0, 100.0, 0.0), TechLevel.HIGH, False, ctx) == pytest.approx(609.84, abs=1e-9)
         assert compute_profit(
@@ -287,8 +287,7 @@ def test_criterion_7_sweep_protocol(tables):
             cycles=8,
             grid_rows=5,
             grid_cols=5,
-            rent_soy_tons=None,
-            rent_usd_per_ha=500.0,
+            rent=("usd_per_ha", 500.0),
         )
         rents = (250.0, 400.0, 500.0, 650.0, 775.0)
         rows = run_sweep(

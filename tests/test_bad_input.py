@@ -490,7 +490,7 @@ def test_sweep_value_too_large_for_the_run_is_rejected(tmp_path, capsys, axis, s
 
 
 def test_library_rejects_a_rent_too_large_for_the_run(tables):
-    config = replace(preset("longterm"), cycles=2, rent_soy_tons=None, rent_usd_per_ha=1e308)
+    config = replace(preset("longterm"), cycles=2, rent=("usd_per_ha", 1e308))
     with pytest.raises(ConfigurationError, match="rent_usd_per_ha"):
         run_simulation(config, tables)
 

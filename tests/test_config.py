@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -7,12 +7,13 @@ from luccsim import (
     ClimateRegime,
     ConfigurationError,
     LandUse,
+    ScenarioConfig,
     TechLevel,
     Wgc,
     parse_config,
     preset,
 )
-from luccsim.config import _PRESETS, PRESET_NAMES, with_settings
+from luccsim.config import _PRESETS, _SETTINGS, PRESET_NAMES, with_settings
 
 
 def test_pergamino_preset_matches_initialization_conditions():
@@ -22,7 +23,7 @@ def test_pergamino_preset_matches_initialization_conditions():
     assert config.cycles == 27
     assert config.owner_share_pct == 63.0
     assert config.et_pct == 50.0
-    assert config.rent_soy_tons == 1.6
+    assert config.rent == ("soy_tons", 1.6)
     assert config.rent_usd() == pytest.approx(443.2)
     assert config.prices[LandUse.SOYBEAN] == 277.0
     # Census shares (20 / 36.2 / 35.8 and L32 / A36 / H30) are published
@@ -69,12 +70,11 @@ def test_cover_share_sum_violation():
         bad.validate()
 
 
-def test_rent_must_be_exclusive():
+def test_rent_unit_must_be_known():
     config = preset("longterm")
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        replace(config, rent_usd_per_ha=443.2).validate()
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        replace(config, rent_soy_tons=None, rent_usd_per_ha=None).validate()
+    replace(config, rent=("usd_per_ha", 443.2)).validate()
+    with pytest.raises(ConfigurationError, match="rent unit must be soy_tons or usd_per_ha"):
+        replace(config, rent=("usd", 443.2)).validate()
 
 
 def test_sequence_shorter_than_horizon_rejected():
@@ -86,10 +86,18 @@ def test_sequence_shorter_than_horizon_rejected():
         config.validate()
 
 
-def test_split_mode_needs_component_tables():
-    config = replace(preset("longterm"), pricing_mode="split")
-    with pytest.raises(ConfigurationError, match="component"):
-        config.validate()
+def test_split_mode_needs_component_tables(tmp_path):
+    path = _write(tmp_path, {"preset": "longterm", "pricing_mode": "split",
+                             "wheat_price_usd_per_t": 150.0})
+    with pytest.raises(ConfigurationError,
+                       match=r"scenario\.json: split pricing needs .* component"):
+        parse_config(path)
+
+
+def test_the_config_fields_are_the_scenario_keys():
+    pricing = {"pricing_mode", "wheat_price_usd_per_t", "split_yield_files"}
+    names = {field.name for field in fields(ScenarioConfig)}
+    assert names == (set(_SETTINGS) - pricing) | {"split"}
 
 
 def _write(tmp_path, payload):
@@ -300,7 +308,7 @@ def test_with_settings_applies_scenario_file_values():
         "seed": 4, "rent": {"usd_per_ha": 300}, "prices": {"m": 150, "S": 300, "WS": 160},
     })
     assert config.seed == 4
-    assert (config.rent_soy_tons, config.rent_usd_per_ha) == (None, 300.0)
+    assert config.rent == ("usd_per_ha", 300.0)
     assert config.prices == {LandUse.MAIZE: 150.0, LandUse.SOYBEAN: 300.0, LandUse.WHEAT_SOY: 160.0}
     with pytest.raises(ConfigurationError, match="unknown key 'cycels'"):
         with_settings(preset("longterm"), {"cycels": 3})

@@ -29,6 +29,7 @@ from luccsim import (
     update_technology,
 )
 from luccsim.cli import _summary_dict
+from luccsim.config import SplitPricing
 
 from conftest import uniform_config
 from oracle_sim import moore_neighbors
@@ -39,8 +40,7 @@ L, A, H = TechLevel.LOW, TechLevel.AVERAGE, TechLevel.HIGH
 
 def _ctx(tables, wgc=Wgc.AVERAGE, rent=443.2, et=50.0, **settings):
     """The longterm preset's context at the default prices, with a US$/ha rent."""
-    config = replace(preset("longterm"), rent_soy_tons=None, rent_usd_per_ha=rent, et_pct=et,
-                     **settings)
+    config = replace(preset("longterm"), rent=("usd_per_ha", rent), et_pct=et, **settings)
     return context_for(config, tables, wgc)
 
 
@@ -331,8 +331,8 @@ class TestSplitPricing:
     @staticmethod
     def _split_ctx(tables):
         # Component tables where wheat + second soy reproduce a chosen total.
-        return _ctx(tables, rent=0.0, pricing_mode="split", wheat_price_usd_per_t=153.0,
-                    split_wheat_yield=np.full((3, 5), 2.0), split_soy2_yield=np.full((3, 5), 1.5))
+        return _ctx(tables, rent=0.0,
+                    split=SplitPricing(np.full((3, 5), 2.0), np.full((3, 5), 1.5), 153.0))
 
     def test_split_mode_prices_components(self, tables):
         ctx = self._split_ctx(tables)

@@ -71,7 +71,7 @@ def test_each_rule_gives_the_same_bits_on_arrays_and_on_scalars(tables, data, wg
     bn_p = draw(np.float64, money | st.just(-np.inf))  # -inf: no neighbor
     neighbor_ps = [draw(np.float64, money | st.sampled_from([-np.inf, 0.0, -0.0]))
                    for _ in range(data.draw(st.integers(min_value=1, max_value=8)))]
-    ctx = context_for(replace(preset("longterm"), rent_usd_per_ha=443.2), tables, wgc)
+    ctx = context_for(replace(preset("longterm"), rent=("usd_per_ha", 443.2)), tables, wgc)
     cal = climate_adjusted_aspiration(al, wgc, tables)
     whole = (
         compute_profit(alloc, tl, tenant, ctx), compute_rl(alloc, tl, ctx), cal,
@@ -158,7 +158,7 @@ def _tie_landscape(rows, cols, target):
 def test_profit_tie_goes_to_first_neighbor_in_scan_order(tables, rows, cols, target, first):
     scape = _tie_landscape(rows, cols, target)
     pre = [c.allocation for c in scape.cells]
-    config = replace(preset("longterm"), rent_soy_tons=None, rent_usd_per_ha=0.0)
+    config = replace(preset("longterm"), rent=("usd_per_ha", 0.0))
     run_cycle(scape, context_for(config, tables, Wgc.AVERAGE))
     agent = scape.cells[target]
     assert not agent.econ_ok

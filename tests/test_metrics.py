@@ -14,6 +14,7 @@ from luccsim import (
     fit_report,
 )
 from luccsim.metrics import ordinal_fit, rmse_and_v
+from luccsim.numeric import sequential_sum
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -35,9 +36,27 @@ class TestRmseAndV:
         with pytest.raises(MetricUndefinedError, match="lengths differ"):
             rmse_and_v([1, 2, 3], [1, 2])
 
+    def test_means_are_left_to_right_sums(self):
+        # numpy's pairwise mean gives v = 1.1254628677422756 here
+        observed = np.arange(0.1, 1.0, 0.1).tolist()  # 0.30000000000000004, ...
+        assert rmse_and_v(observed, [0.0] * 9)[1] == 1.1254628677422753
+
+        def running_mean(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total / len(values)
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            obs, sim = rng.uniform(0.0, 100.0, size=(2, 27)).tolist()
+            rmse = math.sqrt(running_mean([(o - s) ** 2 for o, s in zip(obs, sim)]))
+            assert rmse_and_v(obs, sim) == (rmse, rmse / running_mean(obs))
+
     @given(st.lists(finite, min_size=2, max_size=30))
     def test_self_rmse_is_zero(self, xs):
-        if sum(xs) / len(xs) == 0.0:
+        # the observed mean is a left-to-right sum; built-in sum() is compensated from 3.12
+        if sequential_sum(xs) / len(xs) == 0.0:
             return
         rmse, v = rmse_and_v(xs, xs)
         assert rmse == 0.0

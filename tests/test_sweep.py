@@ -139,8 +139,7 @@ def test_rent_axis_is_exactly_linear_on_uniform_tenant_fixture(tables):
         cycles=8,
         grid_rows=5,
         grid_cols=5,
-        rent_soy_tons=None,
-        rent_usd_per_ha=500.0,
+        rent=("usd_per_ha", 500.0),
     )
     rents = (250.0, 400.0, 500.0, 650.0, 775.0)
     axis = SweepAxis(SweepParameter.RENT_USD, rents)
