@@ -96,28 +96,30 @@ def _summary_dict(result: RunResult) -> dict:
 
 def read_series_csv(path: str) -> dict[str, list[str]]:
     """Read a CSV into columns keyed by normalized header names."""
-    reader = csv.DictReader(io.StringIO(read_text(path, "series file", newline=""), newline=""))
-    if not reader.fieldnames:
-        raise ConfigurationError(f"{path}: empty file")
-    columns: dict[str, list[str]] = {}
-    names = [
-        _COLUMN_ALIASES.get(h.strip().lower(), h.strip().lower())
-        for h in reader.fieldnames
-    ]
-    for header, name in zip(reader.fieldnames, names):
-        if name in columns:
-            first = reader.fieldnames[names.index(name)]
-            raise ConfigurationError(
-                f"{path}: headers {first!r} and {header!r} both name series {name!r}"
-            )
-        columns[name] = []
-    for number, row in enumerate(reader, start=1):
-        if None in row:  # DictReader files fields beyond the header under None
-            raise ConfigurationError(f"{path}: data row {number}: more fields than the header")
-        if None in row.values():  # and fills the columns a short row lacks with None
-            raise ConfigurationError(f"{path}: data row {number}: fewer fields than the header")
-        for raw_name, name in zip(reader.fieldnames, names):
-            columns[name].append(row[raw_name])
+    rows = csv.reader(io.StringIO(read_text(path, "series file", newline=""), newline=""))
+    where = "header"  # what a csv.Error is raised in
+    try:
+        header = next(rows, [])
+        if not header:
+            raise ConfigurationError(f"{path}: empty file")
+        names = [_COLUMN_ALIASES.get(h.strip().lower(), h.strip().lower()) for h in header]
+        columns: dict[str, list[str]] = {}
+        for raw_name, name in zip(header, names):
+            if name in columns:
+                raise ConfigurationError(f"{path}: headers {header[names.index(name)]!r} and "
+                                         f"{raw_name!r} both name series {name!r}")
+            columns[name] = []
+        where = "data row 1"
+        for number, fields in enumerate(filter(None, rows), start=1):  # blank lines skipped
+            if len(fields) != len(header):
+                extent = "more" if len(fields) > len(header) else "fewer"
+                raise ConfigurationError(
+                    f"{path}: data row {number}: {extent} fields than the header")
+            for name, text in zip(names, fields):
+                columns[name].append(text)
+            where = f"data row {number + 1}"
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ConfigurationError(f"{path}: {where}: {exc}") from None
     return columns
 
 

@@ -25,9 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Mapping, Optional
-
-import numpy as np
 
 from .climate import ClimateRegime, parse_climate_spec
 from .errors import ConfigurationError, read_text
@@ -51,10 +50,13 @@ _RENT_UNITS = ("soy_tons", "usd_per_ha")
 
 @dataclass(frozen=True)
 class SplitPricing:
-    """Split pricing of the double crop: its component yields [TechLevel, Wgc] and wheat price."""
+    """Split pricing of the double crop: its component-yield CSV files and wheat price.
 
-    wheat_yield: np.ndarray
-    soy2_yield: np.ndarray
+    `resolve_tables` reads the two files into the tables' component yields.
+    """
+
+    wheat_yield_file: str
+    soy2_yield_file: str
     wheat_price_usd_per_t: float = 153.0
 
 
@@ -130,7 +132,7 @@ class ScenarioConfig:
         self.climate.check_cycles(self.cycles)
 
     def _float_fields(self):
-        """(name, value) of every float setting, table entries included."""
+        """(name, value) of every float setting."""
         yield "owner_share_pct", self.owner_share_pct
         yield "initial_al_factor", self.initial_al_factor
         yield "et_pct", self.et_pct
@@ -140,10 +142,6 @@ class ScenarioConfig:
                 yield name, value
         if self.split is not None:
             yield "wheat_price_usd_per_t", self.split.wheat_price_usd_per_t
-            for name, table in (("split_wheat_yield", self.split.wheat_yield),
-                                ("split_soy2_yield", self.split.soy2_yield)):
-                for value in np.ravel(table).tolist():
-                    yield name, value
 
 
 def _check_shares(name: str, shares: Mapping, members: list) -> None:
@@ -234,6 +232,8 @@ def parse_config(path: str) -> ScenarioConfig:
         raise ConfigurationError(
             f"{path}:{exc.lineno}: invalid JSON ({exc.msg})"
         ) from None
+    except RecursionError:
+        raise ConfigurationError(f"{path}: invalid JSON (nested too deeply)") from None
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
@@ -287,56 +287,72 @@ def _start(data: dict) -> ScenarioConfig:
     return _blank()
 
 
-def _integer(value, key: str) -> dict:
-    return {key: _number(value, int, key)}
+def _parse_keyed(raw, name: str, members) -> dict:
+    """code -> value as member -> float, refusing a member given under two spellings."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{name} must be an object of code -> value")
+    out = {}
+    spelling = {}
+    for code, value in raw.items():
+        member = members.from_code(str(code))
+        if member in spelling:
+            raise ConfigurationError(
+                f"{name}: {member.code} given twice ({spelling[member]!r} and {code!r})"
+            )
+        spelling[member] = code
+        out[member] = _number(value, f"{name}.{code}", float)
+    return out
 
 
-def _real(value, key: str) -> dict:
-    return {key: _number(value, float, key)}
+def _number(value, name: str, convert):
+    """`convert(value)`, or a ConfigurationError naming the setting.
+
+    A setting takes only a JSON number, and an integer setting only a JSON
+    integer: float() would read "50" and true, and int() would also
+    truncate a fraction.
+    """
+    if convert is int and type(value) is not int:
+        raise ConfigurationError(f"{name} must be a number written as an integer (got {value!r})")
+    if type(value) not in (int, float):
+        raise ConfigurationError(f"{name} must be a number (got {value!r})")
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} must be a number (got {value!r})") from None
 
 
-def _pricing_mode(value, key: str) -> dict:
+_integer, _real = partial(_number, convert=int), partial(_number, convert=float)
+
+
+def _pricing_mode(value, key: str) -> str:
     if value not in ("combined", "split"):
         raise ConfigurationError(f"pricing_mode must be 'combined' or 'split', got {str(value)!r}")
-    return {key: value}
+    return value
 
 
-def _land_use_values(value, key: str) -> dict:
-    return {key: _parse_keyed(value, LandUse, key)}
-
-
-def _tech_level_values(value, key: str) -> dict:
-    return {key: _parse_keyed(value, TechLevel, key)}
-
-
-def _rent(value, key: str) -> dict:
+def _rent(value, key: str) -> tuple[str, float]:
     if not isinstance(value, dict) or len(value) != 1 or not set(value) <= set(_RENT_UNITS):
         raise ConfigurationError('rent must be {"soy_tons": x} or {"usd_per_ha": x}')
     [(unit, amount)] = value.items()
-    return {key: (unit, _number(amount, float, f"rent.{unit}"))}
+    return unit, _number(amount, f"rent.{unit}", float)
 
 
-def _climate(value, key: str) -> dict:
-    return {key: parse_climate_spec(value)}
-
-
-def _split_yields(value, key: str) -> dict:
+def _split_yields(value, key: str) -> tuple[str, str]:
     if not isinstance(value, dict) or set(value) != {"wheat", "soy2"}:
         raise ConfigurationError('split_yield_files must be {"wheat": path, "soy2": path}')
-    return {key: (load_tl_wgc_table_csv(str(value["wheat"])),
-                  load_tl_wgc_table_csv(str(value["soy2"])))}
+    return str(value["wheat"]), str(value["soy2"])
 
 
 def _table_files(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigurationError("table_overrides must be an object")
-    return {key: {str(k): str(v) for k, v in value.items()}}
+    return {str(k): str(v) for k, v in value.items()}
 
 
-# Each scenario-file key and the parser that turns its JSON value into the
-# ScenarioConfig field the key sets; `_split` turns the values of the
-# _PRICING_KEYS into the `split` field. Settings are parsed in this order,
-# so of two bad settings the one listed first is reported.
+# Each scenario-file key and its parser, which turns the key's JSON value
+# into the value of the ScenarioConfig field the key sets; `_split` turns the
+# values of the _PRICING_KEYS into the `split` field. Settings are parsed in
+# this order, so of two bad settings the one listed first is reported.
 _SETTINGS = {
     "grid_rows": _integer,
     "grid_cols": _integer,
@@ -347,11 +363,11 @@ _SETTINGS = {
     "et_pct": _real,
     "wheat_price_usd_per_t": _real,
     "pricing_mode": _pricing_mode,
-    "initial_cover_pct": _land_use_values,
-    "initial_tl_pct": _tech_level_values,
-    "prices": _land_use_values,
+    "initial_cover_pct": partial(_parse_keyed, members=LandUse),
+    "initial_tl_pct": partial(_parse_keyed, members=TechLevel),
+    "prices": partial(_parse_keyed, members=LandUse),
     "rent": _rent,
-    "climate": _climate,
+    "climate": lambda value, key: parse_climate_spec(value),
     "split_yield_files": _split_yields,
     "table_overrides": _table_files,
 }
@@ -370,10 +386,7 @@ def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> Scenar
     for key in settings:
         if key not in _SETTINGS:
             raise ConfigurationError(f"unknown key {key!r}")
-    fields: dict = {}
-    for key, parse in _SETTINGS.items():
-        if key in settings:
-            fields.update(parse(settings[key], key))
+    fields = {key: parse(settings[key], key) for key, parse in _SETTINGS.items() if key in settings}
     pricing = {key: fields.pop(key) for key in _PRICING_KEYS if key in fields}
     if pricing:
         fields["split"] = _split(pricing)
@@ -383,61 +396,32 @@ def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> Scenar
 def _split(pricing: dict) -> Optional[SplitPricing]:
     """The `split` field that the parsed values of the pricing keys give.
 
-    A wheat price or component yield tables under combined pricing would
+    A wheat price or component-yield files under combined pricing would
     go unread, so they are refused.
     """
-    price, yields = pricing.get("wheat_price_usd_per_t"), pricing.get("split_yield_files")
+    price, files = pricing.get("wheat_price_usd_per_t"), pricing.get("split_yield_files")
     if price is not None and not math.isfinite(price):
         raise ConfigurationError(f"wheat_price_usd_per_t must be finite (got {price!r})")
     if pricing.get("pricing_mode", "combined") == "combined":
-        if yields is not None:
+        if files is not None:
             raise ConfigurationError(
                 'split yield tables (split_yield_files) need "pricing_mode": "split"')
         if price is not None:
             raise ConfigurationError('wheat_price_usd_per_t needs "pricing_mode": "split"')
         return None
-    if yields is None:
+    if files is None:
         raise ConfigurationError("split pricing needs wheat and second-soybean component "
                                  "yield tables (split_yield_files)")
-    return SplitPricing(*yields) if price is None else SplitPricing(*yields, price)
-
-
-def _parse_keyed(raw, enum_cls, name: str) -> dict:
-    """code -> value as member -> float, refusing a member given under two spellings."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{name} must be an object of code -> value")
-    out = {}
-    spelling = {}
-    for code, value in raw.items():
-        member = enum_cls.from_code(str(code))
-        if member in spelling:
-            raise ConfigurationError(
-                f"{name}: {member.code} given twice ({spelling[member]!r} and {code!r})"
-            )
-        spelling[member] = code
-        out[member] = _number(value, float, f"{name}.{code}")
-    return out
-
-
-def _number(value, convert, name: str):
-    """`convert(value)`, or a ConfigurationError naming the setting.
-
-    A setting takes only a JSON number, and an integer setting only a JSON
-    integer: float() would read "50" and true, and int() would also
-    truncate a fraction.
-    """
-    if convert is int and type(value) is not int:
-        raise ConfigurationError(f"{name} must be a number written as an integer (got {value!r})")
-    if type(value) not in (int, float):
-        raise ConfigurationError(f"{name} must be a number (got {value!r})")
-    try:
-        return convert(value)
-    except OverflowError:
-        raise ConfigurationError(f"{name} must be a number (got {value!r})") from None
+    return SplitPricing(*files) if price is None else SplitPricing(*files, price)
 
 
 def resolve_tables(config: ScenarioConfig) -> ParameterTables:
-    """The embedded dataset with any configured per-table CSV overrides."""
-    if not config.table_overrides:
-        return default_tables()
-    return load_table_overrides(default_tables(), config.table_overrides)
+    """The embedded dataset with the config's table files read in: component yields first."""
+    tables = default_tables()
+    split = config.split
+    if split is not None:
+        tables = replace(tables, wheat_yield_t_per_ha=load_tl_wgc_table_csv(split.wheat_yield_file),
+                         soy2_yield_t_per_ha=load_tl_wgc_table_csv(split.soy2_yield_file))
+    if config.table_overrides:
+        tables = load_table_overrides(tables, config.table_overrides)
+    return tables

@@ -204,17 +204,19 @@ def context_for(
     """Build one cycle's context from a validated scenario configuration.
 
     Combined pricing prices the double crop's total yield at its single
-    listed price; split pricing prices the configured wheat and
-    second-crop soybean component yields separately. A margin may
-    overflow here; `check_scale` refuses it.
+    listed price; split pricing prices the tables' wheat and second-crop
+    soybean component yields separately. A margin may overflow here;
+    `check_scale` refuses it.
     """
+    split, wheat, soy2 = config.split, tables.wheat_yield_t_per_ha, tables.soy2_yield_t_per_ha
+    if split is not None and (wheat is None or soy2 is None):
+        raise ConfigurationError("split pricing needs component yield tables (see resolve_tables)")
     prices = np.array([config.prices[lu] for lu in LandUse])
     with np.errstate(over="ignore", invalid="ignore"):
         income = tables.yield_t_per_ha[:, :, wgc].T * prices
-        if config.split is not None:
-            split = config.split
-            income[:, LandUse.WHEAT_SOY] = (split.wheat_yield[:, wgc] * split.wheat_price_usd_per_t
-                                            + split.soy2_yield[:, wgc] * prices[LandUse.SOYBEAN])
+        if split is not None:
+            income[:, LandUse.WHEAT_SOY] = (wheat[:, wgc] * split.wheat_price_usd_per_t
+                                            + soy2[:, wgc] * prices[LandUse.SOYBEAN])
         margins = income - tables.cost_usd_per_ha[:, :, wgc].T
     margins.setflags(write=False)
     renewabilities = tables.renewability_pct[:, :, wgc].T  # a view of a read-only table

@@ -195,7 +195,7 @@ def run_sweep(
     """
     base.validate()
     if tables is None:
-        tables = resolve_tables(base)  # every run shares the base's table overrides
+        tables = resolve_tables(base)  # every run shares the base's table files
     make_rows = _mix_rows if axis.parameter is SweepParameter.WGC_MIX_LEVEL else _numeric_rows
     return SweepResult(axis.parameter, tuple(make_rows(base, axis, tables)))
 

@@ -17,7 +17,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -93,7 +93,10 @@ _AXES = {
     "alpha_wgc": ("wgc",),
     "alpha_bn": ("tl", "bn_tl"),
     "wct_usd_per_ha": ("tl",),
+    "wheat_yield_t_per_ha": ("tl", "wgc"),
+    "soy2_yield_t_per_ha": ("tl", "wgc"),
 }
+_COMPONENT_YIELDS = ("wheat_yield_t_per_ha", "soy2_yield_t_per_ha")  # may be None
 
 
 def _shape(axes: tuple[str, ...]) -> tuple[int, ...]:
@@ -115,8 +118,9 @@ class ParameterTables:
     alpha_wgc: aspiration adjustment factor, [Wgc]. alpha_bn: aspiration
     adjustment factor, [agent TechLevel, best neighbor TechLevel]; positive
     when the neighbor's level is higher. wct_usd_per_ha: working-capital
-    threshold, [TechLevel]. The constructor takes any array-like of the
-    right shape and keeps a read-only copy.
+    threshold, [TechLevel]. wheat_yield_t_per_ha, soy2_yield_t_per_ha: the
+    double crop's component yields for split pricing, [TechLevel, Wgc], or
+    None. The constructor keeps a read-only copy of each array-like given.
     """
 
     yield_t_per_ha: np.ndarray
@@ -126,9 +130,13 @@ class ParameterTables:
     alpha_wgc: np.ndarray
     alpha_bn: np.ndarray
     wct_usd_per_ha: np.ndarray
+    wheat_yield_t_per_ha: Optional[np.ndarray] = None
+    soy2_yield_t_per_ha: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         for name, axes in _AXES.items():
+            if name in _COMPONENT_YIELDS and getattr(self, name) is None:
+                continue
             table = np.array(getattr(self, name), dtype=np.float64)
             if table.shape != _shape(axes):
                 raise ConfigurationError(
@@ -256,34 +264,32 @@ def validate_tables(tables: ParameterTables) -> list[str]:
 # CSV overrides. One file per table; land use, tech level, and weather
 # condition are given as codes (M/S/WS, L/A/H, VU/U/A/F/VF).
 
-def _read_rows(path: str, expected_header: list[str]) -> Iterable[dict]:
-    text = read_text(path, "table file", newline="")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    header = reader.fieldnames or []
-    if [h.strip().lower() for h in header] != expected_header:
-        raise ConfigurationError(
-            f"{path}: expected header {','.join(expected_header)!r}, "
-            f"found {','.join(header)!r}"
-        )
-    for row in reader:  # DictReader skips blank lines; line_num counts them
-        if None in row:  # DictReader files fields beyond the header under None
-            raise ConfigurationError(f"{path}:{reader.line_num}: more fields than the header")
-        if None in row.values():  # and fills the columns a short row lacks with None
-            raise ConfigurationError(f"{path}:{reader.line_num}: fewer fields than the header")
-        row["_line"] = reader.line_num
-        yield row
+def _read_rows(path: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """The fields of each non-blank row after the header line, with the row's "path:line"."""
+    rows = csv.reader(io.StringIO(read_text(path, "table file", newline=""), newline=""))
+    try:
+        found = next(rows, [])
+        if [h.strip().lower() for h in found] != header:
+            raise ConfigurationError(
+                f"{path}: expected header {','.join(header)!r}, found {','.join(found)!r}")
+        for fields in filter(None, rows):  # a blank line has no fields; line_num counts it
+            where = f"{path}:{rows.line_num}"
+            if len(fields) != len(header):
+                extent = "more" if len(fields) > len(header) else "fewer"
+                raise ConfigurationError(f"{where}: {extent} fields than the header")
+            yield where, fields
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ConfigurationError(f"{path}:{rows.line_num}: {exc}") from None
 
 
-def _parse_value(row: dict, path: str) -> float:
-    raw = row["value"].strip()
+def _parse_value(raw: str, where: str) -> float:
+    raw = raw.strip()
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigurationError(
-            f"{path}:{row['_line']}: bad numeric value {raw!r}"
-        ) from None
+        raise ConfigurationError(f"{where}: bad numeric value {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigurationError(f"{path}:{row['_line']}: value {raw!r} is not finite")
+        raise ConfigurationError(f"{where}: value {raw!r} is not finite")
     return value
 
 
@@ -293,16 +299,14 @@ def _load_keyed_csv(path: str, key_columns: tuple[str, ...]) -> np.ndarray:
     Every key combination must be given exactly once.
     """
     table = np.full(_shape(key_columns), np.nan)
-    for row in _read_rows(path, [*key_columns, "value"]):
+    for where, (*codes, raw) in _read_rows(path, [*key_columns, "value"]):
         try:
-            index = tuple(_KEY_ENUMS[c].from_code(row[c]) for c in key_columns)
+            index = tuple(_KEY_ENUMS[c].from_code(code) for c, code in zip(key_columns, codes))
         except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}:{row['_line']}: {exc}") from None
+            raise ConfigurationError(f"{where}: {exc}") from None
         if not np.isnan(table[index]):
-            raise ConfigurationError(
-                f"{path}:{row['_line']}: repeated entry ({_codes(key_columns, index)})"
-            )
-        table[index] = _parse_value(row, path)
+            raise ConfigurationError(f"{where}: repeated entry ({_codes(key_columns, index)})")
+        table[index] = _parse_value(raw, where)
     missing = list(zip(*np.nonzero(np.isnan(table))))  # values are finite once set
     if missing:
         more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""

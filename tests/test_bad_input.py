@@ -562,3 +562,69 @@ def test_running_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err == f"configuration error: luccsim {command[0]} needs more memory than is available\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def _split_scenario_missing_an_entry(tmp_path, settings):
+    """both.json with `settings` under split pricing, its soy2.csv missing the (H,VF) entry."""
+    wheat = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc])
+    soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc][:-1])
+    scenario = tmp_path / "both.json"
+    scenario.write_text('{"preset": "longterm", "pricing_mode": "split", '
+                        '"split_yield_files": {"wheat": "%s", "soy2": "%s"}, %s}' % (wheat, soy2, settings))
+    return str(scenario), soy2
+
+
+# The split-yield files are read by `plan`, after the scenario file is parsed
+# and validated: a fault in the scenario file comes first, and a split-yield
+# file's fault is named by the table file alone, as a table override's is.
+@pytest.mark.parametrize("settings, message", [
+    ('"cycles": 2', "{soy2}: missing entry (H,VF)"),
+    ('"cycles": 0', "{scenario}: cycles must be at least 1"),
+    ('"cycles": 2, "table_overrides": {"wct": "absent.csv"}', "{soy2}: missing entry (H,VF)"),
+])
+def test_split_yield_file_fault_is_reported_after_the_scenario_file_is_checked(tmp_path, capsys, settings, message):
+    scenario, soy2 = _split_scenario_missing_an_entry(tmp_path, settings)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", scenario, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message.format(scenario=scenario, soy2=soy2)}\n"
+    assert list(out.iterdir()) == []
+
+
+_OVER_THE_FIELD_LIMIT = "9" * 200_000  # csv's default field_size_limit is 131,072
+
+
+def test_table_field_over_the_csv_field_limit_is_rejected_with_its_line(tmp_path, capsys, tables):
+    body, path = _tables_case(tmp_path, tables, "wct", lambda rows: [rows[0], (rows[1][0], _OVER_THE_FIELD_LIMIT), *rows[2:]])
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{path}:3: field larger than field limit" in err
+    assert written == []
+
+
+@pytest.mark.parametrize("text, where", [
+    (f"cycle,cover_m\n0,1.0\n\n1,{_OVER_THE_FIELD_LIMIT}\n", "data row 2"),
+    (f"cycle,cover_{_OVER_THE_FIELD_LIMIT}\n0,1.0\n1,2.0\n", "header"),
+], ids=["data-row", "header"])
+@pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
+def test_validate_field_over_the_csv_field_limit_is_rejected_with_its_row(tmp_path, capsys, bad, text, where):
+    good = tmp_path / "good.csv"
+    good.write_text("cycle,cover_m\n0,1.0\n1,2.0\n")
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    files = [str(path), str(good)] if bad == "run_csv" else [str(good), str(path)]
+    code = main(["validate", *files, "--series", "cover_m", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}: {where}: field larger than field limit" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_scenario_nested_too_deeply_is_rejected(tmp_path, capsys):
+    depth = 100_000
+    code, err, written = _run_config(tmp_path, capsys, '{"seed": %s%s}' % ("[" * depth, "]" * depth))
+    assert code == 2
+    assert err == f"configuration error: {tmp_path / 'scenario.json'}: invalid JSON (nested too deeply)\n"
+    assert written == []

@@ -2,6 +2,8 @@ import json
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luccsim import (
     ClimateRegime,
@@ -10,10 +12,12 @@ from luccsim import (
     ScenarioConfig,
     TechLevel,
     Wgc,
+    default_tables,
     parse_config,
+    plan,
     preset,
 )
-from luccsim.config import _PRESETS, _SETTINGS, PRESET_NAMES, with_settings
+from luccsim.config import _PRESETS, _SETTINGS, PRESET_NAMES, SplitPricing, _blank, with_settings
 
 
 def test_pergamino_preset_matches_initialization_conditions():
@@ -314,3 +318,67 @@ def test_with_settings_applies_scenario_file_values():
         with_settings(preset("longterm"), {"cycels": 3})
     with pytest.raises(ConfigurationError, match="seed must be a number written as an integer"):
         with_settings(preset("longterm"), {"seed": 2.5})
+
+
+def _split_scenario(tmp_path):
+    """A split-pricing scenario file naming wheat.csv and soy2.csv, which it does not write."""
+    return _write(tmp_path, {"preset": "longterm", "pricing_mode": "split",
+                             "split_yield_files": {"wheat": str(tmp_path / "wheat.csv"),
+                                                   "soy2": str(tmp_path / "soy2.csv")}})
+
+
+def test_split_pricing_configs_compare_and_hash(tmp_path):
+    """A split config holds its two file paths, so it compares equal and hashes."""
+    path = _split_scenario(tmp_path)
+    first, second = parse_config(path), parse_config(path)
+    assert first == second
+    assert first.split == SplitPricing(str(tmp_path / "wheat.csv"), str(tmp_path / "soy2.csv"))
+    assert hash(first.split) == hash(second.split)
+
+
+def test_split_yield_files_are_read_by_plan_not_by_parse_config(tmp_path):
+    config = parse_config(_split_scenario(tmp_path))
+    with pytest.raises(ConfigurationError, match=r"cannot read table file .*wheat\.csv"):
+        plan(config)
+
+
+def test_split_pricing_with_tables_lacking_component_yields_is_refused():
+    config = replace(preset("longterm"), split=SplitPricing("w.csv", "s.csv"))
+    with pytest.raises(ConfigurationError, match="component yield"):
+        plan(config, default_tables())
+
+
+def _keyed(members):
+    return st.fixed_dictionaries({m.code: st.floats(0, 1e6) for m in members})
+
+
+_VALID_SETTINGS = st.fixed_dictionaries({}, optional={
+    "grid_rows": st.integers(1, 500),
+    "cycles": st.integers(1, 500),
+    "seed": st.integers(0, 2**64 - 1),
+    "owner_share_pct": st.floats(0, 100),
+    "et_pct": st.floats(0, 100),
+    "initial_cover_pct": _keyed(LandUse),
+    "initial_tl_pct": _keyed(TechLevel),
+    "prices": _keyed(LandUse),
+    "rent": st.sampled_from(["soy_tons", "usd_per_ha"]).map(lambda unit: {unit: 1.5}),
+    "climate": st.one_of(st.sampled_from(["seesaw", "random", "constant-average"]),
+                         st.lists(st.sampled_from([w.code for w in Wgc]), min_size=1)
+                         .map(lambda codes: {"sequence": codes})),
+    "table_overrides": st.dictionaries(st.sampled_from(["yield", "wct"]), st.text(max_size=5)),
+}).flatmap(lambda settings: st.one_of(
+    st.just(settings),
+    st.just({**settings, "pricing_mode": "combined"}),
+    st.fixed_dictionaries(
+        {"pricing_mode": st.just("split"),
+         "split_yield_files": st.fixed_dictionaries({"wheat": st.text(max_size=5),
+                                                     "soy2": st.text(max_size=5)})},
+        optional={"wheat_price_usd_per_t": st.floats(1, 1e4)},
+    ).map(lambda pricing: {**settings, **pricing}),
+))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(_VALID_SETTINGS)
+def test_a_config_built_twice_from_the_same_settings_compares_equal(settings_):
+    assert with_settings(_blank(), settings_) == with_settings(_blank(), settings_)

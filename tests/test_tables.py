@@ -11,8 +11,11 @@ from luccsim import (
     Tenure,
     TechLevel,
     Wgc,
+    preset,
+    resolve_tables,
     validate_tables,
 )
+from luccsim.config import SplitPricing
 from luccsim.tables import load_table_overrides
 
 M, S, WS = LandUse.MAIZE, LandUse.SOYBEAN, LandUse.WHEAT_SOY
@@ -53,9 +56,23 @@ def test_wrong_shaped_table_is_rejected(tables):
         replace(tables, alpha_bn=tables.alpha_bn.ravel())
 
 
+def _component_yield_file(tmp_path, name):
+    path = tmp_path / name
+    rows = "".join(f"{tl.code},{w.code},2.0\n" for tl in TechLevel for w in Wgc)
+    path.write_text("tl,wgc,value\n" + rows)
+    return str(path)
+
+
 @pytest.mark.parametrize("field", [f.name for f in fields(ParameterTables)])
-def test_tables_are_read_only(tables, field):
-    for table in (getattr(tables, field), getattr(replace(tables), field)):
+def test_tables_are_read_only(tmp_path, tables, field):
+    """Every table, the component yields as `resolve_tables` reads them included."""
+    split = SplitPricing(_component_yield_file(tmp_path, "wheat.csv"),
+                         _component_yield_file(tmp_path, "soy2.csv"))
+    loaded = resolve_tables(replace(preset("longterm"), split=split))
+    sources = [loaded, replace(loaded)]
+    if getattr(tables, field) is not None:  # the embedded dataset has no component yields
+        sources += [tables, replace(tables)]
+    for table in (getattr(source, field) for source in sources):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1.0
 
