@@ -280,3 +280,87 @@ def test_sequential_sum_of_negative_zeros_is_positive_zero():
     assert [math.copysign(1.0, c) for c in columns] == [1.0, 1.0, 1.0]
     assert columns == [0.0, 0.0, 0.0]
     assert sequential_sum(np.zeros((0, 3))) == [0.0, 0.0, 0.0]
+
+
+def _bits(values):
+    """Each value's float64 bits, so -0.0 and 0.0 and every NaN are told apart."""
+    return np.asarray(values, np.float64).reshape(-1).view(np.uint64).tolist()
+
+
+def _rule_on_arrays_and_scalars(rule, *columns):
+    """rule over whole columns, at lengths 1 to 64 (numpy's vector loops too), and per element."""
+    columns = [np.asarray(c) for c in columns]
+    results = []
+    for reps in (1, 64):
+        tiled = [np.tile(c, (reps,) + (1,) * (c.ndim - 1)) for c in columns]
+        results.append(np.asarray(rule(*tiled))[:len(columns[0])])
+    results.append(np.array([rule(*(c[j].tolist() for c in columns))
+                             for j in range(len(columns[0]))]))
+    return results
+
+
+def test_update_aspiration_maps_nan_negative_zero_and_negative_results_to_positive_zero(tables):
+    nan, inf = math.nan, math.inf
+    # (cal, p, bn_cal, bn_profit): met, decayed and copied branches
+    cases = [
+        (5.0, nan, 1.0, -inf),     # NaN profit: decays to NaN
+        (inf, inf, 1.0, -inf),     # met at inf: inf - inf is NaN
+        (1.0, 0.0, nan, 2.0),      # copies a NaN CAL
+        (1.0, 0.0, -0.0, 2.0),     # copies a -0.0 CAL
+        (1.0, 0.0, -5.0, 2.0),     # copies a negative CAL
+        (10.0, -100.0, 1.0, -inf),  # decays below zero
+        (-0.0, -50.0, 1.0, -inf),  # decays below zero from -0.0
+        (-3.0, -1.0, 1.0, -inf),   # met, still negative
+    ]
+    cal, p, bn_cal, bn_p = (np.array(c) for c in zip(*cases))
+    tl, bn_tl = np.zeros(len(cases), np.intp), np.full(len(cases), 2, np.intp)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        results = _rule_on_arrays_and_scalars(
+            lambda *a: update_aspiration(*a, tables),
+            cal, p, bn_cal, bn_p, tl, bn_tl)
+    for got in results:
+        assert _bits(got) == _bits(np.zeros(len(cases)))
+
+
+def test_a_profit_equal_to_cal_is_met_and_keeps_cal(tables):
+    # equality is met: never copied, even when the best neighbor out-earns CAL
+    cal = np.array([0.0, -0.0, 0.0, 250.0, 1e300, 5e-324])
+    p = np.array([0.0, 0.0, -0.0, 250.0, 1e300, 5e-324])
+    bn_cal, bn_p = np.full(len(cal), 7.0), np.full(len(cal), math.inf)
+    tl = np.zeros(len(cal), np.intp)
+    for got in _rule_on_arrays_and_scalars(
+            lambda c, pp, bc, bp, t: update_aspiration(c, pp, bc, bp, t, t, tables),
+            cal, p, bn_cal, bn_p, tl):
+        assert _bits(got) == _bits(cal + 0.0)
+    assert not decide_land_use(p, cal, bn_p).any()
+    assert evaluate_goals(p, cal, p, 0.0)[0].all()
+
+
+def test_an_owners_profit_keeps_its_bits_under_rent(tables):
+    config = replace(preset("longterm"), rent=("usd_per_ha", 443.2))
+    ctx = context_for(config, tables, Wgc.FAVORABLE)
+    # all-negative margins make an empty allocation's profit -0.0
+    negative = replace(ctx, margins=-np.abs(ctx.margins) - 1.0)
+    alloc = np.array([[0.0, 0.0, 0.0], [12.5, 50.0, 37.5], [100.0, 0.0, 0.0], [0.0, 0.0, 100.0]])
+    tl = np.array([0, 1, 2, 1], np.intp)
+    owner = np.zeros(len(tl), bool)
+    for c in (ctx, negative):
+        m = c.margins.tolist()
+        expected = [(a0 / 100.0) * m[t][0] + (a1 / 100.0) * m[t][1] + (a2 / 100.0) * m[t][2]
+                    for (a0, a1, a2), t in zip(alloc.tolist(), tl.tolist())]
+        for got in _rule_on_arrays_and_scalars(
+                lambda a, t, tn: compute_profit(a, t, tn, c),
+                alloc, tl, owner):
+            assert _bits(got) == _bits(expected)
+    assert _bits(compute_profit(alloc[0], 0, False, negative)) == _bits(-0.0)
+
+
+def test_update_technology_at_each_threshold_takes_the_higher_level(tables):
+    wct = tables.wct_usd_per_ha
+    p = np.array([wct[TechLevel.AVERAGE], wct[TechLevel.HIGH], math.nan, -0.0, 0.0,
+                  np.nextafter(wct[TechLevel.AVERAGE], 0.0), np.nextafter(wct[TechLevel.HIGH], 0.0),
+                  math.inf, -math.inf])
+    expected = [TechLevel.AVERAGE, TechLevel.HIGH, TechLevel.LOW, TechLevel.LOW, TechLevel.LOW,
+                TechLevel.LOW, TechLevel.AVERAGE, TechLevel.HIGH, TechLevel.LOW]
+    for got in _rule_on_arrays_and_scalars(lambda q: update_technology(q, tables), p):
+        assert got.tolist() == [int(level) for level in expected]
