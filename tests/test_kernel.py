@@ -288,12 +288,19 @@ def _bits(values):
 
 
 def _rule_on_arrays_and_scalars(rule, *columns):
-    """rule over whole columns, at lengths 1 to 64 (numpy's vector loops too), and per element."""
+    """rule on whole columns, on each element alone and on each thrice, as arrays and scalars.
+
+    numpy takes a length-1 or length-3 array through its scalar loops and a
+    long one through its vector loops, which may differ on a zero's sign.
+    """
     columns = [np.asarray(c) for c in columns]
     results = []
     for reps in (1, 64):
         tiled = [np.tile(c, (reps,) + (1,) * (c.ndim - 1)) for c in columns]
         results.append(np.asarray(rule(*tiled))[:len(columns[0])])
+    for reps in (1, 3):
+        results.append(np.array([np.asarray(rule(*(np.repeat(c[j:j + 1], reps, 0) for c in columns)))[0]
+                                 for j in range(len(columns[0]))]))
     results.append(np.array([rule(*(c[j].tolist() for c in columns))
                              for j in range(len(columns[0]))]))
     return results
