@@ -36,8 +36,8 @@ from .tables import (
     ParameterTables,
     TechLevel,
     default_tables,
+    load_component_yield_csv,
     load_table_overrides,
-    load_tl_wgc_table_csv,
 )
 
 __all__ = ["ScenarioConfig", "SplitPricing", "preset", "parse_config", "with_settings",
@@ -420,8 +420,8 @@ def resolve_tables(config: ScenarioConfig) -> ParameterTables:
     tables = default_tables()
     split = config.split
     if split is not None:
-        tables = replace(tables, wheat_yield_t_per_ha=load_tl_wgc_table_csv(split.wheat_yield_file),
-                         soy2_yield_t_per_ha=load_tl_wgc_table_csv(split.soy2_yield_file))
+        wheat, soy2 = map(load_component_yield_csv, (split.wheat_yield_file, split.soy2_yield_file))
+        tables = replace(tables, wheat_yield_t_per_ha=wheat, soy2_yield_t_per_ha=soy2)
     if config.table_overrides:
         tables = load_table_overrides(tables, config.table_overrides)
     return tables

@@ -32,7 +32,7 @@ __all__ = [
     "default_tables",
     "validate_tables",
     "load_table_overrides",
-    "load_tl_wgc_table_csv",
+    "load_component_yield_csv",
 ]
 
 
@@ -219,6 +219,24 @@ _SIGN_RULES = {
 }
 
 
+def _violations(name: str, axes: tuple[str, ...], bad: np.ndarray, problem: str) -> list[str]:
+    """One message per entry where `bad` holds, naming the table and the entry's key."""
+    return [f"{name}[{_codes(axes, index)}]: {problem}" for index in zip(*np.nonzero(bad))]
+
+
+def _decreasing_in_weather(table: np.ndarray) -> np.ndarray:
+    """Where an entry is below the one at the next worse weather condition (the last axis)."""
+    bad = np.zeros(table.shape, dtype=bool)
+    bad[..., 1:] = table[..., 1:] < table[..., :-1]
+    return bad
+
+
+def _refuse(prefix: str, violations: list[str]) -> None:
+    if violations:  # name the first ten
+        more = "; ..." if len(violations) > 10 else ""
+        raise ConfigurationError(prefix + "; ".join(violations[:10]) + more)
+
+
 def validate_tables(tables: ParameterTables) -> list[str]:
     """Check every dataset invariant; returns one message per violation.
 
@@ -228,9 +246,7 @@ def validate_tables(tables: ParameterTables) -> list[str]:
     report: list[str] = []
 
     def check(name: str, bad: np.ndarray, problem: str) -> None:
-        axes = _AXES[_OVERRIDES[name]]
-        for index in zip(*np.nonzero(bad)):
-            report.append(f"{name}[{_codes(axes, index)}]: {problem}")
+        report.extend(_violations(name, _AXES[_OVERRIDES[name]], bad, problem))
 
     check("yield", ~(tables.yield_t_per_ha > 0), "non-positive yield")
     check("cost", ~(tables.cost_usd_per_ha > 0), "non-positive cost")
@@ -240,10 +256,8 @@ def validate_tables(tables: ParameterTables) -> list[str]:
 
     # Yield and cost may not decrease as the weather condition improves.
     for name in ("yield", "cost"):
-        table = getattr(tables, _OVERRIDES[name])
-        bad = np.zeros(table.shape, dtype=bool)
-        bad[..., 1:] = table[..., 1:] < table[..., :-1]
-        check(name, bad, "decreasing in weather condition")
+        check(name, _decreasing_in_weather(getattr(tables, _OVERRIDES[name])),
+              "decreasing in weather condition")
 
     levels = np.arange(len(TechLevel))
     direction = np.sign(levels[None, :] - levels[:, None])  # [agent, neighbor]
@@ -317,12 +331,20 @@ def _load_keyed_csv(path: str, key_columns: tuple[str, ...]) -> np.ndarray:
     return table
 
 
-def load_tl_wgc_table_csv(path: str) -> np.ndarray:
-    """Load a (tech level, weather condition) table, e.g. component yields.
+def load_component_yield_csv(path: str) -> np.ndarray:
+    """Load one of split pricing's component yield tables.
 
-    Returns a read-only (3, 5) array indexed [TechLevel, Wgc].
+    Returns a read-only (3, 5) array indexed [TechLevel, Wgc]. It keeps the
+    combined yield's rules, positive and non-decreasing in weather, or is
+    refused naming the file.
     """
-    return _load_keyed_csv(path, ("tl", "wgc"))
+    axes = ("tl", "wgc")
+    table = _load_keyed_csv(path, axes)
+    violations = (_violations("yield", axes, ~(table > 0), "non-positive yield")
+                  + _violations("yield", axes, _decreasing_in_weather(table),
+                                "decreasing in weather condition"))
+    _refuse(f"{path}: ", violations)
+    return table
 
 
 def load_table_overrides(
@@ -344,11 +366,5 @@ def load_table_overrides(
         field = _OVERRIDES[name]
         loaded[field] = _load_keyed_csv(path, _AXES[field])
     tables = replace(base, **loaded)
-    violations = validate_tables(tables)
-    if violations:
-        raise ConfigurationError(
-            "table overrides violate dataset invariants: "
-            + "; ".join(violations[:10])
-            + ("; ..." if len(violations) > 10 else "")
-        )
+    _refuse("table overrides violate dataset invariants: ", validate_tables(tables))
     return tables

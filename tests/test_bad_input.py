@@ -592,6 +592,25 @@ def test_split_yield_file_fault_is_reported_after_the_scenario_file_is_checked(t
     assert list(out.iterdir()) == []
 
 
+# A component yield keeps the combined yield's rules: positive, and not
+# decreasing as the weather improves.
+@pytest.mark.parametrize("component", ["wheat", "soy2"])
+@pytest.mark.parametrize("by_wgc, problem", [
+    ({w: -3.0 for w in Wgc}, "yield[L,VU]: non-positive yield"),
+    ({**{w: 2.0 for w in Wgc}, Wgc.FAVORABLE: 1.0}, "yield[L,F]: decreasing in weather condition"),
+], ids=["negative", "decreasing"])
+def test_split_yield_file_breaking_the_yield_rules_is_rejected(tmp_path, capsys, component, by_wgc, problem):
+    files = {name: _table_file(tmp_path, f"{name}.csv", "tl,wgc,value", [
+        (tl.code, w.code, by_wgc[w] if name == component else 1.5) for tl in TechLevel for w in Wgc])
+        for name in ("wheat", "soy2")}
+    body = '"pricing_mode": "split", "split_yield_files": {"wheat": "%(wheat)s", "soy2": "%(soy2)s"}' % files
+    code, err, written = _run_config(
+        tmp_path, capsys, '{"preset": "longterm", "grid_rows": 5, "grid_cols": 5, "cycles": 3, %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{files[component]}: {problem}" in err
+    assert written == []
+
+
 _OVER_THE_FIELD_LIMIT = "9" * 200_000  # csv's default field_size_limit is 131,072
 
 
