@@ -16,6 +16,10 @@ array to write into. `run_cycle` is their composition over the landscape's
 arrays, all written in place: stages 1-3 overwrite the outcome arrays, and
 stage 4 adapts the others, taking its best neighbors from shifted views of
 the landscape's profits on a -inf border.
+
+No array form masks a pass with `where=`: a two-way choice is arithmetic on a
+0/1 compare (the rent, the aspiration's weight, the tech level), and imitators
+are addressed by index, in contiguous columns of `alloc`.
 """
 
 from __future__ import annotations
@@ -37,28 +41,16 @@ from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
 __all__ = [
-    "CycleContext",
-    "compute_profit",
-    "compute_rl",
-    "climate_adjusted_aspiration",
-    "evaluate_goals",
-    "select_best_neighbor",
-    "update_aspiration",
-    "update_technology",
-    "decide_land_use",
-    "context_for",
-    "run_cycle",
-    "CheckedRun",
-    "plan",
-    "run_simulation",
-    "RunObserver",
-    "RunResult",
-    "AgentRows",
-    "AgentCycle",
+    "CycleContext", "compute_profit", "compute_rl", "climate_adjusted_aspiration",
+    "evaluate_goals", "select_best_neighbor", "update_aspiration", "update_technology",
+    "decide_land_use", "context_for", "run_cycle", "CheckedRun", "plan", "run_simulation",
+    "RunObserver", "RunResult", "AgentRows", "AgentCycle",
 ]
 
-_INCREMENTAL_OWN = 0.45  # weight on CAL when the aspiration was met
-_DETRIMENTAL_OWN = 0.55  # weight on CAL when it was missed
+# The weight on p - cal is 1 - the weight on CAL (0.55 if the aspiration was missed, 0.45
+# if met), as missed + met * step: the step is exact (Sterbenz), so missed + step is met.
+_MISSED_WEIGHT, _MET_WEIGHT = 1.0 - 0.55, 1.0 - 0.45
+_MET_STEP = _MET_WEIGHT - _MISSED_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,8 @@ def _weighted(alloc, tl, by_level, out=None):
 def compute_profit(alloc, tl, tenant, ctx: CycleContext, *, out=None):
     """Allocation-weighted per-hectare margin, minus rent for tenants."""
     p = np.asarray(_weighted(alloc, tl, ctx.margins, out))
-    return np.subtract(p, ctx.rent_usd_per_ha, out=p, where=tenant)
+    p -= np.multiply(tenant, ctx.rent_usd_per_ha)  # an owner's p - 0.0 is p, -0.0 too
+    return p
 
 
 def compute_rl(alloc, tl, ctx: CycleContext, *, out=None):
@@ -133,9 +126,12 @@ def select_best_neighbor(neighbor_profits):
     for p in neighbor_profits[1:-1]:
         np.fmax(best, p, out=best)
     flags = np.zeros(best.shape, np.uint8)  # bit k: position k earns the best
+    earns = np.empty(best.shape, bool)
+    earns_bit = earns.view(np.uint8)
     for p in reversed(neighbor_profits):
-        flags <<= 1
-        flags |= p == best
+        flags += flags  # a shift left by one; numpy vectorizes a uint8 add, not a shift
+        np.equal(p, best, out=earns)
+        flags |= earns_bit
     best += 0.0  # fmax may return either zero for a tie of -0.0 and 0.0
     return _LOWEST_SET_BIT.take(flags), best
 
@@ -170,20 +166,27 @@ def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTab
     imitate = decide_land_use(p, cal, bn_profit)
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(imitate), np.shape(tl)))
-    imitate = np.broadcast_to(imitate, out.shape)
-    met = np.greater_equal(p, cal)
-    np.subtract(p, cal, out=out)
-    np.multiply(out, 1.0 - _INCREMENTAL_OWN, out=out, where=met)
-    np.multiply(out, 1.0 - _DETRIMENTAL_OWN, out=out, where=~met)
+    elif not out.flags.c_contiguous:
+        raise ValueError("update_aspiration writes a C-contiguous out")
+    np.greater_equal(p, cal, out=out)  # met as 1.0, missed as 0.0
+    out *= _MET_STEP
+    out += _MISSED_WEIGHT  # the weight on p - cal
+    out *= np.subtract(p, cal)
     out += cal
+    imitators = np.flatnonzero(np.broadcast_to(imitate, out.shape))
+    del imitate
     if np.shape(bn_cal) == out.shape:
-        bn_cal = np.asarray(bn_cal)[imitate]
+        bn_cal = np.take(bn_cal, imitators)
     if np.shape(bn_tl) == out.shape:
-        bn_tl = np.asarray(bn_tl)[imitate]
-    copied = (1.0 + tables.alpha_bn)[np.broadcast_to(tl, out.shape)[imitate], bn_tl]
+        bn_tl = np.take(bn_tl, imitators)
+    pair = np.broadcast_to(tl, out.shape).take(imitators)  # [tl, bn_tl] as a flat index
+    pair *= len(TechLevel)
+    pair += bn_tl
+    copied = (1.0 + tables.alpha_bn).take(pair)
     copied *= bn_cal
-    out[imitate] = copied
-    out[~(out > 0.0)] = 0.0  # a NaN too
+    out.reshape(-1)[imitators] = copied
+    np.fmax(out, 0.0, out=out)  # a NaN or a negative is 0.0
+    out += 0.0  # and so is a -0.0
     return out
 
 
@@ -192,15 +195,13 @@ def update_technology(p, tables: ParameterTables, *, out=None):
     wct = tables.wct_usd_per_ha
     if out is None:
         out = np.empty(np.shape(p), np.intp)
-    out[...] = TechLevel.LOW
-    np.copyto(out, TechLevel.AVERAGE, where=np.greater_equal(p, wct[TechLevel.AVERAGE]))
-    np.copyto(out, TechLevel.HIGH, where=np.greater_equal(p, wct[TechLevel.HIGH]))
-    return out
+    # wct rises strictly with the level, so the level is the count of thresholds met above LOW's
+    average, high = (np.greater_equal(p, wct[level]).view(np.uint8)
+                     for level in (TechLevel.AVERAGE, TechLevel.HIGH))
+    return np.add(average, high, out=out)
 
 
-def context_for(
-    config: ScenarioConfig, tables: ParameterTables, wgc: Wgc
-) -> CycleContext:
+def context_for(config: ScenarioConfig, tables: ParameterTables, wgc: Wgc) -> CycleContext:
     """Build one cycle's context from a validated scenario configuration.
 
     Combined pricing prices the double crop's total yield at its single
@@ -223,9 +224,7 @@ def context_for(
     return CycleContext(wgc, tables, margins, renewabilities, config.rent_usd(), config.et_pct)
 
 
-def run_cycle(
-    landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0
-) -> CycleRecord:
+def run_cycle(landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0) -> CycleRecord:
     """Advance the landscape by one cycle.
 
     Stages 1-3 overwrite the landscape's outcome arrays (profit, rl, cal,
@@ -242,7 +241,9 @@ def run_cycle(
     record = aggregate(s, cycle_index, ctx.wgc)
 
     s.profit_grid[...] = profit.reshape(s.rows, s.cols)
-    position, best_p = (a.reshape(-1) for a in select_best_neighbor(s.neighbor_profits))
+    # each agent's, in cell order: a padded row's last two results are its border's
+    position, best_p = (a.reshape(s.rows, -1)[:, :s.cols].reshape(-1)
+                        for a in select_best_neighbor(s.neighbor_rows))
     imitators = np.flatnonzero(decide_land_use(profit, cal, best_p))
     # each imitator's best neighbor, as an index: an imitator's is on the grid
     models = s.neighbor_steps.take(position.take(imitators))
@@ -250,8 +251,8 @@ def run_cycle(
     del position
     for column in s.alloc.T:  # models' pre-cycle rows, a column at a time
         column[imitators] = column.take(models)
-    bn_cal, bn_tl = cal.take(models), s.tl.take(models)
-    del imitators, models  # update_aspiration sets the cycle's peak: hold only what it reads
+    bn_cal, bn_tl = cal.take(models), s.tl.take(models).astype(np.int8)
+    del imitators, models  # update_aspiration sets the peak: hold what it reads, bn_tl as bytes
     update_aspiration(cal, profit, bn_cal, best_p, s.tl, bn_tl, tables, out=s.al)
     update_technology(profit, tables, out=s.tl)
     return record

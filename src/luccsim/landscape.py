@@ -23,14 +23,7 @@ from .numeric import sequential_sum
 from .rng import SplitMix64
 from .tables import CodedEnum, LandUse, ParameterTables, TechLevel, Wgc
 
-__all__ = [
-    "Tenure",
-    "CellView",
-    "Landscape",
-    "CycleRecord",
-    "initialize",
-    "aggregate",
-]
+__all__ = ["Tenure", "CellView", "Landscape", "CycleRecord", "initialize", "aggregate"]
 
 # Moore scan order: NW, N, NE, W, E, SW, S, SE. Best-neighbor ties break
 # toward the earliest offset, so the order is part of the model contract.
@@ -85,21 +78,26 @@ class Landscape:
     -inf border, which `run_cycle` fills from `profit`. `neighbor_profits`
     holds its eight shifted (rows, cols) views in `MOORE_OFFSETS` order:
     view k gives each agent's profit at offset k, -inf where that is off
-    the grid. `neighbor_steps[k]` is offset k as a step in cell order.
+    the grid. `neighbor_rows` holds the same views 1-D over whole rows, each
+    grid row and two border cells: a numpy loop runs once per view, not per row.
+    `neighbor_steps[k]` is offset k as a step in cell order.
     """
 
     def __init__(self, rows: int, cols: int, *, alloc, tl, tenant, al):
         # made first, below the agents' arrays in the heap: made last, at 250x250
-        # it let malloc hand a cycle's freed arrays back and fault them in again
-        padded = np.full((rows + 2, cols + 2), -np.inf)
-        self.profit_grid = padded[1:-1, 1:-1]
+        # it let malloc hand a cycle's freed arrays back and fault them in again;
+        # two cells past the padded grid end the last row's SE view
+        width = cols + 2
+        padded = np.full((rows + 2) * width + 2, -np.inf)
+        self.profit_grid = padded[:-2].reshape(rows + 2, width)[1:-1, 1:-1]
         self.profit_grid[...] = 0.0
-        self.neighbor_profits = tuple(
-            padded[1 + dr:rows + 1 + dr, 1 + dc:cols + 1 + dc] for dr, dc in MOORE_OFFSETS)
+        self.neighbor_rows = tuple(padded[(1 + dr) * width + 1 + dc:][:rows * width]
+                                   for dr, dc in MOORE_OFFSETS)
+        self.neighbor_profits = tuple(v.reshape(rows, width)[:, :cols] for v in self.neighbor_rows)
         self.neighbor_steps = np.array([dr * cols + dc for dr, dc in MOORE_OFFSETS])
         self.n_agents = n = rows * cols
         self.rows, self.cols = rows, cols
-        self.alloc = np.array(np.broadcast_to(alloc, (n, 3)), np.float64)
+        self.alloc = np.array(np.broadcast_to(alloc, (n, 3)), np.float64, order="F")
         self.tl = np.array(np.broadcast_to(tl, n), np.intp)
         self.tenant = np.array(np.broadcast_to(tenant, n), bool)
         self.al = np.array(np.broadcast_to(al, n), np.float64)
@@ -140,26 +138,21 @@ def _largest_remainder_counts(shares: dict, members: list, total: int) -> dict:
     return counts
 
 
-def _balance_to_targets(
-    cols: np.ndarray, target: list[float], tol: float = 1e-12
-) -> np.ndarray:
+def _balance_to_targets(cols: np.ndarray, target: list[float], tol: float = 1e-12) -> np.ndarray:
     """Rescale n simplex rows, given as (3, n) columns, so each component's mean hits `target`.
 
     One rescale biases the means again once rows are renormalized, so the
     rescale/renormalize pair is iterated to its fixed point (a Sinkhorn-style
     balancing). Rows keep their relative heterogeneity; zero targets zero
     out the corresponding component. `cols` is rescaled in place; returns
-    the balanced rows, (n, 3).
+    the balanced rows as its (n, 3) transpose.
     """
     n = cols.shape[1]
     for _ in range(500):
         means = [sequential_sum(col) / n for col in cols]
         if all(abs(means[k] - target[k]) <= tol for k in range(3)):
-            return np.ascontiguousarray(cols.T)
-        scale = [
-            (target[k] / means[k]) if target[k] > 0.0 and means[k] > 0.0 else 0.0
-            for k in range(3)
-        ]
+            return cols.T
+        scale = [t / m if t > 0.0 and m > 0.0 else 0.0 for t, m in zip(target, means)]
         cols *= np.array(scale)[:, None]
         total = cols[0] + cols[1] + cols[2]
         # a row with mass only in zeroed-out components (needs an exactly-zero
@@ -170,14 +163,10 @@ def _balance_to_targets(
         cols[:, dead] = np.array(target)[:, None]
     means = [sequential_sum(col) / n for col in cols]
     worst = max(abs(means[k] - target[k]) for k in range(3))
-    raise ConfigurationError(
-        f"initial cover balancing did not converge (residual {worst:.3e})"
-    )
+    raise ConfigurationError(f"initial cover balancing did not converge (residual {worst:.3e})")
 
 
-def initialize(
-    config: ScenarioConfig, tables: ParameterTables, rng: SplitMix64
-) -> Landscape:
+def initialize(config: ScenarioConfig, tables: ParameterTables, rng: SplitMix64) -> Landscape:
     """Build the starting landscape for a scenario.
 
     Tenure counts are rounded to the nearest agent and assigned to shuffled
@@ -198,11 +187,9 @@ def initialize(
     tenant[order[:owner_count]] = False
     del order  # whole-grid temporaries go once used: building the Landscape sets the peak
 
-    tl_counts = _largest_remainder_counts(
-        config.initial_tl_pct, list(TechLevel), n
-    )
+    tl_counts = _largest_remainder_counts(config.initial_tl_pct, list(TechLevel), n)
     tl_pool = np.repeat(list(TechLevel), [tl_counts[tl] for tl in TechLevel]).tolist()
-    rng.shuffle(tl_pool)
+    rng.shuffle(tl_pool)  # a list: swapping in one is faster than in an array("q")
     tl = np.array(tl_pool, dtype=np.intp)
     del tl_pool
 
@@ -237,6 +224,8 @@ def aggregate(landscape: Landscape, cycle: int, wgc: Wgc) -> CycleRecord:
     s = landscape
     n = s.n_agents
     cover_sums = sequential_sum(s.alloc)
+    # a level is its index: the count above LOW is AVERAGE + HIGH, the sum AVERAGE + 2 HIGH
+    above_low, level_sum = int(np.count_nonzero(s.tl)), int(s.tl.sum())
     return CycleRecord(
         cycle=cycle,
         wgc=wgc,
@@ -245,5 +234,6 @@ def aggregate(landscape: Landscape, cycle: int, wgc: Wgc) -> CycleRecord:
         mean_rl_pct=sequential_sum(s.rl) / n,
         pct_econ_ok=100.0 * int(np.count_nonzero(s.econ)) / n,
         pct_env_ok=100.0 * int(np.count_nonzero(s.env)) / n,
-        tl_counts=dict(zip(TechLevel, np.bincount(s.tl, minlength=len(TechLevel)).tolist())),
+        tl_counts=dict(zip(TechLevel, (n - above_low, 2 * above_low - level_sum,
+                                       level_sum - above_low))),
     )

@@ -171,8 +171,9 @@ def test_balance_matches_the_rowwise_reference(target):
     draws = np.stack((lo, hi - lo, 1.0 - hi), axis=1)
     # a row with mass only where the target is zero restarts at the target
     draws[[7, 8]] = [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]
-    balanced = landscape._balance_to_targets(np.ascontiguousarray(draws.T), target)
-    assert balanced.flags.c_contiguous
+    columns = np.ascontiguousarray(draws.T)
+    balanced = landscape._balance_to_targets(columns, target)
+    assert balanced.base is columns  # the balanced columns' transpose, not a copy
     assert balanced.tobytes() == rowwise_balance(draws, target).tobytes()
 
 
