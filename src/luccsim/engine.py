@@ -88,7 +88,7 @@ def _weighted(alloc, tl, by_level, out=None):
 
 def compute_profit(alloc, tl, tenant, ctx: CycleContext, *, out=None):
     """Allocation-weighted per-hectare margin, minus rent for tenants."""
-    p = np.asarray(_weighted(alloc, tl, ctx.margins, out))
+    p = _weighted(alloc, tl, ctx.margins, out)
     p -= np.multiply(tenant, ctx.rent_usd_per_ha)  # an owner's p - 0.0 is p, -0.0 too
     return p
 
@@ -125,10 +125,10 @@ def select_best_neighbor(neighbor_profits):
     best = np.asarray(np.fmax(neighbor_profits[0], neighbor_profits[-1]))
     for p in neighbor_profits[1:-1]:
         np.fmax(best, p, out=best)
-    flags = np.zeros(best.shape, np.uint8)  # bit k: position k earns the best
+    flags = np.equal(neighbor_profits[-1], best).view(np.uint8)  # bit k: position k earns the best
     earns = np.empty(best.shape, bool)
     earns_bit = earns.view(np.uint8)
-    for p in reversed(neighbor_profits):
+    for p in neighbor_profits[-2::-1]:
         flags += flags  # a shift left by one; numpy vectorizes a uint8 add, not a shift
         np.equal(p, best, out=earns)
         flags |= earns_bit
@@ -173,14 +173,16 @@ def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTab
     out += _MISSED_WEIGHT  # the weight on p - cal
     out *= np.subtract(p, cal)
     out += cal
-    imitators = np.flatnonzero(np.broadcast_to(imitate, out.shape))
+    if np.shape(imitate) != out.shape:  # a tl (or out) of more agents than p, cal and bn_profit
+        imitate = np.broadcast_to(imitate, out.shape)
+    imitators = np.flatnonzero(imitate)
     del imitate
     if np.shape(bn_cal) == out.shape:
         bn_cal = np.take(bn_cal, imitators)
     if np.shape(bn_tl) == out.shape:
         bn_tl = np.take(bn_tl, imitators)
-    pair = np.broadcast_to(tl, out.shape).take(imitators)  # [tl, bn_tl] as a flat index
-    pair *= len(TechLevel)
+    pair = np.take(tl if np.shape(tl) == out.shape else np.broadcast_to(tl, out.shape), imitators)
+    pair *= len(TechLevel)  # [tl, bn_tl] as a flat index
     pair += bn_tl
     copied = (1.0 + tables.alpha_bn).take(pair)
     copied *= bn_cal
@@ -196,9 +198,8 @@ def update_technology(p, tables: ParameterTables, *, out=None):
     if out is None:
         out = np.empty(np.shape(p), np.intp)
     # wct rises strictly with the level, so the level is the count of thresholds met above LOW's
-    average, high = (np.greater_equal(p, wct[level]).view(np.uint8)
-                     for level in (TechLevel.AVERAGE, TechLevel.HIGH))
-    return np.add(average, high, out=out)
+    average, high = (np.greater_equal(p, wct[tl]) for tl in (TechLevel.AVERAGE, TechLevel.HIGH))
+    return np.add(average, high, out=out, dtype=np.uint8)
 
 
 def context_for(config: ScenarioConfig, tables: ParameterTables, wgc: Wgc) -> CycleContext:
@@ -242,8 +243,7 @@ def run_cycle(landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0) 
 
     s.profit_grid[...] = profit.reshape(s.rows, s.cols)
     # each agent's, in cell order: a padded row's last two results are its border's
-    position, best_p = (a.reshape(s.rows, -1)[:, :s.cols].reshape(-1)
-                        for a in select_best_neighbor(s.neighbor_rows))
+    position, best_p = (a[:, :s.cols].reshape(-1) for a in select_best_neighbor(s.neighbor_rows))
     imitators = np.flatnonzero(decide_land_use(profit, cal, best_p))
     # each imitator's best neighbor, as an index: an imitator's is on the grid
     models = s.neighbor_steps.take(position.take(imitators))

@@ -78,8 +78,8 @@ class Landscape:
     -inf border, which `run_cycle` fills from `profit`. `neighbor_profits`
     holds its eight shifted (rows, cols) views in `MOORE_OFFSETS` order:
     view k gives each agent's profit at offset k, -inf where that is off
-    the grid. `neighbor_rows` holds the same views 1-D over whole rows, each
-    grid row and two border cells: a numpy loop runs once per view, not per row.
+    the grid. `neighbor_rows` holds the same views as contiguous (rows, cols + 2)
+    arrays, each grid row and two border cells: numpy loops once per view, not per row.
     `neighbor_steps[k]` is offset k as a step in cell order.
     """
 
@@ -92,8 +92,8 @@ class Landscape:
         self.profit_grid = padded[:-2].reshape(rows + 2, width)[1:-1, 1:-1]
         self.profit_grid[...] = 0.0
         self.neighbor_rows = tuple(padded[(1 + dr) * width + 1 + dc:][:rows * width]
-                                   for dr, dc in MOORE_OFFSETS)
-        self.neighbor_profits = tuple(v.reshape(rows, width)[:, :cols] for v in self.neighbor_rows)
+                                   .reshape(rows, width) for dr, dc in MOORE_OFFSETS)
+        self.neighbor_profits = tuple(v[:, :cols] for v in self.neighbor_rows)
         self.neighbor_steps = np.array([dr * cols + dc for dr, dc in MOORE_OFFSETS])
         self.n_agents = n = rows * cols
         self.rows, self.cols = rows, cols

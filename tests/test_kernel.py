@@ -371,3 +371,14 @@ def test_update_technology_at_each_threshold_takes_the_higher_level(tables):
                 TechLevel.LOW, TechLevel.AVERAGE, TechLevel.HIGH, TechLevel.LOW]
     for got in _rule_on_arrays_and_scalars(lambda q: update_technology(q, tables), p):
         assert got.tolist() == [int(level) for level in expected]
+
+
+def test_update_aspiration_broadcasts_one_agents_values_against_per_agent_tech_levels(tables):
+    # a scalar cal, p or bn_profit with per-agent tech levels: out has the agents' shape
+    tl, bn_tl = np.array([0, 1, 2, 1, 0]), np.array([2, 2, 0, 1, 1])
+    bn_cal = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    for cal, p, bn_p in ((100.0, 50.0, 200.0), (100.0, 150.0, 200.0), (100.0, 50.0, 60.0)):
+        whole = update_aspiration(cal, p, bn_cal, bn_p, tl, bn_tl, tables)
+        assert whole.shape == tl.shape
+        _same_bits(whole, [update_aspiration(cal, p, c, bn_p, t, b, tables)
+                           for c, t, b in zip(bn_cal.tolist(), tl.tolist(), bn_tl.tolist())])
