@@ -167,7 +167,7 @@ def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTab
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(imitate), np.shape(tl)))
     elif not out.flags.c_contiguous:
-        raise ValueError("update_aspiration writes a C-contiguous out")
+        raise ValueError("update_aspiration needs a C-contiguous out")
     np.greater_equal(p, cal, out=out)  # met as 1.0, missed as 0.0
     out *= _MET_STEP
     out += _MISSED_WEIGHT  # the weight on p - cal

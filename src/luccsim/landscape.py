@@ -189,7 +189,7 @@ def initialize(config: ScenarioConfig, tables: ParameterTables, rng: SplitMix64)
 
     tl_counts = _largest_remainder_counts(config.initial_tl_pct, list(TechLevel), n)
     tl_pool = np.repeat(list(TechLevel), [tl_counts[tl] for tl in TechLevel]).tolist()
-    rng.shuffle(tl_pool)  # a list: swapping in one is faster than in an array("q")
+    rng.shuffle(tl_pool)
     tl = np.array(tl_pool, dtype=np.intp)
     del tl_pool
 

@@ -382,3 +382,13 @@ def test_update_aspiration_broadcasts_one_agents_values_against_per_agent_tech_l
         assert whole.shape == tl.shape
         _same_bits(whole, [update_aspiration(cal, p, c, bn_p, t, b, tables)
                            for c, t, b in zip(bn_cal.tolist(), tl.tolist(), bn_tl.tolist())])
+
+
+def test_update_aspiration_refuses_an_out_it_cannot_index_flat(tables):
+    # the imitators' CALs are written by flat index, through a row-major view of out
+    cal, p, bn_p = np.ones((2, 3)), np.zeros((2, 3)), np.full((2, 3), 5.0)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        update_aspiration(cal, p, 7.0, bn_p, 0, 0, tables, out=np.zeros((2, 3), order="F"))
+    out = np.zeros((2, 3))
+    update_aspiration(cal, p, 7.0, bn_p, 0, 0, tables, out=out)
+    assert out.tolist() == [[7.0] * 3] * 2  # each copied a CAL of 7.0 at an equal tech level
