@@ -41,10 +41,24 @@ from .rng import SplitMix64
 from .tables import LandUse, ParameterTables, TechLevel, Wgc
 
 __all__ = [
-    "CycleContext", "compute_profit", "compute_rl", "climate_adjusted_aspiration",
-    "evaluate_goals", "select_best_neighbor", "update_aspiration", "update_technology",
-    "decide_land_use", "context_for", "run_cycle", "CheckedRun", "plan", "run_simulation",
-    "RunObserver", "RunResult", "AgentRows", "AgentCycle",
+    "CycleContext",
+    "compute_profit",
+    "compute_rl",
+    "climate_adjusted_aspiration",
+    "evaluate_goals",
+    "select_best_neighbor",
+    "update_aspiration",
+    "update_technology",
+    "decide_land_use",
+    "context_for",
+    "run_cycle",
+    "CheckedRun",
+    "plan",
+    "run_simulation",
+    "RunObserver",
+    "RunResult",
+    "AgentRows",
+    "AgentCycle",
 ]
 
 # The weight on p - cal is 1 - the weight on CAL (0.55 if the aspiration was missed, 0.45
@@ -202,7 +216,9 @@ def update_technology(p, tables: ParameterTables, *, out=None):
     return np.add(average, high, out=out, dtype=np.uint8)
 
 
-def context_for(config: ScenarioConfig, tables: ParameterTables, wgc: Wgc) -> CycleContext:
+def context_for(
+    config: ScenarioConfig, tables: ParameterTables, wgc: Wgc
+) -> CycleContext:
     """Build one cycle's context from a validated scenario configuration.
 
     Combined pricing prices the double crop's total yield at its single
@@ -225,7 +241,9 @@ def context_for(config: ScenarioConfig, tables: ParameterTables, wgc: Wgc) -> Cy
     return CycleContext(wgc, tables, margins, renewabilities, config.rent_usd(), config.et_pct)
 
 
-def run_cycle(landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0) -> CycleRecord:
+def run_cycle(
+    landscape: Landscape, ctx: CycleContext, *, cycle_index: int = 0
+) -> CycleRecord:
     """Advance the landscape by one cycle.
 
     Stages 1-3 overwrite the landscape's outcome arrays (profit, rl, cal,

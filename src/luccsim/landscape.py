@@ -23,7 +23,14 @@ from .numeric import sequential_sum
 from .rng import SplitMix64
 from .tables import CodedEnum, LandUse, ParameterTables, TechLevel, Wgc
 
-__all__ = ["Tenure", "CellView", "Landscape", "CycleRecord", "initialize", "aggregate"]
+__all__ = [
+    "Tenure",
+    "CellView",
+    "Landscape",
+    "CycleRecord",
+    "initialize",
+    "aggregate",
+]
 
 # Moore scan order: NW, N, NE, W, E, SW, S, SE. Best-neighbor ties break
 # toward the earliest offset, so the order is part of the model contract.
@@ -138,7 +145,9 @@ def _largest_remainder_counts(shares: dict, members: list, total: int) -> dict:
     return counts
 
 
-def _balance_to_targets(cols: np.ndarray, target: list[float], tol: float = 1e-12) -> np.ndarray:
+def _balance_to_targets(
+    cols: np.ndarray, target: list[float], tol: float = 1e-12
+) -> np.ndarray:
     """Rescale n simplex rows, given as (3, n) columns, so each component's mean hits `target`.
 
     One rescale biases the means again once rows are renormalized, so the
@@ -152,7 +161,10 @@ def _balance_to_targets(cols: np.ndarray, target: list[float], tol: float = 1e-1
         means = [sequential_sum(col) / n for col in cols]
         if all(abs(means[k] - target[k]) <= tol for k in range(3)):
             return cols.T
-        scale = [t / m if t > 0.0 and m > 0.0 else 0.0 for t, m in zip(target, means)]
+        scale = [
+            (target[k] / means[k]) if target[k] > 0.0 and means[k] > 0.0 else 0.0
+            for k in range(3)
+        ]
         cols *= np.array(scale)[:, None]
         total = cols[0] + cols[1] + cols[2]
         # a row with mass only in zeroed-out components (needs an exactly-zero
@@ -163,10 +175,14 @@ def _balance_to_targets(cols: np.ndarray, target: list[float], tol: float = 1e-1
         cols[:, dead] = np.array(target)[:, None]
     means = [sequential_sum(col) / n for col in cols]
     worst = max(abs(means[k] - target[k]) for k in range(3))
-    raise ConfigurationError(f"initial cover balancing did not converge (residual {worst:.3e})")
+    raise ConfigurationError(
+        f"initial cover balancing did not converge (residual {worst:.3e})"
+    )
 
 
-def initialize(config: ScenarioConfig, tables: ParameterTables, rng: SplitMix64) -> Landscape:
+def initialize(
+    config: ScenarioConfig, tables: ParameterTables, rng: SplitMix64
+) -> Landscape:
     """Build the starting landscape for a scenario.
 
     Tenure counts are rounded to the nearest agent and assigned to shuffled
@@ -187,7 +203,9 @@ def initialize(config: ScenarioConfig, tables: ParameterTables, rng: SplitMix64)
     tenant[order[:owner_count]] = False
     del order  # whole-grid temporaries go once used: building the Landscape sets the peak
 
-    tl_counts = _largest_remainder_counts(config.initial_tl_pct, list(TechLevel), n)
+    tl_counts = _largest_remainder_counts(
+        config.initial_tl_pct, list(TechLevel), n
+    )
     tl_pool = np.repeat(list(TechLevel), [tl_counts[tl] for tl in TechLevel]).tolist()
     rng.shuffle(tl_pool)
     tl = np.array(tl_pool, dtype=np.intp)
