@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -27,7 +25,7 @@ from . import __version__
 from .climate import REGIME_NAMES
 from .config import PRESET_NAMES, ScenarioConfig, parse_config, preset, with_settings
 from .engine import RunResult, plan, run_simulation
-from .errors import ConfigurationError, MetricUndefinedError, read_text
+from .errors import ConfigurationError, MetricUndefinedError, read_csv, read_number
 from .landscape import CycleRecord
 from .metrics import distribution_summary, fit_report
 from .sweep import SweepAxis, SweepParameter, run_sweep, write_sweep_csv
@@ -94,51 +92,31 @@ def _summary_dict(result: RunResult) -> dict:
     }
 
 
-def read_series_csv(path: str) -> dict[str, list[str]]:
-    """Read a CSV into columns keyed by normalized header names."""
-    rows = csv.reader(io.StringIO(read_text(path, "series file", newline=""), newline=""))
-    where = "header"  # what a csv.Error is raised in
-    try:
-        header = next(rows, [])
-        if not header:
-            raise ConfigurationError(f"{path}: empty file")
-        names = [_COLUMN_ALIASES.get(h.strip().lower(), h.strip().lower()) for h in header]
-        columns: dict[str, list[str]] = {}
-        for raw_name, name in zip(header, names):
-            if name in columns:
-                raise ConfigurationError(f"{path}: headers {header[names.index(name)]!r} and "
-                                         f"{raw_name!r} both name series {name!r}")
-            columns[name] = []
-        where = "data row 1"
-        for number, fields in enumerate(filter(None, rows), start=1):  # blank lines skipped
-            if len(fields) != len(header):
-                extent = "more" if len(fields) > len(header) else "fewer"
-                raise ConfigurationError(
-                    f"{path}: data row {number}: {extent} fields than the header")
-            for name, text in zip(names, fields):
-                columns[name].append(text)
-            where = f"data row {number + 1}"
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ConfigurationError(f"{path}: {where}: {exc}") from None
+def read_series_csv(path: str) -> dict[str, list[tuple[str, str]]]:
+    """A CSV's columns, keyed by normalized header name, as ("path:line", text) cells."""
+    rows = read_csv(path, "series file")
+    _, header = next(rows)
+    if not header:
+        raise ConfigurationError(f"{path}: empty file")
+    names = [_COLUMN_ALIASES.get(h.strip().lower(), h.strip().lower()) for h in header]
+    columns: dict[str, list[tuple[str, str]]] = {}
+    for raw_name, name in zip(header, names):
+        if name in columns:
+            raise ConfigurationError(f"{path}: headers {header[names.index(name)]!r} and "
+                                     f"{raw_name!r} both name series {name!r}")
+        columns[name] = []
+    for where, fields in rows:
+        for name, text in zip(names, fields):
+            columns[name].append((where, text))
     return columns
 
 
 def _numeric_series(columns: dict, name: str, path: str) -> list[float]:
     if name not in columns:
         raise ConfigurationError(
-            f"{path}: no column {name!r} (have {', '.join(sorted(columns))})"
+            f"{path}: no column {name!r} (have {', '.join(map(repr, sorted(columns)))})"
         )
-    values = []
-    for row, text in enumerate(columns[name], start=1):
-        where = f"{path}: column {name!r}, data row {row}: {text!r}"
-        try:
-            value = float(text)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{where} is not numeric") from None
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{where} is not finite")
-        values.append(value)
-    return values
+    return [read_number(text, f"{where}: column {name!r}") for where, text in columns[name]]
 
 
 # Override flags whose dest is the scenario-file key they set; --wgc-file

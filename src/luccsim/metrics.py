@@ -49,50 +49,48 @@ class DistributionSummary:
     cv: Optional[float]  # percent; population standard deviation over |mean|, None at mean 0
 
 
-def _check_pair(observed: Sequence[float], simulated: Sequence[float]) -> None:
+def _check_pair(observed: Sequence[float], simulated: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """The two series as float arrays, if they are as long as each other, finite, and not single."""
     if len(observed) != len(simulated):
         raise MetricUndefinedError(
             f"series lengths differ ({len(observed)} vs {len(simulated)})"
         )
     if len(observed) < 2:
         raise MetricUndefinedError("series need at least two points")
+    obs = np.asarray(observed, dtype=float)
+    sim = np.asarray(simulated, dtype=float)
+    if not (np.isfinite(obs).all() and np.isfinite(sim).all()):
+        raise MetricUndefinedError("series values must be finite")
+    return obs, sim
 
 
 def rmse_and_v(
     observed: Sequence[float], simulated: Sequence[float]
 ) -> tuple[float, float]:
     """Root-mean-square error and its ratio to the observed mean, both sums left to right."""
-    _check_pair(observed, simulated)
-    obs = np.asarray(observed, dtype=float)
-    sim = np.asarray(simulated, dtype=float)
-    rmse = math.sqrt(sequential_sum((obs - sim) ** 2) / len(obs))
-    mean_obs = sequential_sum(obs) / len(obs)
+    obs, sim = _check_pair(observed, simulated)
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        rmse = math.sqrt(sequential_sum((obs - sim) ** 2) / len(obs))
+        mean_obs = sequential_sum(obs) / len(obs)
     if mean_obs == 0.0:
         raise MetricUndefinedError("v is undefined: observed mean is zero")
-    return rmse, rmse / mean_obs
+    v = rmse / mean_obs
+    if not all(map(math.isfinite, (rmse, mean_obs, v))):
+        raise MetricUndefinedError(f"rmse or v overflows (rmse={rmse}, observed mean={mean_obs})")
+    return rmse, v
 
 
 def ordinal_fit(
     observed: Sequence[float], simulated: Sequence[float]
 ) -> tuple[float, float]:
     """Probability of an ordinal match (PM) and the index of observed fit."""
-    _check_pair(observed, simulated)
-    matches = 0
-    mismatches = 0
-    n = len(observed)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            d_obs = observed[i] - observed[j]
-            if d_obs == 0:
-                continue
-            d_sim = simulated[i] - simulated[j]
-            if d_sim == 0:
-                mismatches += 1
-            elif (d_obs > 0) == (d_sim > 0):
-                matches += 1
-            else:
-                mismatches += 1
-    total = matches + mismatches
+    obs, sim = _check_pair(observed, simulated)
+    total = matches = 0
+    with np.errstate(over="ignore"):  # a difference that overflows keeps its sign
+        for i in range(len(obs) - 1):  # the pairs (i, j > i)
+            d_obs = np.sign(obs[i] - obs[i + 1:])
+            total += np.count_nonzero(d_obs)  # observed ties are not counted
+            matches += np.count_nonzero(d_obs * np.sign(sim[i] - sim[i + 1:]) > 0)
     if total == 0:
         raise MetricUndefinedError(
             "ordinal fit is undefined: all observed pairs are tied"

@@ -12,16 +12,13 @@ another region.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, read_text
+from .errors import ConfigurationError, read_csv, read_number
 
 __all__ = [
     "CodedEnum",
@@ -278,49 +275,26 @@ def validate_tables(tables: ParameterTables) -> list[str]:
 # CSV overrides. One file per table; land use, tech level, and weather
 # condition are given as codes (M/S/WS, L/A/H, VU/U/A/F/VF).
 
-def _read_rows(path: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
-    """The fields of each non-blank row after the header line, with the row's "path:line"."""
-    rows = csv.reader(io.StringIO(read_text(path, "table file", newline=""), newline=""))
-    try:
-        found = next(rows, [])
-        if [h.strip().lower() for h in found] != header:
-            raise ConfigurationError(
-                f"{path}: expected header {','.join(header)!r}, found {','.join(found)!r}")
-        for fields in filter(None, rows):  # a blank line has no fields; line_num counts it
-            where = f"{path}:{rows.line_num}"
-            if len(fields) != len(header):
-                extent = "more" if len(fields) > len(header) else "fewer"
-                raise ConfigurationError(f"{where}: {extent} fields than the header")
-            yield where, fields
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ConfigurationError(f"{path}:{rows.line_num}: {exc}") from None
-
-
-def _parse_value(raw: str, where: str) -> float:
-    raw = raw.strip()
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(f"{where}: bad numeric value {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{where}: value {raw!r} is not finite")
-    return value
-
-
 def _load_keyed_csv(path: str, key_columns: tuple[str, ...]) -> np.ndarray:
     """A `key_columns...,value` CSV as a read-only array indexed by the keys.
 
     Every key combination must be given exactly once.
     """
+    header = [*key_columns, "value"]
+    rows = read_csv(path, "table file")
+    _, found = next(rows)
+    if [h.strip().lower() for h in found] != header:
+        raise ConfigurationError(
+            f"{path}: expected header {','.join(header)!r}, found {','.join(found)!r}")
     table = np.full(_shape(key_columns), np.nan)
-    for where, (*codes, raw) in _read_rows(path, [*key_columns, "value"]):
+    for where, (*codes, raw) in rows:
         try:
             index = tuple(_KEY_ENUMS[c].from_code(code) for c, code in zip(key_columns, codes))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
         if not np.isnan(table[index]):
             raise ConfigurationError(f"{where}: repeated entry ({_codes(key_columns, index)})")
-        table[index] = _parse_value(raw, where)
+        table[index] = read_number(raw, where)
     missing = list(zip(*np.nonzero(np.isnan(table))))  # values are finite once set
     if missing:
         more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""

@@ -289,7 +289,7 @@ def test_validate_bad_series_value_is_rejected_with_its_row(tmp_path, capsys, ba
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert str(path) in err and "'cover_m'" in err and "data row 2" in err and reason in err
+    assert f"{path}:3: column 'cover_m': {value!r} is {reason}" in err
     assert not (tmp_path / "fit.json").exists()
 
 
@@ -402,7 +402,7 @@ def test_validate_row_shorter_than_its_header_is_rejected(tmp_path, capsys, bad)
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert f"{path}: data row 2: fewer fields than the header" in err
+    assert f"{path}:3: fewer fields than the header" in err
     assert not (tmp_path / "fit.json").exists()
 
 
@@ -417,7 +417,7 @@ def test_validate_row_longer_than_its_header_is_rejected(tmp_path, capsys, bad):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert f"{path}: data row 2: more fields than the header" in err
+    assert f"{path}:3: more fields than the header" in err
     assert not (tmp_path / "fit.json").exists()
 
 
@@ -623,8 +623,8 @@ def test_table_field_over_the_csv_field_limit_is_rejected_with_its_line(tmp_path
 
 
 @pytest.mark.parametrize("text, where", [
-    (f"cycle,cover_m\n0,1.0\n\n1,{_OVER_THE_FIELD_LIMIT}\n", "data row 2"),
-    (f"cycle,cover_{_OVER_THE_FIELD_LIMIT}\n0,1.0\n1,2.0\n", "header"),
+    (f"cycle,cover_m\n0,1.0\n\n1,{_OVER_THE_FIELD_LIMIT}\n", 4),  # the blank line counts
+    (f"cycle,cover_{_OVER_THE_FIELD_LIMIT}\n0,1.0\n1,2.0\n", 1),
 ], ids=["data-row", "header"])
 @pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
 def test_validate_field_over_the_csv_field_limit_is_rejected_with_its_row(tmp_path, capsys, bad, text, where):
@@ -637,7 +637,7 @@ def test_validate_field_over_the_csv_field_limit_is_rejected_with_its_row(tmp_pa
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert f"{path}: {where}: field larger than field limit" in err
+    assert f"{path}:{where}: field larger than field limit" in err
     assert not (tmp_path / "fit.json").exists()
 
 
@@ -647,3 +647,34 @@ def test_scenario_nested_too_deeply_is_rejected(tmp_path, capsys):
     assert code == 2
     assert err == f"configuration error: {tmp_path / 'scenario.json'}: invalid JSON (nested too deeply)\n"
     assert written == []
+
+
+# Found by tests/test_fuzz_input.py: an unclosed quote in the header makes the
+# whole file one header field, which the message listed on many lines.
+@pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
+def test_validate_header_with_an_unclosed_quote_is_rejected_in_one_line(tmp_path, capsys, bad):
+    good = tmp_path / "good.csv"
+    good.write_text("cycle,cover_m\n0,1.0\n1,2.0\n")
+    path = tmp_path / "bad.csv"
+    path.write_text('"cycle,cover_m\n0,1.0\n1,2.0\n')
+    files = [str(path), str(good)] if bad == "run_csv" else [str(good), str(path)]
+    code = main(["validate", *files, "--series", "cover_m", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path}: no column 'cover_m'" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+# Found by tests/test_fuzz_input.py: each wrote Infinity to fit.json and
+# exited 0, the second after numpy's two-line overflow warning.
+@pytest.mark.parametrize("observed", ["1e-310,2e-310,3e-310", "1e308,-1e308,1e308"])
+def test_validate_fit_statistic_that_overflows_exits_4(tmp_path, capsys, observed):
+    run = tmp_path / "cycles.csv"
+    run.write_text("cycle,cover_m\n0,1\n1,2\n2,3\n")
+    path = tmp_path / "observed.csv"
+    path.write_text("cover_m\n" + observed.replace(",", "\n") + "\n")
+    code = main(["validate", str(run), str(path), "--series", "cover_m", "--out-dir", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("metric undefined: rmse or v overflows")
+    assert not (tmp_path / "fit.json").exists()

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from luccsim import LandUse, TechLevel, preset, run_simulation
+from luccsim import LandUse, TechLevel, Wgc, preset, run_simulation
 from luccsim.cli import main, read_series_csv, write_cycles_csv
 
 def _run(args):
@@ -467,6 +467,45 @@ def test_read_series_csv_normalizes_aliases(tmp_path):
     path.write_text("Year,cover_maize,cover_soy,cover_ws\n1,2,3,4\n")
     columns = read_series_csv(str(path))
     assert set(columns) == {"year", "cover_m", "cover_s", "cover_ws"}
+
+
+@pytest.mark.parametrize("kind", ["scenario", "wct", "wheat", "weather", "observed"])
+def test_input_file_starting_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys, kind):
+    def table(name, header, rows):
+        path = tmp_path / name
+        path.write_text("\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n")
+        return path
+
+    files = {
+        "scenario": tmp_path / "scenario.json",
+        "wct": table("wct.csv", "tl,value", [("L", 250), ("A", 330), ("H", 410)]),
+        "wheat": table("wheat.csv", "tl,wgc,value", [(tl.code, w.code, 2.0 + w) for tl in TechLevel for w in Wgc]),
+        "weather": tmp_path / "wgc.txt",
+        "observed": tmp_path / "observed.csv",  # its first column compared
+    }
+    soy2 = table("soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
+    files["weather"].write_text("VU\nA\nF\n")
+    files["observed"].write_text("cover_m,year\n30,1\n35,2\n32,3\n")
+    files["scenario"].write_text(json.dumps({
+        "preset": "longterm", "grid_rows": 3, "grid_cols": 3, "cycles": 3,
+        "table_overrides": {"wct": str(files["wct"])}, "pricing_mode": "split",
+        "split_yield_files": {"wheat": str(files["wheat"]), "soy2": str(soy2)},
+        "climate": {"sequence_file": str(files["weather"])},
+    }))
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def outputs():
+        assert main(["run", "--config", str(files["scenario"]), "--out-dir", str(out)]) == 0
+        assert main(["validate", str(out / "cycles.csv"), str(files["observed"]),
+                     "--series", "cover_m", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    plain = outputs()
+    path = files[kind]
+    path.write_text("\ufeff" + path.read_text())
+    assert outputs() == plain
 
 
 class TestSummaryJson:

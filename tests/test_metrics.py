@@ -36,6 +36,18 @@ class TestRmseAndV:
         with pytest.raises(MetricUndefinedError, match="lengths differ"):
             rmse_and_v([1, 2, 3], [1, 2])
 
+    # Each wrote Infinity to fit.json, the second with numpy's overflow warning.
+    @pytest.mark.parametrize("observed", [[1e-310, 2e-310, 3e-310], [1e308, -1e308, 1e308]])
+    def test_overflow_is_undefined(self, observed):
+        with pytest.raises(MetricUndefinedError, match="overflows"):
+            rmse_and_v(observed, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_undefined(self, bad):
+        for observed, simulated in ([1.0, bad], [1.0, 2.0]), ([1.0, 2.0], [bad, 1.0]):
+            with pytest.raises(MetricUndefinedError, match="finite"):
+                fit_report(observed, simulated)
+
     def test_means_are_left_to_right_sums(self):
         # numpy's pairwise mean gives v = 1.1254628677422756 here
         observed = np.arange(0.1, 1.0, 0.1).tolist()  # 0.30000000000000004, ...
@@ -63,7 +75,47 @@ class TestRmseAndV:
         assert v == 0.0
 
 
+def _ordinal_fit_by_pairs(observed, simulated):
+    """ordinal_fit as a double loop over the pairs (i, j > i), a pair at a time."""
+    matches = mismatches = 0
+    n = len(observed)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            d_obs = observed[i] - observed[j]
+            if d_obs == 0:
+                continue
+            d_sim = simulated[i] - simulated[j]
+            if d_sim == 0:
+                mismatches += 1
+            elif (d_obs > 0) == (d_sim > 0):
+                matches += 1
+            else:
+                mismatches += 1
+    total = matches + mismatches
+    if total == 0:
+        raise MetricUndefinedError("all observed pairs are tied")
+    pm = matches / total
+    return pm, 2.0 * pm - 1.0
+
+
 class TestOrdinalFit:
+    # n points of each series drawn from at most eight values, so ties are
+    # common; some differences overflow.
+    @settings(derandomize=True, max_examples=200)
+    @given(st.integers(2, 200), st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308]) | st.floats(
+            allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1))
+    def test_counts_the_pairs_the_double_loop_counts(self, n, values, seed):
+        obs, sim = np.random.default_rng(seed).choice(values, size=(2, n)).tolist()
+        try:
+            expected = _ordinal_fit_by_pairs(obs, sim)
+        except MetricUndefinedError:
+            with pytest.raises(MetricUndefinedError, match="tied"):
+                ordinal_fit(obs, sim)
+            return
+        assert ordinal_fit(obs, sim) == expected
+
     def test_perfect_order(self):
         assert ordinal_fit([1, 2, 3], [10, 20, 30]) == (1.0, 1.0)
 
