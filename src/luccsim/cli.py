@@ -197,7 +197,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"series {name!r}: {len(obs)} observed vs {len(sim)} simulated rows"
             )
-        report = fit_report(obs, sim)
+        try:
+            report = fit_report(obs, sim)
+        except MetricUndefinedError as exc:
+            raise MetricUndefinedError(f"series {name!r}: {exc}") from None
         reports[name] = asdict(report)
         print(
             f"{name}: rmse={report.rmse:.6f} v={report.v:.6f} "
@@ -216,10 +219,6 @@ _AXES = {p.value: p for p in SweepParameter}
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     config = _build_config(args)
-    if config.climate is None:
-        # No historical series available: fall back for the sweep base.
-        config = with_settings(config, {"climate": "constant-average"})
-        print("note: no weather sequence given; sweep base uses constant-average")
     if args.axis not in _AXES:
         raise ConfigurationError(
             f"unknown axis {args.axis!r} (expected one of {', '.join(_AXES)})"

@@ -50,14 +50,14 @@ _RENT_UNITS = ("soy_tons", "usd_per_ha")
 
 @dataclass(frozen=True)
 class SplitPricing:
-    """Split pricing of the double crop: its component-yield CSV files and wheat price.
+    """Split pricing of the double crop: its component-yield CSV files.
 
-    `resolve_tables` reads the two files into the tables' component yields.
+    `resolve_tables` reads the two files into the tables' component yields;
+    the wheat is priced at the double crop's price, the second soybean at soybean's.
     """
 
     wheat_yield_file: str
     soy2_yield_file: str
-    wheat_price_usd_per_t: float = 153.0
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,6 @@ class ScenarioConfig:
                 raise ConfigurationError(f"prices missing land use {lu.code}")
             if not self.prices[lu] > 0:
                 raise ConfigurationError(f"price for {lu.code} must be positive")
-        if self.split is not None and not self.split.wheat_price_usd_per_t > 0:
-            raise ConfigurationError("wheat price must be positive")
         if self.climate is None:
             raise ConfigurationError(
                 "a climate regime is required (the pergamino-1988 preset needs "
@@ -140,8 +138,6 @@ class ScenarioConfig:
         for name in ("initial_cover_pct", "initial_tl_pct", "prices"):
             for value in getattr(self, name).values():
                 yield name, value
-        if self.split is not None:
-            yield "wheat_price_usd_per_t", self.split.wheat_price_usd_per_t
 
 
 def _check_shares(name: str, shares: Mapping, members: list) -> None:
@@ -361,7 +357,6 @@ _SETTINGS = {
     "owner_share_pct": _real,
     "initial_al_factor": _real,
     "et_pct": _real,
-    "wheat_price_usd_per_t": _real,
     "pricing_mode": _pricing_mode,
     "initial_cover_pct": partial(_parse_keyed, members=LandUse),
     "initial_tl_pct": partial(_parse_keyed, members=TechLevel),
@@ -372,7 +367,7 @@ _SETTINGS = {
     "table_overrides": _table_files,
 }
 
-_PRICING_KEYS = ("pricing_mode", "wheat_price_usd_per_t", "split_yield_files")
+_PRICING_KEYS = ("pricing_mode", "split_yield_files")
 
 
 def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> ScenarioConfig:
@@ -396,23 +391,19 @@ def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> Scenar
 def _split(pricing: dict) -> Optional[SplitPricing]:
     """The `split` field that the parsed values of the pricing keys give.
 
-    A wheat price or component-yield files under combined pricing would
-    go unread, so they are refused.
+    Component-yield files under combined pricing would go unread, so they
+    are refused.
     """
-    price, files = pricing.get("wheat_price_usd_per_t"), pricing.get("split_yield_files")
-    if price is not None and not math.isfinite(price):
-        raise ConfigurationError(f"wheat_price_usd_per_t must be finite (got {price!r})")
+    files = pricing.get("split_yield_files")
     if pricing.get("pricing_mode", "combined") == "combined":
         if files is not None:
             raise ConfigurationError(
                 'split yield tables (split_yield_files) need "pricing_mode": "split"')
-        if price is not None:
-            raise ConfigurationError('wheat_price_usd_per_t needs "pricing_mode": "split"')
         return None
     if files is None:
         raise ConfigurationError("split pricing needs wheat and second-soybean component "
                                  "yield tables (split_yield_files)")
-    return SplitPricing(*files) if price is None else SplitPricing(*files, price)
+    return SplitPricing(*files)
 
 
 def resolve_tables(config: ScenarioConfig) -> ParameterTables:

@@ -222,9 +222,9 @@ def context_for(
     """Build one cycle's context from a validated scenario configuration.
 
     Combined pricing prices the double crop's total yield at its single
-    listed price; split pricing prices the tables' wheat and second-crop
-    soybean component yields separately. A margin may overflow here;
-    `check_scale` refuses it.
+    listed price; split pricing prices the tables' wheat component yield at
+    that price and the second-crop soybean yield at the soybean price. A
+    margin may overflow here; `check_scale` refuses it.
     """
     split, wheat, soy2 = config.split, tables.wheat_yield_t_per_ha, tables.soy2_yield_t_per_ha
     if split is not None and (wheat is None or soy2 is None):
@@ -233,7 +233,7 @@ def context_for(
     with np.errstate(over="ignore", invalid="ignore"):
         income = tables.yield_t_per_ha[:, :, wgc].T * prices
         if split is not None:
-            income[:, LandUse.WHEAT_SOY] = (wheat[:, wgc] * split.wheat_price_usd_per_t
+            income[:, LandUse.WHEAT_SOY] = (wheat[:, wgc] * prices[LandUse.WHEAT_SOY]
                                             + soy2[:, wgc] * prices[LandUse.SOYBEAN])
         margins = income - tables.cost_usd_per_ha[:, :, wgc].T
     margins.setflags(write=False)

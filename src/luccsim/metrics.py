@@ -70,8 +70,12 @@ def rmse_and_v(
     """Root-mean-square error and its ratio to the observed mean, both sums left to right."""
     obs, sim = _check_pair(observed, simulated)
     with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
-        rmse = math.sqrt(sequential_sum((obs - sim) ** 2) / len(obs))
+        diff = obs - sim
+        rmse = math.sqrt(sequential_sum(diff ** 2) / len(obs))
         mean_obs = sequential_sum(obs) / len(obs)
+    largest = np.max(np.abs(diff))
+    if 0.0 < largest < 2.0**-511:  # every square is subnormal or zero
+        raise MetricUndefinedError(f"rmse underflows (largest difference {largest.item()!r})")
     if mean_obs == 0.0:
         raise MetricUndefinedError("v is undefined: observed mean is zero")
     v = rmse / mean_obs

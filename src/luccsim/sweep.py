@@ -115,23 +115,11 @@ def _price(land_use: LandUse) -> tuple:
             lambda config, value: replace(config, prices={**config.prices, land_use: value}))
 
 
-def _wheat_price(config: ScenarioConfig) -> float:
-    split = config.split
-    return config.prices[LandUse.WHEAT_SOY] if split is None else split.wheat_price_usd_per_t
-
-
-def _with_wheat_price(config: ScenarioConfig, value: float) -> ScenarioConfig:
-    if config.split is None:
-        return replace(config, prices={**config.prices, LandUse.WHEAT_SOY: value})
-    return replace(config, split=replace(config.split, wheat_price_usd_per_t=value))
-
-
-# The getter and the setter of the setting each numeric axis moves. Under
-# split pricing the wheat-price axis moves the split's wheat price.
+# The getter and the setter of the setting each numeric axis moves.
 _AXES = {
     SweepParameter.SOYBEAN_PRICE: _price(LandUse.SOYBEAN),
     SweepParameter.MAIZE_PRICE: _price(LandUse.MAIZE),
-    SweepParameter.WHEAT_PRICE: (_wheat_price, _with_wheat_price),
+    SweepParameter.WHEAT_PRICE: _price(LandUse.WHEAT_SOY),
     SweepParameter.OWNER_SHARE: (lambda config: config.owner_share_pct,
                                  lambda config, value: replace(config, owner_share_pct=value)),
     SweepParameter.RENT_USD: (ScenarioConfig.rent_usd,

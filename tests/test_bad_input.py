@@ -28,7 +28,6 @@ def _run_config(tmp_path, capsys, text, *options):
         ('"initial_al_factor": NaN', "initial_al_factor"),
         ('"et_pct": NaN', "et_pct"),
         ('"owner_share_pct": Infinity', "owner_share_pct"),
-        ('"wheat_price_usd_per_t": NaN', "wheat_price_usd_per_t"),
         ('"rent": {"usd_per_ha": NaN}', "rent_usd_per_ha"),
         ('"rent": {"soy_tons": Infinity}', "rent_soy_tons"),
         ('"prices": {"M": 141, "S": -Infinity, "WS": 153}', "prices"),
@@ -60,7 +59,6 @@ def test_non_finite_scenario_number_is_rejected(tmp_path, capsys, body, field):
         ('"et_pct": true', "et_pct"),
         ('"owner_share_pct": "50"', "owner_share_pct"),
         ('"initial_al_factor": false', "initial_al_factor"),
-        ('"wheat_price_usd_per_t": "139"', "wheat_price_usd_per_t"),
         ('"rent": {"soy_tons": "1.2"}', "rent.soy_tons"),
         ('"rent": {"usd_per_ha": true}', "rent.usd_per_ha"),
         ('"prices": {"M": 141, "S": true, "WS": 153}', "prices.S"),
@@ -72,6 +70,15 @@ def test_non_numeric_scenario_value_is_rejected(tmp_path, capsys, body, field):
     code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", %s}' % body)
     assert code == 2
     assert err.count("\n") == 1 and field in err and "must be a number" in err
+    assert written == []
+
+
+def test_separate_wheat_price_key_is_unknown(tmp_path, capsys):
+    """The double crop has one price, prices.WS, under either pricing mode."""
+    code, err, written = _run_config(tmp_path, capsys,
+                                     '{"preset": "longterm",\n "wheat_price_usd_per_t": 139}')
+    assert code == 2
+    assert err == f"configuration error: {tmp_path / 'scenario.json'}:2: unknown key 'wheat_price_usd_per_t'\n"
     assert written == []
 
 
@@ -421,14 +428,11 @@ def test_validate_row_longer_than_its_header_is_rejected(tmp_path, capsys, bad):
     assert not (tmp_path / "fit.json").exists()
 
 
-@pytest.mark.parametrize("setting", ["split_yield_files", "wheat_price_usd_per_t"])
+@pytest.mark.parametrize("setting", ["split_yield_files"])
 def test_split_pricing_setting_under_combined_pricing_is_rejected(tmp_path, capsys, setting):
-    if setting == "split_yield_files":
-        wheat = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc])
-        soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
-        body = '"split_yield_files": {"wheat": "%s", "soy2": "%s"}' % (wheat, soy2)
-    else:
-        body = '"wheat_price_usd_per_t": 999'
+    wheat = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc])
+    soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
+    body = '"split_yield_files": {"wheat": "%s", "soy2": "%s"}' % (wheat, soy2)
     code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
     assert code == 2
     assert err.count("\n") == 1 and setting in err and '"pricing_mode": "split"' in err
@@ -676,5 +680,42 @@ def test_validate_fit_statistic_that_overflows_exits_4(tmp_path, capsys, observe
     code = main(["validate", str(run), str(path), "--series", "cover_m", "--out-dir", str(tmp_path)])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("metric undefined: rmse or v overflows")
+    assert err.count("\n") == 1 and err.startswith("metric undefined: series 'cover_m': rmse or v overflows")
     assert not (tmp_path / "fit.json").exists()
+
+
+def test_validate_names_the_series_whose_metric_is_undefined(tmp_path, capsys):
+    run = tmp_path / "cycles.csv"
+    run.write_text("cycle,cover_m,mean_p\n0,1,10\n1,2,20\n2,3,30\n")
+    path = tmp_path / "observed.csv"
+    path.write_text("cover_m,mean_p\n1,0\n3,0\n2,0\n")
+    code = main(["validate", str(run), str(path), "--series", "cover_m,mean_p",
+                 "--out-dir", str(tmp_path)])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert out.startswith("cover_m: ") and out.count("\n") == 1
+    assert err == "metric undefined: series 'mean_p': v is undefined: observed mean is zero\n"
+    assert not (tmp_path / "fit.json").exists()
+
+
+# Each wrote "rmse": 0.0, "v": 0.0 to fit.json and exited 0.
+def test_validate_rmse_whose_squares_underflow_exits_4(tmp_path, capsys):
+    run = tmp_path / "cycles.csv"
+    run.write_text("cycle,cover_m\n0,2e-170\n1,3e-170\n2,4e-170\n")
+    path = tmp_path / "observed.csv"
+    path.write_text("cover_m\n1e-170\n2e-170\n3e-170\n")
+    code = main(["validate", str(run), str(path), "--series", "cover_m", "--out-dir", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("metric undefined: series 'cover_m': rmse underflows")
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_sweep_without_a_weather_regime_is_refused_as_run_is(tmp_path, capsys):
+    scenario = ["--preset", "pergamino-1988", "--cycles", "2", "--out-dir", str(tmp_path)]
+    assert main(["run", *scenario]) == 2
+    refusal = capsys.readouterr().err
+    assert refusal.count("\n") == 1 and "a climate regime is required" in refusal
+    assert main(["sweep", *scenario, "--axis", "owner-share", "--values", "50"]) == 2
+    assert capsys.readouterr() == ("", refusal)
+    assert list(tmp_path.iterdir()) == []

@@ -92,14 +92,14 @@ def test_sequence_shorter_than_horizon_rejected():
 
 def test_split_mode_needs_component_tables(tmp_path):
     path = _write(tmp_path, {"preset": "longterm", "pricing_mode": "split",
-                             "wheat_price_usd_per_t": 150.0})
+                             "prices": {"M": 141.0, "S": 277.0, "WS": 150.0}})
     with pytest.raises(ConfigurationError,
                        match=r"scenario\.json: split pricing needs .* component"):
         parse_config(path)
 
 
 def test_the_config_fields_are_the_scenario_keys():
-    pricing = {"pricing_mode", "wheat_price_usd_per_t", "split_yield_files"}
+    pricing = {"pricing_mode", "split_yield_files"}
     names = {field.name for field in fields(ScenarioConfig)}
     assert names == (set(_SETTINGS) - pricing) | {"split"}
 
@@ -282,7 +282,7 @@ def test_parse_config_split_mode_end_to_end(tmp_path):
         {
             "preset": "longterm",
             "pricing_mode": "split",
-            "wheat_price_usd_per_t": 150.0,
+            "prices": {"M": 141.0, "S": 277.0, "WS": 150.0},
             "split_yield_files": {"wheat": str(wheat_path), "soy2": str(soy2_path)},
         },
     )
@@ -373,7 +373,6 @@ _VALID_SETTINGS = st.fixed_dictionaries({}, optional={
         {"pricing_mode": st.just("split"),
          "split_yield_files": st.fixed_dictionaries({"wheat": st.text(max_size=5),
                                                      "soy2": st.text(max_size=5)})},
-        optional={"wheat_price_usd_per_t": st.floats(1, 1e4)},
     ).map(lambda pricing: {**settings, **pricing}),
 ))
 

@@ -42,6 +42,16 @@ class TestRmseAndV:
         with pytest.raises(MetricUndefinedError, match="overflows"):
             rmse_and_v(observed, [1.0, 2.0, 3.0])
 
+    # Each gave (0.0, 0.0): every squared difference is subnormal or zero.
+    @pytest.mark.parametrize("shift", [1e-170, 2.0**-512, 5e-324])
+    def test_underflowing_squares_are_undefined(self, shift):
+        with pytest.raises(MetricUndefinedError, match="underflows"):
+            rmse_and_v([0.0, 2e-170, 1.0], [shift, 2e-170, 1.0])
+
+    def test_a_difference_whose_square_is_normal_is_defined(self):
+        rmse, _ = rmse_and_v([0.0, 1.0], [2.0**-511, 1.0])
+        assert rmse == math.sqrt(2.0**-1022 / 2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_undefined(self, bad):
         for observed, simulated in ([1.0, bad], [1.0, 2.0]), ([1.0, 2.0], [bad, 1.0]):

@@ -36,7 +36,7 @@ SCENARIOS = {
     "wheat-price-combined": ({"grid_rows": 5, "grid_cols": 6, "seed": 3, "climate": "random"},
                              "wheat-price", "110,249.23"),
     "wheat-price-split": ({"grid_rows": 6, "grid_cols": 5, "seed": 4, "climate": "random",
-                           "pricing_mode": "split", "wheat_price_usd_per_t": 140.0},
+                           "pricing_mode": "split", "prices": {"M": 141.0, "S": 277.0, "WS": 140.0}},
                           "wheat-price", "110,200"),
     "soy-price-split": ({"grid_rows": 5, "grid_cols": 5, "seed": 5, "climate": "seesaw",
                          "pricing_mode": "split"}, "soy-price", "200,346.4"),
