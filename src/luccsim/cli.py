@@ -184,11 +184,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     series = [s.strip() for s in args.series.split(",") if s.strip()]
     if not series:
         raise ConfigurationError("--series must name at least one series")
-    for name in series:
+    for at, name in enumerate(series):
         if name not in SERIES_NAMES:
             raise ConfigurationError(
                 f"unknown series {name!r} (expected one of {', '.join(SERIES_NAMES)})"
             )
+        if name in series[:at]:
+            raise ConfigurationError(f"--series names series {name!r} twice")
     reports = {}
     for name in series:
         sim = _numeric_series(simulated, name, args.run_csv)

@@ -78,7 +78,7 @@ class ScenarioConfig:
     prices: Mapping[LandUse, float] = field(
         default_factory=lambda: dict(zip(LandUse, default_tables().price_usd_per_t.tolist()))
     )
-    split: Optional[SplitPricing] = None  # None prices the double crop combined
+    split_yield_files: Optional[SplitPricing] = None  # None prices the double crop combined
     table_overrides: Mapping[str, str] = field(default_factory=dict)
 
     @property
@@ -320,12 +320,6 @@ def _number(value, name: str, convert):
 _integer, _real = partial(_number, convert=int), partial(_number, convert=float)
 
 
-def _pricing_mode(value, key: str) -> str:
-    if value not in ("combined", "split"):
-        raise ConfigurationError(f"pricing_mode must be 'combined' or 'split', got {str(value)!r}")
-    return value
-
-
 def _rent(value, key: str) -> tuple[str, float]:
     if not isinstance(value, dict) or len(value) != 1 or not set(value) <= set(_RENT_UNITS):
         raise ConfigurationError('rent must be {"soy_tons": x} or {"usd_per_ha": x}')
@@ -333,10 +327,10 @@ def _rent(value, key: str) -> tuple[str, float]:
     return unit, _number(amount, f"rent.{unit}", float)
 
 
-def _split_yields(value, key: str) -> tuple[str, str]:
+def _split_yields(value, key: str) -> SplitPricing:
     if not isinstance(value, dict) or set(value) != {"wheat", "soy2"}:
         raise ConfigurationError('split_yield_files must be {"wheat": path, "soy2": path}')
-    return str(value["wheat"]), str(value["soy2"])
+    return SplitPricing(str(value["wheat"]), str(value["soy2"]))
 
 
 def _table_files(value, key: str) -> dict:
@@ -346,9 +340,8 @@ def _table_files(value, key: str) -> dict:
 
 
 # Each scenario-file key and its parser, which turns the key's JSON value
-# into the value of the ScenarioConfig field the key sets; `_split` turns the
-# values of the _PRICING_KEYS into the `split` field. Settings are parsed in
-# this order, so of two bad settings the one listed first is reported.
+# into the value of the ScenarioConfig field of the same name. Settings are
+# parsed in this order, so of two bad settings the one listed first is reported.
 _SETTINGS = {
     "grid_rows": _integer,
     "grid_cols": _integer,
@@ -357,7 +350,6 @@ _SETTINGS = {
     "owner_share_pct": _real,
     "initial_al_factor": _real,
     "et_pct": _real,
-    "pricing_mode": _pricing_mode,
     "initial_cover_pct": partial(_parse_keyed, members=LandUse),
     "initial_tl_pct": partial(_parse_keyed, members=TechLevel),
     "prices": partial(_parse_keyed, members=LandUse),
@@ -367,49 +359,25 @@ _SETTINGS = {
     "table_overrides": _table_files,
 }
 
-_PRICING_KEYS = ("pricing_mode", "split_yield_files")
-
 
 def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> ScenarioConfig:
     """`config` with scenario-file settings applied, in one `replace`.
 
     `settings` maps scenario-file keys (every key but "preset") to values as
-    JSON gives them. The pricing keys set `split` together: given any of
-    them, the others take their defaults. An unknown key is an error; the
-    result is not validated.
+    JSON gives them; each key sets the config field of its name. An unknown
+    key is an error; the result is not validated.
     """
     for key in settings:
         if key not in _SETTINGS:
             raise ConfigurationError(f"unknown key {key!r}")
-    fields = {key: parse(settings[key], key) for key, parse in _SETTINGS.items() if key in settings}
-    pricing = {key: fields.pop(key) for key in _PRICING_KEYS if key in fields}
-    if pricing:
-        fields["split"] = _split(pricing)
-    return replace(config, **fields)
-
-
-def _split(pricing: dict) -> Optional[SplitPricing]:
-    """The `split` field that the parsed values of the pricing keys give.
-
-    Component-yield files under combined pricing would go unread, so they
-    are refused.
-    """
-    files = pricing.get("split_yield_files")
-    if pricing.get("pricing_mode", "combined") == "combined":
-        if files is not None:
-            raise ConfigurationError(
-                'split yield tables (split_yield_files) need "pricing_mode": "split"')
-        return None
-    if files is None:
-        raise ConfigurationError("split pricing needs wheat and second-soybean component "
-                                 "yield tables (split_yield_files)")
-    return SplitPricing(*files)
+    return replace(config, **{key: parse(settings[key], key)
+                              for key, parse in _SETTINGS.items() if key in settings})
 
 
 def resolve_tables(config: ScenarioConfig) -> ParameterTables:
     """The embedded dataset with the config's table files read in: component yields first."""
     tables = default_tables()
-    split = config.split
+    split = config.split_yield_files
     if split is not None:
         wheat, soy2 = map(load_component_yield_csv, (split.wheat_yield_file, split.soy2_yield_file))
         tables = replace(tables, wheat_yield_t_per_ha=wheat, soy2_yield_t_per_ha=soy2)

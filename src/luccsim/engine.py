@@ -226,7 +226,8 @@ def context_for(
     that price and the second-crop soybean yield at the soybean price. A
     margin may overflow here; `check_scale` refuses it.
     """
-    split, wheat, soy2 = config.split, tables.wheat_yield_t_per_ha, tables.soy2_yield_t_per_ha
+    split = config.split_yield_files
+    wheat, soy2 = tables.wheat_yield_t_per_ha, tables.soy2_yield_t_per_ha
     if split is not None and (wheat is None or soy2 is None):
         raise ConfigurationError("split pricing needs component yield tables (see resolve_tables)")
     prices = np.array([config.prices[lu] for lu in LandUse])

@@ -256,6 +256,11 @@ def validate_tables(tables: ParameterTables) -> list[str]:
         check(name, _decreasing_in_weather(getattr(tables, _OVERRIDES[name])),
               "decreasing in weather condition")
 
+    # An aspiration factor 1 + alpha outside (0, 2) flips or compounds aspirations.
+    for name in ("alpha_wgc", "alpha_bn"):
+        alpha = getattr(tables, name)
+        check(name, ~((-1 < alpha) & (alpha < 1)), "alpha outside (-1, 1)")
+
     levels = np.arange(len(TechLevel))
     direction = np.sign(levels[None, :] - levels[:, None])  # [agent, neighbor]
     for index in zip(*np.nonzero(np.sign(tables.alpha_bn) != direction)):

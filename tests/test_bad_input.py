@@ -73,12 +73,14 @@ def test_non_numeric_scenario_value_is_rejected(tmp_path, capsys, body, field):
     assert written == []
 
 
-def test_separate_wheat_price_key_is_unknown(tmp_path, capsys):
-    """The double crop has one price, prices.WS, under either pricing mode."""
-    code, err, written = _run_config(tmp_path, capsys,
-                                     '{"preset": "longterm",\n "wheat_price_usd_per_t": 139}')
+# The double crop has one price, prices.WS, under either pricing mode, and
+# split_yield_files alone selects split pricing.
+@pytest.mark.parametrize("key, value", [("wheat_price_usd_per_t", "139"), ("pricing_mode", '"split"')],
+                         ids=["wheat_price_usd_per_t", "pricing_mode"])
+def test_separate_wheat_price_key_is_unknown(tmp_path, capsys, key, value):
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm",\n "%s": %s}' % (key, value))
     assert code == 2
-    assert err == f"configuration error: {tmp_path / 'scenario.json'}:2: unknown key 'wheat_price_usd_per_t'\n"
+    assert err == f"configuration error: {tmp_path / 'scenario.json'}:2: unknown key {key!r}\n"
     assert written == []
 
 
@@ -147,8 +149,7 @@ def _tables_case(tmp_path, tables, case, edit):
         rows = [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc]
         path = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", edit(rows))
         soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
-        return ('"pricing_mode": "split", "split_yield_files": {"wheat": "%s", "soy2": "%s"}'
-                % (path, soy2)), path
+        return '"split_yield_files": {"wheat": "%s", "soy2": "%s"}' % (path, soy2), path
     field, header = _TABLE_FILES[case]
     table = getattr(tables, field)
     enums = [_KEY_ENUMS[column] for column in header.split(",")[:-1]]
@@ -364,6 +365,16 @@ def test_climate_and_weather_file_together_are_rejected(tmp_path, capsys, comman
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("names", ["mean_p,mean_p", "cover_m, mean_p ,mean_p"])
+def test_validate_series_named_twice_is_rejected(tmp_path, capsys, names):
+    run = tmp_path / "cycles.csv"
+    run.write_text("cycle,cover_m,mean_p\n0,1.0,2.0\n1,2.0,3.0\n")
+    code = main(["validate", str(run), str(run), "--series", names, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "configuration error: --series names series 'mean_p' twice\n")
+    assert not (tmp_path / "fit.json").exists()
+
+
 @pytest.mark.parametrize("first, second", [("cover_soy", "cover_soybean"), ("Cover_M", "cover_m")])
 @pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
 def test_validate_headers_naming_one_series_are_rejected(tmp_path, capsys, bad, first, second):
@@ -428,20 +439,9 @@ def test_validate_row_longer_than_its_header_is_rejected(tmp_path, capsys, bad):
     assert not (tmp_path / "fit.json").exists()
 
 
-@pytest.mark.parametrize("setting", ["split_yield_files"])
-def test_split_pricing_setting_under_combined_pricing_is_rejected(tmp_path, capsys, setting):
-    wheat = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc])
-    soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc])
-    body = '"split_yield_files": {"wheat": "%s", "soy2": "%s"}' % (wheat, soy2)
-    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
-    assert code == 2
-    assert err.count("\n") == 1 and setting in err and '"pricing_mode": "split"' in err
-    assert written == []
-
-
 @pytest.mark.parametrize("body, message", [
-    ('"pricing_mode": "bogus"', "pricing_mode must be 'combined' or 'split', got 'bogus'"),
-    ('"pricing_mode": "split"', "component"),
+    ('"split_yield_files": {"wheat": "w.csv"}',
+     'split_yield_files must be {"wheat": path, "soy2": path}'),
     ('"rent": {"soy_tons": 1, "usd_per_ha": 2}', 'rent must be {"soy_tons": x} or {"usd_per_ha": x}'),
     ('"rent": {}', 'rent must be {"soy_tons": x} or {"usd_per_ha": x}'),
 ])
@@ -480,6 +480,25 @@ def test_table_giving_a_margin_too_large_for_the_run_is_rejected(tmp_path, capsy
     code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", "cycles": 2, %s}' % body)
     assert code == 2
     assert err.count("\n") == 1 and "margin of M" in err and "cost tables" in err
+    assert written == []
+
+
+# An aspiration factor 1 + alpha must lie in (0, 2). Before this rule an
+# alpha of 1e300 overflowed cycle 1's aspirations to inf, with exit 0.
+@pytest.mark.parametrize("case, key, value", [
+    ("alpha_wgc", "A", 1e300), ("alpha_wgc", "VF", 1.0), ("alpha_wgc", "VU", -1.0),
+    ("alpha_bn", "L,H", 1e300), ("alpha_bn", "H,L", -1.0),
+])
+def test_aspiration_factor_outside_its_range_is_rejected(tmp_path, capsys, tables, case, key, value):
+    def set_entry(rows):
+        return [(*row[:-1], value if ",".join(row[:-1]) == key else row[-1]) for row in rows]
+
+    body, path = _tables_case(tmp_path, tables, case, set_entry)
+    code, err, written = _run_config(
+        tmp_path, capsys,
+        '{"preset": "longterm", "grid_rows": 3, "grid_cols": 3, "cycles": 3, %s}' % body, "--emit-agents")
+    assert code == 2
+    assert err.count("\n") == 1 and f"{case}[{key}]: alpha outside (-1, 1)" in err
     assert written == []
 
 
@@ -573,7 +592,7 @@ def _split_scenario_missing_an_entry(tmp_path, settings):
     wheat = _table_file(tmp_path, "wheat.csv", "tl,wgc,value", [(tl.code, w.code, 2.0) for tl in TechLevel for w in Wgc])
     soy2 = _table_file(tmp_path, "soy2.csv", "tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc][:-1])
     scenario = tmp_path / "both.json"
-    scenario.write_text('{"preset": "longterm", "pricing_mode": "split", '
+    scenario.write_text('{"preset": "longterm", '
                         '"split_yield_files": {"wheat": "%s", "soy2": "%s"}, %s}' % (wheat, soy2, settings))
     return str(scenario), soy2
 
@@ -607,7 +626,7 @@ def test_split_yield_file_breaking_the_yield_rules_is_rejected(tmp_path, capsys,
     files = {name: _table_file(tmp_path, f"{name}.csv", "tl,wgc,value", [
         (tl.code, w.code, by_wgc[w] if name == component else 1.5) for tl in TechLevel for w in Wgc])
         for name in ("wheat", "soy2")}
-    body = '"pricing_mode": "split", "split_yield_files": {"wheat": "%(wheat)s", "soy2": "%(soy2)s"}' % files
+    body = '"split_yield_files": {"wheat": "%(wheat)s", "soy2": "%(soy2)s"}' % files
     code, err, written = _run_config(
         tmp_path, capsys, '{"preset": "longterm", "grid_rows": 5, "grid_cols": 5, "cycles": 3, %s}' % body)
     assert code == 2

@@ -488,7 +488,7 @@ def test_input_file_starting_with_a_byte_order_mark_reads_as_without_one(tmp_pat
     files["observed"].write_text("cover_m,year\n30,1\n35,2\n32,3\n")
     files["scenario"].write_text(json.dumps({
         "preset": "longterm", "grid_rows": 3, "grid_cols": 3, "cycles": 3,
-        "table_overrides": {"wct": str(files["wct"])}, "pricing_mode": "split",
+        "table_overrides": {"wct": str(files["wct"])},
         "split_yield_files": {"wheat": str(files["wheat"]), "soy2": str(soy2)},
         "climate": {"sequence_file": str(files["weather"])},
     }))

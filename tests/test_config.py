@@ -90,18 +90,8 @@ def test_sequence_shorter_than_horizon_rejected():
         config.validate()
 
 
-def test_split_mode_needs_component_tables(tmp_path):
-    path = _write(tmp_path, {"preset": "longterm", "pricing_mode": "split",
-                             "prices": {"M": 141.0, "S": 277.0, "WS": 150.0}})
-    with pytest.raises(ConfigurationError,
-                       match=r"scenario\.json: split pricing needs .* component"):
-        parse_config(path)
-
-
 def test_the_config_fields_are_the_scenario_keys():
-    pricing = {"pricing_mode", "split_yield_files"}
-    names = {field.name for field in fields(ScenarioConfig)}
-    assert names == (set(_SETTINGS) - pricing) | {"split"}
+    assert {field.name for field in fields(ScenarioConfig)} == set(_SETTINGS)
 
 
 def _write(tmp_path, payload):
@@ -281,7 +271,6 @@ def test_parse_config_split_mode_end_to_end(tmp_path):
         tmp_path,
         {
             "preset": "longterm",
-            "pricing_mode": "split",
             "prices": {"M": 141.0, "S": 277.0, "WS": 150.0},
             "split_yield_files": {"wheat": str(wheat_path), "soy2": str(soy2_path)},
         },
@@ -322,7 +311,7 @@ def test_with_settings_applies_scenario_file_values():
 
 def _split_scenario(tmp_path):
     """A split-pricing scenario file naming wheat.csv and soy2.csv, which it does not write."""
-    return _write(tmp_path, {"preset": "longterm", "pricing_mode": "split",
+    return _write(tmp_path, {"preset": "longterm",
                              "split_yield_files": {"wheat": str(tmp_path / "wheat.csv"),
                                                    "soy2": str(tmp_path / "soy2.csv")}})
 
@@ -332,8 +321,9 @@ def test_split_pricing_configs_compare_and_hash(tmp_path):
     path = _split_scenario(tmp_path)
     first, second = parse_config(path), parse_config(path)
     assert first == second
-    assert first.split == SplitPricing(str(tmp_path / "wheat.csv"), str(tmp_path / "soy2.csv"))
-    assert hash(first.split) == hash(second.split)
+    files = SplitPricing(str(tmp_path / "wheat.csv"), str(tmp_path / "soy2.csv"))
+    assert first.split_yield_files == files
+    assert hash(first.split_yield_files) == hash(second.split_yield_files)
 
 
 def test_split_yield_files_are_read_by_plan_not_by_parse_config(tmp_path):
@@ -343,7 +333,7 @@ def test_split_yield_files_are_read_by_plan_not_by_parse_config(tmp_path):
 
 
 def test_split_pricing_with_tables_lacking_component_yields_is_refused():
-    config = replace(preset("longterm"), split=SplitPricing("w.csv", "s.csv"))
+    config = replace(preset("longterm"), split_yield_files=SplitPricing("w.csv", "s.csv"))
     with pytest.raises(ConfigurationError, match="component yield"):
         plan(config, default_tables())
 
@@ -365,16 +355,10 @@ _VALID_SETTINGS = st.fixed_dictionaries({}, optional={
     "climate": st.one_of(st.sampled_from(["seesaw", "random", "constant-average"]),
                          st.lists(st.sampled_from([w.code for w in Wgc]), min_size=1)
                          .map(lambda codes: {"sequence": codes})),
+    "split_yield_files": st.fixed_dictionaries({"wheat": st.text(max_size=5),
+                                                "soy2": st.text(max_size=5)}),
     "table_overrides": st.dictionaries(st.sampled_from(["yield", "wct"]), st.text(max_size=5)),
-}).flatmap(lambda settings: st.one_of(
-    st.just(settings),
-    st.just({**settings, "pricing_mode": "combined"}),
-    st.fixed_dictionaries(
-        {"pricing_mode": st.just("split"),
-         "split_yield_files": st.fixed_dictionaries({"wheat": st.text(max_size=5),
-                                                     "soy2": st.text(max_size=5)})},
-    ).map(lambda pricing: {**settings, **pricing}),
-))
+})
 
 
 @settings(derandomize=True, max_examples=100)

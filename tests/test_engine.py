@@ -333,7 +333,7 @@ class TestSplitPricing:
         # Component tables where wheat + second soy reproduce a chosen total.
         tables = replace(tables, wheat_yield_t_per_ha=np.full((3, 5), 2.0),
                          soy2_yield_t_per_ha=np.full((3, 5), 1.5))
-        return _ctx(tables, rent=0.0, split=SplitPricing("wheat.csv", "soy2.csv"))
+        return _ctx(tables, rent=0.0, split_yield_files=SplitPricing("wheat.csv", "soy2.csv"))
 
     def test_split_mode_prices_components(self, tables):
         ctx = self._split_ctx(tables)

@@ -4,8 +4,10 @@ Each example takes one valid input file (a table override, a split-pricing
 component yield, or a `validate` series) through a few mutations: fields
 dropped, added or replaced by extreme or non-numeric text, rows blanked,
 repeated or removed, and quotes or control characters inserted. `luccsim`
-then runs a 1x1 grid for one cycle, or validates, on it. Exit 0 must write
-only finite numbers; any other exit is 2, 3 or 4 with one stderr line.
+then runs a 1x2 grid for two cycles, or validates, on it: a neighbor reads
+`alpha_bn`, and an overflowing aspiration factor first shows in cycle 1.
+Exit 0 must write only finite numbers; any other exit is 2, 3 or 4 with
+one stderr line.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luccsim import TechLevel, Wgc
+from luccsim import TechLevel, Wgc, default_tables
 from luccsim.cli import main
 
 
@@ -32,12 +34,16 @@ _FILES = {
     "wct.csv": _table("tl,value", [("L", 252), ("A", 333), ("H", 413)]),
     "wheat.csv": _table("tl,wgc,value", [(tl.code, w.code, 2.0 + w) for tl in TechLevel for w in Wgc]),
     "soy2.csv": _table("tl,wgc,value", [(tl.code, w.code, 1.5) for tl in TechLevel for w in Wgc]),
+    "alpha_wgc.csv": _table("wgc,value", [(w.code, default_tables().alpha_wgc[w]) for w in Wgc]),
+    "alpha_bn.csv": _table("tl,bn_tl,value", [(tl.code, bn.code, default_tables().alpha_bn[tl, bn])
+                                             for tl in TechLevel for bn in TechLevel]),
     "cycles.csv": _table("cycle,wgc,cover_m,mean_p", [(0, "A", 40.0, 110.5), (1, "F", 42.0, 130.25),
                                                       (2, "U", 41.0, 95.0)]),
     "observed.csv": _table("cover_maize,year,mean_p", [(30, 1, 100), (35, 2, 120), (32, 3, 90)]),
 }
-_SCENARIO = {"preset": "longterm", "grid_rows": 1, "grid_cols": 1, "cycles": 1, "pricing_mode": "split"}
-_MUTABLE = ("wct.csv", "wheat.csv", "soy2.csv", "cycles.csv", "observed.csv")
+_SCENARIO = {"preset": "longterm", "grid_rows": 1, "grid_cols": 2, "cycles": 2}
+_MUTABLE = ("wct.csv", "alpha_wgc.csv", "alpha_bn.csv", "wheat.csv", "soy2.csv", "cycles.csv",
+            "observed.csv")
 
 _CELLS = st.sampled_from([
     "", " ", "abc", "nan", "NaN", "-inf", "Infinity", "1e400", "-1e400", "1e308", "-1e308",
@@ -108,7 +114,8 @@ def check_case(name, text):
         work = Path(work)
         for file, body in {**_FILES, name: text}.items():
             (work / file).write_text(body, encoding="utf-8", newline="")
-        scenario = {**_SCENARIO, "table_overrides": {"wct": str(work / "wct.csv")},
+        tables = ("wct", "alpha_wgc", "alpha_bn")
+        scenario = {**_SCENARIO, "table_overrides": {t: str(work / f"{t}.csv") for t in tables},
                     "split_yield_files": {f: str(work / f"{f}.csv") for f in ("wheat", "soy2")}}
         (work / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
         out = work / "out"

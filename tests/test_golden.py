@@ -28,7 +28,8 @@ _HISTORY = ["A", "F", "VU", "U", "VF", "A", "U", "F", "VF", "VU", "A", "F"]
 # every profit.
 _STRETCHES = ["A"] * 6 + ["F", "U", "F"] + ["U"] * 5 + ["VU", "VF"] + ["A"] * 4
 
-# name -> (command, scenario overrides on the longterm preset, extra CLI args)
+# name -> (command, scenario overrides on the longterm preset, extra CLI args);
+# a "split_yield_files" of None stands for the files `_write_split_yields` writes
 SCENARIOS = {
     "vu-owners0-6x9": ("run", {"grid_rows": 6, "grid_cols": 9, "owner_share_pct": 0.0,
                                "climate": {"constant": "VU"}}, []),
@@ -48,7 +49,7 @@ SCENARIOS = {
     "mix": ("run", {"grid_rows": 6, "grid_cols": 6, "seed": 4,
                     "climate": {"mix": {"fixed": "VF", "historical": _HISTORY}}}, []),
     "split-pricing": ("run", {"grid_rows": 6, "grid_cols": 6, "seed": 6,
-                              "climate": "random", "pricing_mode": "split"}, []),
+                              "climate": "random", "split_yield_files": None}, []),
     "row-1x9": ("run", {"grid_rows": 1, "grid_cols": 9, "seed": 7, "owner_share_pct": 20.0,
                         "climate": "random"}, []),
     "single-1x1": ("run", {"grid_rows": 1, "grid_cols": 1, "seed": 8, "owner_share_pct": 0.0,
@@ -162,7 +163,7 @@ def digests(name: str, directory: Path) -> dict:
     """Run one scenario into `directory` and hash every file it writes."""
     command, overrides, extra = SCENARIOS[name]
     scenario = {"preset": "longterm", "cycles": 12, **overrides}
-    if scenario.get("pricing_mode") == "split":
+    if "split_yield_files" in scenario:
         scenario["split_yield_files"] = _write_split_yields(directory)
     config = directory / "scenario.json"
     config.write_text(json.dumps(scenario))

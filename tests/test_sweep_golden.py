@@ -29,17 +29,18 @@ from luccsim.tables import Wgc
 
 from test_golden import _write_split_yields
 
-# name -> (scenario overrides on the longterm preset, axis, comma list of values)
+# name -> (scenario overrides on the longterm preset, axis, comma list of values);
+# a "split_yield_files" of None stands for the files `_write_split_yields` writes
 SCENARIOS = {
     "maize-price": ({"grid_rows": 5, "grid_cols": 5, "seed": 2, "climate": "seesaw"},
                     "maize-price", "80,185.28"),
     "wheat-price-combined": ({"grid_rows": 5, "grid_cols": 6, "seed": 3, "climate": "random"},
                              "wheat-price", "110,249.23"),
     "wheat-price-split": ({"grid_rows": 6, "grid_cols": 5, "seed": 4, "climate": "random",
-                           "pricing_mode": "split", "prices": {"M": 141.0, "S": 277.0, "WS": 140.0}},
+                           "split_yield_files": None, "prices": {"M": 141.0, "S": 277.0, "WS": 140.0}},
                           "wheat-price", "110,200"),
     "soy-price-split": ({"grid_rows": 5, "grid_cols": 5, "seed": 5, "climate": "seesaw",
-                         "pricing_mode": "split"}, "soy-price", "200,346.4"),
+                         "split_yield_files": None}, "soy-price", "200,346.4"),
     "rent": ({"grid_rows": 5, "grid_cols": 5, "seed": 6, "owner_share_pct": 20.0,
               "climate": "random"}, "rent", "250,700"),
     "soy-price-usd-rent": ({"grid_rows": 5, "grid_cols": 6, "seed": 7, "owner_share_pct": 10.0,
@@ -98,7 +99,7 @@ def digests(name: str, directory: Path) -> dict:
     """Sweep one scenario into `directory`; hash sweep.csv and the rows' exact means."""
     overrides, axis, values = SCENARIOS[name]
     scenario = {"preset": "longterm", "cycles": 12, **overrides}
-    if scenario.get("pricing_mode") == "split":
+    if "split_yield_files" in scenario:
         scenario["split_yield_files"] = _write_split_yields(directory)
     config = directory / "scenario.json"
     config.write_text(json.dumps(scenario))

@@ -68,7 +68,7 @@ def test_tables_are_read_only(tmp_path, tables, field):
     """Every table, the component yields as `resolve_tables` reads them included."""
     split = SplitPricing(_component_yield_file(tmp_path, "wheat.csv"),
                          _component_yield_file(tmp_path, "soy2.csv"))
-    loaded = resolve_tables(replace(preset("longterm"), split=split))
+    loaded = resolve_tables(replace(preset("longterm"), split_yield_files=split))
     sources = [loaded, replace(loaded)]
     if getattr(tables, field) is not None:  # the embedded dataset has no component yields
         sources += [tables, replace(tables)]
