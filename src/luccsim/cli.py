@@ -6,7 +6,8 @@ an optional per-agent trace (agents.csv), and a run summary (summary.json).
 `sweep` executes a one-at-a-time sensitivity axis and writes sweep.csv.
 
 Exit codes: 0 success, 2 configuration error (a run that needs more memory
-than is available included), 3 I/O error, 4 metric undefined. All numeric
+than is available, or whose aspirations overflow, included), 3 I/O error,
+4 metric undefined. A run that fails leaves no agents.csv. All numeric
 CSV output carries exactly six decimals so repeated runs are byte-comparable.
 """
 
@@ -162,8 +163,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         if args.emit_agents:
             from .agents_csv import AgentsCsv
-            observers.append(AgentsCsv(stack.enter_context(
-                open(f"{out}/agents.csv", "w", newline="", encoding="utf-8"))))
+            agents = f"{out}/agents.csv"
+            handle = open(agents, "w", newline="", encoding="utf-8")
+            # once closed, a failed run's file goes; None lets the error propagate
+            stack.push(lambda failed, *_: failed and os.remove(agents))
+            observers.append(AgentsCsv(stack.enter_context(handle)))
         result = run_simulation(run, observers=observers)
     write_cycles_csv(result.records, f"{out}/cycles.csv")
     print(f"wrote {out}/cycles.csv ({len(result.records)} cycles)")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConfigurationError, read_text
+from .errors import ConfigurationError, read_text, shown
 from .rng import SplitMix64
 from .tables import Wgc
 
@@ -141,7 +141,7 @@ def parse_climate_spec(spec) -> ClimateRegime:
         if name in _NAMED_REGIMES:
             return _NAMED_REGIMES[name]
         raise ConfigurationError(
-            f"unknown climate regime {spec!r} (expected one of "
+            f"unknown climate regime {shown(spec)} (expected one of "
             f"{', '.join(sorted(_NAMED_REGIMES))}, or an object)"
         )
     if isinstance(spec, dict) and len(spec) == 1:
@@ -164,12 +164,12 @@ def parse_climate_spec(spec) -> ClimateRegime:
             else:
                 historical = load_wgc_sequence(str(mix["historical_file"]))
             return ClimateRegime.alternating_mix(historical, fixed)
-    raise ConfigurationError(f"cannot parse climate spec {spec!r}")
+    raise ConfigurationError(f"cannot parse climate spec {shown(spec)}")
 
 
 def _wgc_list(raw, name: str) -> list[Wgc]:
     if not isinstance(raw, list):
         raise ConfigurationError(
-            f"climate {name} must be a JSON array of weather codes (got {raw!r})"
+            f"climate {name} must be a JSON array of weather codes (got {shown(raw)})"
         )
     return [Wgc.from_code(str(c)) for c in raw]

@@ -29,7 +29,7 @@ from functools import partial
 from typing import Any, Mapping, Optional
 
 from .climate import ClimateRegime, parse_climate_spec
-from .errors import ConfigurationError, read_text
+from .errors import ConfigurationError, read_text, shown
 from .numeric import sequential_sum
 from .tables import (
     LandUse,
@@ -190,7 +190,7 @@ def preset(name: str, seed: int = 0) -> ScenarioConfig:
     """Build one of the named presets; override fields with `with_settings`."""
     if name not in _PRESETS:
         raise ConfigurationError(
-            f"unknown preset {name!r} (expected one of {', '.join(PRESET_NAMES)})"
+            f"unknown preset {shown(name)} (expected one of {', '.join(PRESET_NAMES)})"
         )
     return with_settings(_blank(), {**_PRESETS[name], "seed": seed})
 
@@ -210,7 +210,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     data: dict[str, Any] = {}
     for key, value in pairs:
         if key in data:
-            raise ConfigurationError(f"repeated key {key!r}")
+            raise ConfigurationError(f"repeated key {shown(key)}")
         data[key] = value
     return data
 
@@ -239,7 +239,7 @@ def parse_config(path: str) -> ScenarioConfig:
     for key in settings:
         if key not in _SETTINGS:
             raise ConfigurationError(
-                f"{path}:{_line_of_key(text, key)}: unknown key {key!r}"
+                f"{path}:{_line_of_key(text, key)}: unknown key {shown(key)}"
             )
 
     try:
@@ -308,13 +308,14 @@ def _number(value, name: str, convert):
     truncate a fraction.
     """
     if convert is int and type(value) is not int:
-        raise ConfigurationError(f"{name} must be a number written as an integer (got {value!r})")
+        raise ConfigurationError(
+            f"{name} must be a number written as an integer (got {shown(value)})")
     if type(value) not in (int, float):
-        raise ConfigurationError(f"{name} must be a number (got {value!r})")
+        raise ConfigurationError(f"{name} must be a number (got {shown(value)})")
     try:
         return convert(value)
     except OverflowError:
-        raise ConfigurationError(f"{name} must be a number (got {value!r})") from None
+        raise ConfigurationError(f"{name} must be a number (got {shown(value)})") from None
 
 
 _integer, _real = partial(_number, convert=int), partial(_number, convert=float)
@@ -369,7 +370,7 @@ def with_settings(config: ScenarioConfig, settings: Mapping[str, Any]) -> Scenar
     """
     for key in settings:
         if key not in _SETTINGS:
-            raise ConfigurationError(f"unknown key {key!r}")
+            raise ConfigurationError(f"unknown key {shown(key)}")
     return replace(config, **{key: parse(settings[key], key)
                               for key, parse in _SETTINGS.items() if key in settings})
 

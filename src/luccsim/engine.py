@@ -199,7 +199,8 @@ def update_aspiration(cal, p, bn_cal, bn_profit, tl, bn_tl, tables: ParameterTab
     pair *= len(TechLevel)  # [tl, bn_tl] as a flat index
     pair += bn_tl
     copied = (1.0 + tables.alpha_bn).take(pair)
-    copied *= bn_cal
+    with np.errstate(over="ignore"):  # an infinite copy is refused as the next cycle's CAL
+        copied *= bn_cal
     out.reshape(-1)[imitators] = copied
     np.fmax(out, 0.0, out=out)  # a NaN or a negative is 0.0
     out += 0.0  # and so is a -0.0
@@ -435,6 +436,17 @@ def plan(config: ScenarioConfig, tables: Optional[ParameterTables] = None) -> Ch
     return run
 
 
+def _refuse_infinite_cal(t: int, scape: Landscape, ctx: CycleContext) -> None:
+    """Refuse cycle `t`, whose CAL overflows, naming its first farm with a non-finite CAL."""
+    with np.errstate(over="ignore"):
+        cal = climate_adjusted_aspiration(scape.al, ctx.wgc, ctx.tables)
+    row, col = divmod(int(np.flatnonzero(~np.isfinite(cal))[0]), scape.cols)
+    raise ConfigurationError(
+        f"cycle {t}: the climate-adjusted aspiration of the farm at row {row}, col {col} is not "
+        f"finite under weather {ctx.wgc.code} (alpha_wgc {ctx.tables.alpha_wgc[ctx.wgc]:g}); an "
+        f"aspiration missed every cycle grows by 0.55 x (1 + alpha_wgc) a cycle")
+
+
 def run_simulation(
     run: CheckedRun | ScenarioConfig,
     tables: Optional[ParameterTables] = None,
@@ -449,9 +461,10 @@ def run_simulation(
     by initialization first and then, for the random weather regime only,
     by one draw per cycle, so identical configurations replay identically.
     Each of `observers` is told of the run as it goes (see `RunObserver`);
-    the pre-cycle copies are made only when there is one.
-    `collect_agents=True` adds an `AgentRows`, returned as
-    `result.agent_rows`.
+    the pre-cycle copies are made only when there is one. A cycle whose
+    CAL would not be finite is refused with a `ConfigurationError` before
+    it runs, so no observer sees it. `collect_agents=True` adds an
+    `AgentRows`, returned as `result.agent_rows`.
     """
     run = run if isinstance(run, CheckedRun) else plan(run, tables)
     config = run.config
@@ -466,6 +479,7 @@ def run_simulation(
         observer.start(scape)
 
     records: list[CycleRecord] = []
+    factors = [float(1.0 + run.tables.alpha_wgc[wgc]) for wgc in Wgc]  # each weather's CAL factor
     n = scape.n_agents
     # per-agent sums of profit and rl, and counts of met goals
     profit, rl = np.zeros(n), np.zeros(n)
@@ -473,6 +487,9 @@ def run_simulation(
 
     for t in range(config.cycles):
         ctx = run.contexts[wgc_for_cycle(config.climate, t, rng)]
+        # al >= 0 and the factor > 0, so this is the largest CAL; a Python float never warns
+        if not math.isfinite(float(scape.al.max()) * factors[ctx.wgc]):
+            _refuse_infinite_cal(t, scape, ctx)
         if observers:
             before = (scape.alloc.copy(), scape.tl.astype(np.int8), scape.al.copy())
         record = run_cycle(scape, ctx, cycle_index=t)

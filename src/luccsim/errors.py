@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one way input files are read."""
+"""Exception types shared across the package, the one way input files are read, and
+how a refusal shows a value."""
 
 from __future__ import annotations
 
@@ -18,6 +19,12 @@ class ConfigurationError(LuccsimError):
 
 class MetricUndefinedError(LuccsimError):
     """A goodness-of-fit statistic is undefined for the given series."""
+
+
+def shown(value) -> str:
+    """`repr(value)` for a one-line message: cut to 60 characters and its length if longer."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def read_text(path: str, what: str, newline: Optional[str] = None) -> str:
@@ -60,7 +67,7 @@ def read_number(text: str, where: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ConfigurationError(f"{where}: {text!r} is not numeric") from None
+        raise ConfigurationError(f"{where}: {shown(text)} is not numeric") from None
     if not math.isfinite(value):
-        raise ConfigurationError(f"{where}: {text!r} is not finite")
+        raise ConfigurationError(f"{where}: {shown(text)} is not finite")
     return value

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, read_csv, read_number
+from .errors import ConfigurationError, read_csv, read_number, shown
 
 __all__ = [
     "CodedEnum",
@@ -49,7 +49,7 @@ class CodedEnum(IntEnum):
             if member.code == wanted:
                 return member
         raise ConfigurationError(
-            f"unknown {cls.__name__} code {code!r} (expected one of "
+            f"unknown {cls.__name__} code {shown(code)} (expected one of "
             f"{', '.join(member.code for member in cls)})"
         )
 
@@ -338,7 +338,7 @@ def load_table_overrides(
     for name, path in overrides.items():
         if name not in _OVERRIDES:
             raise ConfigurationError(
-                f"unknown table override {name!r} (expected one of "
+                f"unknown table override {shown(name)} (expected one of "
                 f"{', '.join(sorted(_OVERRIDES))}; output prices are the "
                 "scenario's \"prices\" setting)"
             )

@@ -8,6 +8,7 @@ import pytest
 
 from luccsim import ConfigurationError, LandUse, TechLevel, Wgc, preset, run_simulation
 from luccsim.cli import main
+from luccsim.errors import shown
 
 # A refusal writes one stderr line, so a numpy warning on the way to it is a failure.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -285,6 +286,7 @@ def test_validate_csv_that_is_not_utf8_is_rejected(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("value, reason", [
     ("nan", "not finite"), ("inf", "not finite"), ("-inf", "not finite"), ("abc", "not numeric"),
+    ("9" * 100_000, "not finite"),  # echoed cut short
 ])
 @pytest.mark.parametrize("bad", ["run_csv", "observed_csv"])
 def test_validate_bad_series_value_is_rejected_with_its_row(tmp_path, capsys, bad, value, reason):
@@ -297,7 +299,7 @@ def test_validate_bad_series_value_is_rejected_with_its_row(tmp_path, capsys, ba
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert f"{path}:3: column 'cover_m': {value!r} is {reason}" in err
+    assert f"{path}:3: column 'cover_m': {shown(value)} is {reason}" in err and len(err) < 500
     assert not (tmp_path / "fit.json").exists()
 
 
@@ -499,6 +501,68 @@ def test_aspiration_factor_outside_its_range_is_rejected(tmp_path, capsys, table
         '{"preset": "longterm", "grid_rows": 3, "grid_cols": 3, "cycles": 3, %s}' % body, "--emit-agents")
     assert code == 2
     assert err.count("\n") == 1 and f"{case}[{key}]: alpha outside (-1, 1)" in err
+    assert written == []
+
+
+# A farm that misses its aspiration every cycle under a weather factor of
+# 1.99 grows it by 0.55 x 1.99 a cycle, so its CAL overflows in cycle 7762.
+# This run once exited 0 with cal = inf in agents.csv.
+def test_aspiration_that_overflows_is_refused_and_leaves_no_file(tmp_path, capsys, tables):
+    def favorable_099(rows):
+        return [(*row[:-1], 0.99 if row[0] == "VF" else row[-1]) for row in rows]
+
+    body, _ = _tables_case(tmp_path, tables, "alpha_wgc", favorable_099)
+    code, err, written = _run_config(
+        tmp_path, capsys, '{"preset": "longterm", "grid_rows": 1, "grid_cols": 1, "cycles": 9000, '
+        '"climate": {"constant": "VF"}, %s}' % body, "--emit-agents")
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "cycle 7762:" in err and "row 0, col 0" in err and "weather VF (alpha_wgc 0.99)" in err
+    assert written == []
+
+
+def test_library_refuses_a_cycle_whose_cal_is_not_finite(tables):
+    class InfiniteAspiration:  # as an imitator copying a CAL near the largest float is left
+        def start(self, landscape):
+            landscape.al[7] = np.inf
+
+        def cycle(self, *args):
+            raise AssertionError("an observer saw a cycle with an infinite CAL")
+
+    config = replace(preset("longterm"), grid_rows=3, grid_cols=4, cycles=2)
+    with pytest.raises(ConfigurationError, match=r"^cycle 0: .* row 1, col 3 .* weather A \(alpha_wgc 0\)"):
+        run_simulation(config, tables, observers=[InfiniteAspiration()])
+
+
+# A refusal echoes a value cut short: "owner_share_pct": 10**400 once gave a
+# 490-byte line holding all 401 digits.
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("body, message", [
+    ('"owner_share_pct": 1%s' % ("0" * 400), "owner_share_pct must be a number"),
+    ('"grid_rows": "%s"' % ("7" * 5000), "grid_rows must be a number written as an integer"),
+    ('"et_pct": ["%s"]' % _LONG, "et_pct must be a number"),
+    ('"climate": "%s"' % _LONG, "unknown climate regime"),
+    ('"climate": {"constant": "A", "x": "%s"}' % _LONG, "cannot parse climate spec"),
+    ('"climate": {"sequence": "%s"}' % _LONG, "must be a JSON array of weather codes"),
+    ('"climate": {"constant": "%s"}' % _LONG, "unknown Wgc code"),
+    ('"table_overrides": {"%s": "a.csv"}' % _LONG, "unknown table override"),
+    ('"%s": 1' % _LONG, "unknown key"),
+    ('"%s": 1, "%s": 2' % (_LONG, _LONG), "repeated key"),
+], ids=["overflow", "integer", "number", "regime", "climate-spec", "sequence", "code", "override",
+        "key", "repeated-key"])
+def test_refusal_echoes_a_long_value_cut_short(tmp_path, capsys, body, message):
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "longterm", %s}' % body)
+    assert code == 2
+    assert err.count("\n") == 1 and message in err and "characters)" in err and len(err) < 500
+    assert written == []
+
+
+def test_unknown_preset_is_echoed_cut_short(tmp_path, capsys):
+    code, err, written = _run_config(tmp_path, capsys, '{"preset": "%s"}' % _LONG)
+    assert code == 2
+    assert err.count("\n") == 1 and "unknown preset" in err and "characters)" in err and len(err) < 500
     assert written == []
 
 

@@ -207,6 +207,10 @@ class TestUpdateAspiration:
         got = update_aspiration(200.0, 100.0, 180.0, 150.0, L, H, tables)
         assert got == pytest.approx(0.55 * 200 + 0.45 * 100, abs=1e-9)
 
+    def test_copy_that_overflows_is_inf_without_a_warning(self, tables):
+        # run_simulation refuses it as the imitator's next CAL
+        assert update_aspiration(300.0, 100.0, 1.7e308, 400.0, L, H, tables) == np.inf
+
     def test_clamped_at_zero(self, tables):
         assert update_aspiration(10.0, -10_000.0, *NO_BN, L, L, tables) == 0.0
 

@@ -4,8 +4,10 @@ Each example takes one valid input file (a table override, a split-pricing
 component yield, or a `validate` series) through a few mutations: fields
 dropped, added or replaced by extreme or non-numeric text, rows blanked,
 repeated or removed, and quotes or control characters inserted. `luccsim`
-then runs a 1x2 grid for two cycles, or validates, on it: a neighbor reads
-`alpha_bn`, and an overflowing aspiration factor first shows in cycle 1.
+then runs a 1x2 grid for two cycles of one drawn weather level, or
+validates, on it: a neighbor reads `alpha_bn`, every `alpha_wgc` row is
+read by some examples, and an overflowing aspiration factor first shows in
+cycle 1.
 Exit 0 must write only finite numbers; any other exit is 2, 3 or 4 with
 one stderr line.
 """
@@ -50,6 +52,7 @@ _CELLS = st.sampled_from([
     "1.7976931348623157e308", "1e-310", "5e-324", "-5e-324", "0", "-0.0", "1_0", "0x10", "1e",
     "L", "A", "H", "VF", "M", "tl", "value", '"', '""', '"1,2"', "9" * 131_073,
 ]) | st.floats().map(repr) | st.text(max_size=4)
+_LEVELS = st.sampled_from([w.code for w in Wgc])
 _CHARS = st.sampled_from(['"', "'", ",", "\x00", "\r", "\n", "\t", "\x0b", "\x1f", "\ufeff",
                           "\u00a0", "\u2009", "\u00e9", " "])
 
@@ -89,7 +92,7 @@ def _mutated(draw, text):
 @st.composite
 def _cases(draw):
     name = draw(st.sampled_from(_MUTABLE))
-    return name, draw(_mutated(_FILES[name]))
+    return name, draw(_mutated(_FILES[name])), draw(_LEVELS)
 
 
 def _refuse(token):
@@ -108,14 +111,18 @@ def _assert_finite_outputs(out):
                     assert name == "wgc" or math.isfinite(float(text)), (path.name, name, text)
 
 
-def check_case(name, text):
-    """Run the command that reads `name`, with `text` as that file, and check how it ends."""
+def check_case(name, text, wgc="A"):
+    """Run the command that reads `name`, with `text` as that file, and check how it ends.
+
+    A run's weather is `wgc` every cycle, so it reads that row of alpha_wgc.
+    """
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         for file, body in {**_FILES, name: text}.items():
             (work / file).write_text(body, encoding="utf-8", newline="")
         tables = ("wct", "alpha_wgc", "alpha_bn")
-        scenario = {**_SCENARIO, "table_overrides": {t: str(work / f"{t}.csv") for t in tables},
+        scenario = {**_SCENARIO, "climate": {"constant": wgc},
+                    "table_overrides": {t: str(work / f"{t}.csv") for t in tables},
                     "split_yield_files": {f: str(work / f"{f}.csv") for f in ("wheat", "soy2")}}
         (work / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
         out = work / "out"
@@ -144,6 +151,15 @@ def check_case(name, text):
 @given(_cases())
 def test_mutated_input_csv_exits_cleanly(case):
     check_case(*case)
+
+
+# Any float as the alpha_wgc entry of the one weather level a run reads: the
+# (-1, 1) rule refuses most, and the aspiration guard what still overflows.
+@settings(derandomize=True, max_examples=100)
+@given(_LEVELS, st.floats())
+def test_any_alpha_wgc_entry_of_the_weather_exits_cleanly(wgc, value):
+    rows = [(w.code, value if w.code == wgc else default_tables().alpha_wgc[w]) for w in Wgc]
+    check_case("alpha_wgc.csv", _table("wgc,value", rows), wgc)
 
 
 def test_the_unmutated_files_run_and_validate():
